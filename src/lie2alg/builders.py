@@ -285,11 +285,7 @@ def cartan_cocycle(g: LieAlgebra, k=1) -> Cochain:
     scale = rat(k)
     values = {}
     for (a, b, c) in combinations(range(g.dim), 3):
-        total = ZERO
-        for t, coeff in enumerate(g.sc[b][c]):
-            if coeff:
-                total += coeff * kf[a, t]
-        values[(a, b, c)] = (scale * total,)
+        values[(a, b, c)] = (scale * kf.apply(g.sc[b][c])[a],)
     return Cochain(3, g, 1, values)
 
 

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 from .linalg import (
     Matrix,
-    Subspace,
     ZERO,
+    basis_vec,
     block_diag,
     complement,
     image_basis,
@@ -36,9 +36,7 @@ from .linalg import (
 )
 from .core import (
     TwoTermAlgebra,
-    bracket00,
-    bracket_mixed,
-    jacobiator,
+    contract,
     perm_sign,
     shuffles,
     tensor3,
@@ -147,13 +145,14 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
         raise ValueError("decomposition belongs to a different algebra")
     gdim = dec.g_basis.dim
     kdim = dec.kerd_basis.dim
+    n0, n1 = L.n0, L.n1
     g_cols = dec.g_basis.basis
     k_cols = dec.kerd_basis.basis
 
     sc = [[list(vec_zero(gdim)) for _ in range(gdim)] for _ in range(gdim)]
     for i in range(gdim):
         for j in range(i + 1, gdim):
-            w = bracket00(L, g_cols[i], g_cols[j])
+            w = contract(L.b00, g_cols[i], g_cols[j], n=n0)
             gpart = dec.coords0.apply(w)[:gdim]
             sc[i][j] = list(gpart)
             sc[j][i] = [-c for c in gpart]
@@ -163,7 +162,7 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
     for i in range(gdim):
         cols = []
         for b in range(kdim):
-            w = bracket_mixed(L, g_cols[i], k_cols[b])
+            w = contract(L.b01, g_cols[i], k_cols[b], n=n1)
             cols.append(dec.coords1.apply(w)[:kdim])
         rho.append(Matrix.from_columns(cols, rows=kdim))
     rep = Representation(g, kdim, tuple(rho))
@@ -171,11 +170,11 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
     sh12 = shuffles(1, 2).elements
     values = {}
     for key in combinations(range(gdim), 3):
-        total = jacobiator(L, g_cols[key[0]], g_cols[key[1]], g_cols[key[2]])
+        total = contract(L.jac, g_cols[key[0]], g_cols[key[1]], g_cols[key[2]], n=n1)
         for perm, sign in sh12:
             x1 = g_cols[key[perm[0]]]
-            inner = bracket00(L, g_cols[key[perm[1]]], g_cols[key[perm[2]]])
-            term = bracket_mixed(L, x1, dec.h.apply(inner))
+            inner = contract(L.b00, g_cols[key[perm[1]]], g_cols[key[perm[2]]], n=n0)
+            term = contract(L.b01, x1, dec.h.apply(inner), n=n1)
             if sign == 1:
                 total = vec_sub(total, term)
             else:
@@ -225,28 +224,12 @@ def transport(
 
     d_new = phi0 @ (L.d @ inv1)
 
-    def corr_eval(u, w):
-        out = [ZERO] * n1
-        for p, cp in enumerate(u):
-            if not cp:
-                continue
-            plane = corr[p]
-            for q, cq in enumerate(w):
-                if not cq:
-                    continue
-                c = cp * cq
-                row = plane[q]
-                for t in range(n1):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return tuple(out)
-
     b00_new = [[list(vec_zero(n0)) for _ in range(n0)] for _ in range(n0)]
     for a in range(n0):
         for b in range(a + 1, n0):
             val = vec_sub(
-                phi0.apply(bracket00(L, x_cols[a], x_cols[b])),
-                d_new.apply(corr_eval(x_cols[a], x_cols[b])),
+                phi0.apply(contract(L.b00, x_cols[a], x_cols[b], n=n0)),
+                d_new.apply(contract(corr, x_cols[a], x_cols[b], n=n1)),
             )
             b00_new[a][b] = list(val)
             b00_new[b][a] = [-c for c in val]
@@ -256,28 +239,21 @@ def transport(
         for b in range(n1):
             dv = L.d.apply(v_cols[b])
             val = vec_add(
-                phi1.apply(bracket_mixed(L, x_cols[a], v_cols[b])),
-                corr_eval(dv, x_cols[a]),
+                phi1.apply(contract(L.b01, x_cols[a], v_cols[b], n=n1)),
+                contract(corr, dv, x_cols[a], n=n1),
             )
             b01_new[a][b] = list(val)
 
     sh12 = shuffles(1, 2).elements
     jac_new = [[[list(vec_zero(n1)) for _ in range(n0)] for _ in range(n0)] for _ in range(n0)]
     for key in combinations(range(n0), 3):
-        val = phi1.apply(jacobiator(L, x_cols[key[0]], x_cols[key[1]], x_cols[key[2]]))
+        val = phi1.apply(contract(L.jac, x_cols[key[0]], x_cols[key[1]], x_cols[key[2]], n=n1))
         for perm, sign in sh12:
-            p = key[perm[0]]
-            corr_val = corr_eval(x_cols[key[perm[1]]], x_cols[key[perm[2]]])
-            mixed = [ZERO] * n1
-            for t, c in enumerate(corr_val):
-                if c:
-                    row = b01_new[p][t]
-                    for s in range(n1):
-                        if row[s]:
-                            mixed[s] += c * row[s]
+            a = key[perm[0]]
+            y, z = x_cols[key[perm[1]]], x_cols[key[perm[2]]]
             term = vec_add(
-                tuple(mixed),
-                corr_eval(x_cols[p], bracket00(L, x_cols[key[perm[1]]], x_cols[key[perm[2]]])),
+                contract(b01_new[a], contract(corr, y, z, n=n1), n=n1),
+                contract(corr, x_cols[a], contract(L.b00, y, z, n=n0), n=n1),
             )
             if sign == 1:
                 val = vec_sub(val, term)
@@ -329,10 +305,9 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     gdim = dec.g_basis.dim
     kdim = dec.kerd_basis.dim
     n0, n1 = L.n0, L.n1
-    g_std = [_embed(dec.g_basis, dec.coords0.column(i)[:gdim], n0) for i in range(n0)]
-    imd_std = [
-        _embed(dec.imd_basis, dec.coords0.column(i)[gdim:], n0) for i in range(n0)
-    ]
+    g_mat, imd_mat = dec.g_basis.matrix(), dec.imd_basis.matrix()
+    g_std = [g_mat.apply(dec.coords0.column(i)[:gdim]) for i in range(n0)]
+    imd_std = [imd_mat.apply(dec.coords0.column(i)[gdim:]) for i in range(n0)]
 
     phi_corr = [[list(vec_zero(n1)) for _ in range(n0)] for _ in range(n0)]
     for i in range(n0):
@@ -340,16 +315,14 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
         for j in range(i + 1, n0):
             h_j = dec.h.column(j)
             s = vec_add(
-                bracket_mixed(L, imd_std[i], h_j),
+                contract(L.b01, imd_std[i], h_j, n=n1),
                 vec_sub(
-                    bracket_mixed(L, g_std[i], h_j),
-                    bracket_mixed(L, g_std[j], h_i),
+                    contract(L.b01, g_std[i], h_j, n=n1),
+                    contract(L.b01, g_std[j], h_i, n=n1),
                 ),
             )
             ker_part = dec.coords1.apply(s)[:kdim]
-            e_i = tuple(Fraction(1) if t == i else ZERO for t in range(n0))
-            e_j = tuple(Fraction(1) if t == j else ZERO for t in range(n0))
-            u_part = dec.coords0.apply(bracket00(L, e_i, e_j))[gdim:]
+            u_part = dec.coords0.apply(L.b00[i][j])[gdim:]
             value = tuple(ker_part) + tuple(u_part)
             phi_corr[i][j] = list(value)
             phi_corr[j][i] = [-c for c in value]
@@ -359,16 +332,6 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     if not report.passed or not is_isomorphism(mor):
         raise RuntimeError(f"normalizing morphism failed verification: {report.lines()}")
     return NormalFormResult(target, mor, q)
-
-
-def _embed(sub: Subspace, coords, ambient: int):
-    out = [ZERO] * ambient
-    for c, basis_vec in zip(coords, sub.basis):
-        if c:
-            for t in range(ambient):
-                if basis_vec[t]:
-                    out[t] += c * basis_vec[t]
-    return tuple(out)
 
 
 def skeleton(L: TwoTermAlgebra) -> TwoTermAlgebra:
@@ -474,13 +437,6 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def _span_dim(g: LieAlgebra, vectors) -> int:
-    vectors = [v for v in vectors if not is_zero_vec(v)]
-    if not vectors:
-        return 0
-    return Matrix.from_columns(vectors, rows=g.dim).rank()
-
-
 def _subspace_basis(g: LieAlgebra, vectors):
     vectors = [v for v in vectors if not is_zero_vec(v)]
     if not vectors:
@@ -491,12 +447,10 @@ def _subspace_basis(g: LieAlgebra, vectors):
 def derived_series_dims(g: LieAlgebra) -> tuple[int, ...]:
     """Dimensions along g, [g,g], [[g,g],[g,g]], ... until they stabilize."""
     dims = [g.dim]
-    current = tuple(
-        tuple(Fraction(1) if t == i else ZERO for t in range(g.dim)) for i in range(g.dim)
-    )
+    current = tuple(basis_vec(g.dim, i) for i in range(g.dim))
     while True:
         brackets = [
-            g.bracket_vec(current[a], current[b])
+            contract(g.sc, current[a], current[b], n=g.dim)
             for a in range(len(current))
             for b in range(a + 1, len(current))
         ]
@@ -513,13 +467,11 @@ def derived_series_dims(g: LieAlgebra) -> tuple[int, ...]:
 def lower_central_series_dims(g: LieAlgebra) -> tuple[int, ...]:
     """Dimensions along g, [g,g], [g,[g,g]], ... until they stabilize."""
     dims = [g.dim]
-    basis_g = tuple(
-        tuple(Fraction(1) if t == i else ZERO for t in range(g.dim)) for i in range(g.dim)
-    )
+    basis_g = tuple(basis_vec(g.dim, i) for i in range(g.dim))
     current = basis_g
     while True:
         brackets = [
-            g.bracket_vec(x, c) for x in basis_g for c in current
+            contract(g.sc, x, c, n=g.dim) for x in basis_g for c in current
         ]
         nxt = _subspace_basis(g, brackets)
         if len(nxt) == dims[-1]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .core import TwoTermAlgebra, verify
 from .cohomology import (
@@ -185,26 +186,11 @@ def cmd_example(args) -> int:
 def cmd_random(args) -> int:
     profile = RandomProfile()
     if args.algebras:
-        profile = RandomProfile(
-            algebras=tuple(args.algebras.split(",")),
-            representations=profile.representations,
-            max_dim_u=profile.max_dim_u,
-            entry_bound=profile.entry_bound,
-        )
+        profile = replace(profile, algebras=tuple(args.algebras.split(",")))
     if args.reps:
-        profile = RandomProfile(
-            algebras=profile.algebras,
-            representations=tuple(args.reps.split(",")),
-            max_dim_u=profile.max_dim_u,
-            entry_bound=profile.entry_bound,
-        )
+        profile = replace(profile, representations=tuple(args.reps.split(",")))
     if args.max_u is not None:
-        profile = RandomProfile(
-            algebras=profile.algebras,
-            representations=profile.representations,
-            max_dim_u=args.max_u,
-            entry_bound=profile.entry_bound,
-        )
+        profile = replace(profile, max_dim_u=args.max_u)
     L = random_algebra(args.seed, profile)
     _emit(args, _checked_algebra_document(L, name=f"random seed={args.seed}"))
     return 0

@@ -27,9 +27,11 @@ from itertools import combinations, permutations
 from .linalg import (
     Matrix,
     ZERO,
+    basis_vec,
     image_basis,
     is_zero_vec,
     kernel_basis,
+    rref,
     solve,
     vec,
     vec_add,
@@ -37,7 +39,7 @@ from .linalg import (
     vec_sub,
     vec_zero,
 )
-from .core import perm_sign, shuffles, tensor3, Tensor3
+from .core import contract, jacobi_defect, perm_sign, shuffles, tensor3, Tensor3
 
 
 class LieMorphismError(ValueError):
@@ -66,39 +68,8 @@ class LieAlgebra:
                 if not is_zero_vec(vec_add(self.sc[i][j], self.sc[j][i])):
                     raise ValueError(f"structure constants not antisymmetric at ({i}, {j})")
         for (i, j, k) in combinations(range(self.dim), 3):
-            if not is_zero_vec(self._jacobi(i, j, k)):
+            if not is_zero_vec(jacobi_defect(self.sc, i, j, k)):
                 raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
-
-    def _jacobi(self, i: int, j: int, k: int):
-        acc = [ZERO] * self.dim
-        for t, c in enumerate(self.sc[j][k]):
-            if c:
-                for s, cc in enumerate(self.sc[i][t]):
-                    acc[s] += c * cc
-        for t, c in enumerate(self.sc[i][j]):
-            if c:
-                for s, cc in enumerate(self.sc[t][k]):
-                    acc[s] -= c * cc
-        for t, c in enumerate(self.sc[i][k]):
-            if c:
-                for s, cc in enumerate(self.sc[j][t]):
-                    acc[s] -= c * cc
-        return tuple(acc)
-
-    def bracket_vec(self, u, v):
-        out = [ZERO] * self.dim
-        for p, cp in enumerate(u):
-            if not cp:
-                continue
-            for q, cq in enumerate(v):
-                if not cq:
-                    continue
-                c = cp * cq
-                row = self.sc[p][q]
-                for t in range(self.dim):
-                    if row[t]:
-                        out[t] += c * row[t]
-        return tuple(out)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]."""
@@ -133,21 +104,15 @@ class Representation:
         object.__setattr__(self, "rho", tuple(mats))
         for i in range(self.g.dim):
             for j in range(i + 1, self.g.dim):
-                lhs = Matrix.zero(self.dimV, self.dimV)
-                for t, c in enumerate(self.g.sc[i][j]):
-                    if c:
-                        lhs = lhs + c * self.rho[t]
+                lhs = self.rho_vec(self.g.sc[i][j])
                 rhs = self.rho[i] @ self.rho[j] - self.rho[j] @ self.rho[i]
                 if lhs != rhs:
                     raise ValueError(f"representation law fails at ({i}, {j})")
 
     def rho_vec(self, x) -> Matrix:
         """rho of an arbitrary coordinate vector of g."""
-        out = Matrix.zero(self.dimV, self.dimV)
-        for i, c in enumerate(x):
-            if c:
-                out = out + c * self.rho[i]
-        return out
+        flat = contract([m.entries for m in self.rho], x, n=self.dimV * self.dimV)
+        return Matrix(self.dimV, self.dimV, flat)
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +256,7 @@ def delta_matrix(n: int, rep: Representation) -> Matrix:
         for v_idx in range(dimV):
             basis_cochain = Cochain(
                 n, g, dimV,
-                {key: tuple(Fraction(1) if t == v_idx else ZERO for t in range(dimV))},
+                {key: basis_vec(dimV, v_idx)},
             )
             columns.append(cochain_to_vec(delta(basis_cochain, rep)))
     return Matrix.from_columns(columns, rows=n_rows) if columns else Matrix.zero(n_rows, 0)
@@ -332,20 +297,14 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
     """Cocycle representatives spanning degree-n cohomology."""
     dn = delta_matrix(n, rep)
     cocycles = kernel_basis(dn).basis
-    if n >= 1:
-        img = image_basis(delta_matrix(n - 1, rep)).basis
-    else:
-        img = ()
-    chosen = []
-    current = list(img)
-    current_rank = len(current)
-    for cand in cocycles:
-        trial = current + [cand]
-        if Matrix.from_columns(trial, rows=dn.cols).rank() == current_rank + 1:
-            current = trial
-            current_rank += 1
-            chosen.append(vec_to_cochain(n, rep.g, rep.dimV, cand))
-    return tuple(chosen)
+    img = image_basis(delta_matrix(n - 1, rep)).basis if n >= 1 else ()
+    # the pivot columns of rref([image | cocycles]) past the image block are
+    # the cocycles a greedy left-to-right scan keeps
+    _, pivots = rref(Matrix.from_columns(img + cocycles, rows=dn.cols))
+    return tuple(
+        vec_to_cochain(n, rep.g, rep.dimV, cocycles[p - len(img)])
+        for p in pivots if p >= len(img)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +318,7 @@ def is_lie_morphism(psi: Matrix, g: LieAlgebra, h: LieAlgebra) -> bool:
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
             lhs = psi.apply(g.sc[i][j])
-            rhs = h.bracket_vec(psi.column(i), psi.column(j))
+            rhs = contract(h.sc, psi.column(i), psi.column(j), n=h.dim)
             if lhs != rhs:
                 return False
     return True
@@ -373,14 +332,8 @@ def pullback_representation(rep: Representation, psi: Matrix, g: LieAlgebra) -> 
     """
     if psi.rows != rep.g.dim or psi.cols != g.dim:
         raise ValueError("psi shape incompatible with the pullback")
-    mats = []
-    for i in range(g.dim):
-        acc = Matrix.zero(rep.dimV, rep.dimV)
-        for b, c in enumerate(psi.column(i)):
-            if c:
-                acc = acc + c * rep.rho[b]
-        mats.append(acc)
-    return Representation(g, rep.dimV, tuple(mats))
+    mats = tuple(rep.rho_vec(psi.column(i)) for i in range(g.dim))
+    return Representation(g, rep.dimV, mats)
 
 
 def is_intertwiner(t: Matrix, rep_source: Representation, pullback: Representation) -> bool:

@@ -12,11 +12,12 @@ The bracket of two degree-1 elements vanishes for degree reasons and is not
 stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
-validated as an explicit verifier stage, which keeps every contraction a
-plain table lookup.  Because all structure maps are multilinear, checking
-the five defining equations on basis tuples is sufficient; the verifier
-walks tuples in lexicographic order and reports the first failure per
-equation, so reports are deterministic.
+validated as an explicit verifier stage.  Every structure map is evaluated
+by one primitive, ``contract``, on the full tensor or on a slice of it (a
+basis argument is an index into the tensor).  Because all structure maps
+are multilinear, checking the five defining equations on basis tuples is
+sufficient; the verifier walks tuples in lexicographic order and reports
+the first failure per equation, so reports are deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, ZERO, vec, vec_add, vec_sub, vec_zero, is_zero_vec
+from .linalg import Matrix, ZERO, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -178,11 +179,11 @@ class Element:
 
     @classmethod
     def basis0(cls, L: TwoTermAlgebra, i: int) -> "Element":
-        return cls.degree0(L, tuple(1 if k == i else 0 for k in range(L.n0)))
+        return cls.degree0(L, basis_vec(L.n0, i))
 
     @classmethod
     def basis1(cls, L: TwoTermAlgebra, i: int) -> "Element":
-        return cls.degree1(L, tuple(1 if k == i else 0 for k in range(L.n1)))
+        return cls.degree1(L, basis_vec(L.n1, i))
 
     def __add__(self, other: "Element") -> "Element":
         return Element(vec_add(self.deg0, other.deg0), vec_add(self.deg1, other.deg1))
@@ -194,65 +195,39 @@ class Element:
         return is_zero_vec(self.deg0) and is_zero_vec(self.deg1)
 
 
-# -- raw contractions on coordinate tuples ----------------------------------
+# -- the contraction primitive ---------------------------------------------
 
 
-def bracket00(L: TwoTermAlgebra, u: Vec, v: Vec) -> Vec:
-    """[u, v] for two degree-0 coordinate vectors."""
-    out = [ZERO] * L.n0
-    for p, cp in enumerate(u):
-        if not cp:
-            continue
-        plane = L.b00[p]
-        for q, cq in enumerate(v):
-            if not cq:
-                continue
-            c = cp * cq
-            row = plane[q]
-            for t in range(L.n0):
-                if row[t]:
-                    out[t] += c * row[t]
+def contract(tensor, *vectors, n: int) -> Vec:
+    """Evaluate the multilinear map stored in a nested tensor.
+
+    ``tensor[i1]...[ik][t]`` is coordinate t of the value on the basis
+    arguments (e_i1, ..., e_ik); given k coordinate vectors, the result is
+    the sum of v1[i1] * ... * vk[ik] * tensor[i1]...[ik] as a length-``n``
+    tuple.  Zero coordinates, and additions into a zero, are skipped.
+    ``n`` is explicit because a zero-length axis leaves nothing to read it
+    from.
+    """
+    terms = [(c, tensor[p]) for p, c in enumerate(vectors[0]) if c]
+    for v in vectors[1:]:
+        terms = [(c * cq, node[q]) for c, node in terms for q, cq in enumerate(v) if cq]
+    out = [ZERO] * n
+    for c, row in terms:
+        for t, x in enumerate(row):
+            if x:
+                out[t] = out[t] + c * x if out[t] else c * x
     return tuple(out)
 
 
-def bracket_mixed(L: TwoTermAlgebra, u: Vec, w: Vec) -> Vec:
-    """[u, w] for u in degree 0, w in degree 1."""
-    out = [ZERO] * L.n1
-    for p, cp in enumerate(u):
-        if not cp:
-            continue
-        plane = L.b01[p]
-        for q, cq in enumerate(w):
-            if not cq:
-                continue
-            c = cp * cq
-            row = plane[q]
-            for t in range(L.n1):
-                if row[t]:
-                    out[t] += c * row[t]
-    return tuple(out)
-
-
-def jacobiator(L: TwoTermAlgebra, u: Vec, v: Vec, w: Vec) -> Vec:
-    """J(u, v, w) for degree-0 coordinate vectors."""
-    out = [ZERO] * L.n1
-    for p, cp in enumerate(u):
-        if not cp:
-            continue
-        for q, cq in enumerate(v):
-            if not cq:
-                continue
-            cpq = cp * cq
-            plane = L.jac[p][q]
-            for r, cr in enumerate(w):
-                if not cr:
-                    continue
-                c = cpq * cr
-                row = plane[r]
-                for t in range(L.n1):
-                    if row[t]:
-                        out[t] += c * row[t]
-    return tuple(out)
+def jacobi_defect(b: Tensor3, i: int, j: int, k: int) -> Vec:
+    """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] for an antisymmetric
+    bracket tensor ``b``."""
+    n = len(b)
+    # -[[e_i,e_j],e_k] = [e_k,[e_i,e_j]]
+    return vec_sub(
+        vec_add(contract(b[i], b[j][k], n=n), contract(b[k], b[i][j], n=n)),
+        contract(b[j], b[i][k], n=n),
+    )
 
 
 def bracket(L: TwoTermAlgebra, x: Element, y: Element) -> Element:
@@ -261,8 +236,9 @@ def bracket(L: TwoTermAlgebra, x: Element, y: Element) -> Element:
     Degree-0 output comes from the two degree-0 parts; mixed parts use
     [v, x] = -[x, v]; two degree-1 parts bracket to zero.
     """
-    out0 = bracket00(L, x.deg0, y.deg0)
-    out1 = vec_sub(bracket_mixed(L, x.deg0, y.deg1), bracket_mixed(L, y.deg0, x.deg1))
+    out0 = contract(L.b00, x.deg0, y.deg0, n=L.n0)
+    out1 = vec_sub(contract(L.b01, x.deg0, y.deg1, n=L.n1),
+                   contract(L.b01, y.deg0, x.deg1, n=L.n1))
     return Element(out0, out1)
 
 
@@ -387,7 +363,7 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     for i in range(n0):
         for j in range(n1):
             lhs = d.apply(L.b01[i][j])
-            rhs = bracket00(L, _basis(n0, i), dcols[j])
+            rhs = contract(L.b00[i], dcols[j], n=n0)
             disc = vec_sub(lhs, rhs)
             if not is_zero_vec(disc):
                 fail = EquationFailure(EQ_D_BRACKET, (i, j), disc)
@@ -401,8 +377,8 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     fail = None
     for i in range(n1):
         for j in range(n1):
-            lhs = bracket_mixed(L, dcols[i], _basis(n1, j))
-            rhs = tuple(-c for c in bracket_mixed(L, dcols[j], _basis(n1, i)))
+            lhs = contract(L.b01, dcols[i], basis_vec(n1, j), n=n1)
+            rhs = tuple(-c for c in contract(L.b01, dcols[j], basis_vec(n1, i), n=n1))
             disc = vec_sub(lhs, rhs)
             if not is_zero_vec(disc):
                 fail = EquationFailure(EQ_D_SYMMETRY, (i, j), disc)
@@ -416,7 +392,7 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     fail = None
     for (i, j, k) in combinations(range(n0), 3):
         lhs = d.apply(L.jac[i][j][k])
-        rhs = _jacobi_defect00(L, i, j, k)
+        rhs = jacobi_defect(L.b00, i, j, k)
         disc = vec_sub(lhs, rhs)
         if not is_zero_vec(disc):
             fail = EquationFailure(EQ_JACOBI_DEFECT, (i, j, k), disc)
@@ -430,8 +406,15 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
         if fail:
             break
         for (j, k) in combinations(range(n0), 2):
-            lhs = jacobiator(L, dcols[l], _basis(n0, j), _basis(n0, k))
-            rhs = _jacobi_defect_mixed(L, l, j, k)
+            # J(d(f_l), e_j, e_k) = J(e_j, e_k, d(f_l)): a cyclic permutation
+            lhs = contract(L.jac[j][k], dcols[l], n=n1)
+            # [f_l,[e_j,e_k]] = -[[e_j,e_k],f_l];  -[[f_l,e_j],e_k] = -[e_k,[e_j,f_l]];
+            # -[e_j,[f_l,e_k]] = [e_j,[e_k,f_l]]
+            rhs = vec_sub(
+                vec_sub(contract(L.b01[j], L.b01[k][l], n=n1),
+                        contract(L.b01[k], L.b01[j][l], n=n1)),
+                contract(L.b01, L.b00[j][k], basis_vec(n1, l), n=n1),
+            )
             disc = vec_sub(lhs, rhs)
             if not is_zero_vec(disc):
                 fail = EquationFailure(EQ_JACOBI_DEFECT_DEG1, (l, j, k), disc)
@@ -452,86 +435,25 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     return VerificationReport(ALGEBRA_EQUATIONS, (), tuple(failures))
 
 
-def _basis(n: int, i: int) -> Vec:
-    return tuple(Fraction(1) if k == i else ZERO for k in range(n))
-
-
-def _jacobi_defect00(L: TwoTermAlgebra, i: int, j: int, k: int) -> Vec:
-    t1 = [ZERO] * L.n0
-    for t, c in enumerate(L.b00[j][k]):
-        if c:
-            row = L.b00[i][t]
-            for s in range(L.n0):
-                if row[s]:
-                    t1[s] += c * row[s]
-    for t, c in enumerate(L.b00[i][j]):
-        if c:
-            row = L.b00[t][k]
-            for s in range(L.n0):
-                if row[s]:
-                    t1[s] -= c * row[s]
-    for t, c in enumerate(L.b00[i][k]):
-        if c:
-            row = L.b00[j][t]
-            for s in range(L.n0):
-                if row[s]:
-                    t1[s] -= c * row[s]
-    return tuple(t1)
-
-
-def _jacobi_defect_mixed(L: TwoTermAlgebra, l: int, j: int, k: int) -> Vec:
-    out = [ZERO] * L.n1
-    # [f_l, [e_j, e_k]] = - [[e_j,e_k], f_l]
-    for t, c in enumerate(L.b00[j][k]):
-        if c:
-            row = L.b01[t][l]
-            for s in range(L.n1):
-                if row[s]:
-                    out[s] -= c * row[s]
-    # - [[f_l, e_j], e_k] = - [e_k, [e_j, f_l]]   (two sign flips cancel)
-    for t, c in enumerate(L.b01[j][l]):
-        if c:
-            row = L.b01[k][t]
-            for s in range(L.n1):
-                if row[s]:
-                    out[s] -= c * row[s]
-    # - [e_j, [f_l, e_k]] = + [e_j, [e_k, f_l]]
-    for t, c in enumerate(L.b01[k][l]):
-        if c:
-            row = L.b01[j][t]
-            for s in range(L.n1):
-                if row[s]:
-                    out[s] += c * row[s]
-    return tuple(out)
-
-
 def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:
     """Left side of the four-argument coherence identity on basis indices.
 
     Arguments need not be increasing or distinct; this is used both by the
-    verifier (increasing tuples) and by antisymmetry smoke tests.
+    verifier (increasing tuples) and by antisymmetry smoke tests.  ``jac``
+    must be antisymmetric (no ``structure_violations``).
     """
-    out = [ZERO] * L.n1
+    n1 = L.n1
+    out = vec_zero(n1)
     for perm, sign in shuffles(1, 3).elements:
-        a = args[perm[0]]
-        w = L.jac[args[perm[1]]][args[perm[2]]][args[perm[3]]]
-        row_plane = L.b01[a]
-        for t, c in enumerate(w):
-            if c:
-                row = row_plane[t]
-                for s in range(L.n1):
-                    if row[s]:
-                        out[s] += sign * c * row[s]
+        a, b, c, d = (args[p] for p in perm)
+        term = contract(L.b01[a], L.jac[b][c][d], n=n1)
+        out = vec_add(out, term) if sign == 1 else vec_sub(out, term)
     for perm, sign in shuffles(2, 2).elements:
-        a, b = args[perm[0]], args[perm[1]]
-        c_idx, d_idx = args[perm[2]], args[perm[3]]
-        for t, c in enumerate(L.b00[a][b]):
-            if c:
-                row = L.jac[t][c_idx][d_idx]
-                for s in range(L.n1):
-                    if row[s]:
-                        out[s] -= sign * c * row[s]
-    return tuple(out)
+        a, b, c, d = (args[p] for p in perm)
+        # J([e_a,e_b], e_c, e_d) = J(e_c, e_d, [e_a,e_b]): a cyclic permutation
+        term = contract(L.jac[c][d], L.b00[a][b], n=n1)
+        out = vec_sub(out, term) if sign == 1 else vec_add(out, term)
+    return out
 
 
 def homology_dims(L: TwoTermAlgebra) -> tuple[int, int]:

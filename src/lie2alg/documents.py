@@ -142,11 +142,10 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
     offending location; equation failures are not checked here.
     """
     _check_header(doc, "algebra")
-    try:
-        n0 = int(doc["n0"])
-        n1 = int(doc["n1"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"n0/n1: {exc}") from None
+    n0, n1 = doc.get("n0"), doc.get("n1")
+    # bool is an int subclass; 1.9, true and "1" are not dimensions
+    if type(n0) is not int or type(n1) is not int:
+        raise DocumentError(f"n0/n1: expected JSON integers, got {n0!r}, {n1!r}")
     if n0 < 0 or n1 < 0:
         raise DocumentError("n0/n1 must be nonnegative")
     for key in ("d", "b00", "b01", "jac"):
@@ -223,6 +222,8 @@ def maps_from_document(doc: dict) -> tuple[Matrix, Matrix, Matrix]:
         data = doc.get(key)
         if not isinstance(data, list):
             raise DocumentError(f"{key}: expected a matrix (list of rows)")
+        if data and not isinstance(data[0], list):
+            raise DocumentError(f"{key}[0]: expected a row (list of entries)")
         rows = len(data)
         cols = len(data[0]) if rows else 0
         out.append(_parse_matrix(data, rows, cols, key))
@@ -261,6 +262,8 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply") from None
 
 
 def load_document(path: str) -> dict:

@@ -43,16 +43,17 @@ def vec_zero(n: int) -> tuple[Fraction, ...]:
     return (ZERO,) * n
 
 
+def basis_vec(n: int, i: int) -> tuple[Fraction, ...]:
+    """The i-th standard basis vector of length n."""
+    return tuple(ONE if k == i else ZERO for k in range(n))
+
+
 def vec_add(u, v) -> tuple[Fraction, ...]:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(a + b if b else a for a, b in zip(u, v))
 
 
 def vec_sub(u, v) -> tuple[Fraction, ...]:
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_neg(u) -> tuple[Fraction, ...]:
-    return tuple(-a for a in u)
+    return tuple(a - b if b else a for a, b in zip(u, v))
 
 
 def vec_scale(c, u) -> tuple[Fraction, ...]:
@@ -299,22 +300,17 @@ def image_basis(m: Matrix) -> Subspace:
 def complement(s: Subspace) -> Subspace:
     """Deterministic complement of a subspace.
 
-    Extends the given basis by standard basis vectors chosen greedily in
-    increasing index order, and returns only the added vectors.
+    The standard basis vectors at the pivot columns of rref([S | I]) that
+    fall in the identity block: exactly the ones a greedy scan in increasing
+    index order adds to the basis of S.
     """
-    columns = list(s.basis)
-    added = []
-    current_rank = len(columns)
-    for i in range(s.ambient_dim):
-        e = tuple(ONE if k == i else ZERO for k in range(s.ambient_dim))
-        candidate = columns + [e]
-        if Matrix.from_columns(candidate, rows=s.ambient_dim).rank() == current_rank + 1:
-            columns = candidate
-            added.append(e)
-            current_rank += 1
-        if current_rank == s.ambient_dim:
-            break
-    return Subspace(s.ambient_dim, tuple(added))
+    n, k = s.ambient_dim, s.dim
+    _, pivots = rref(s.matrix().hstack(Matrix.identity(n)))
+    # pivot columns are independent: skip the Subspace re-check (a second rref)
+    out = object.__new__(Subspace)
+    object.__setattr__(out, "ambient_dim", n)
+    object.__setattr__(out, "basis", tuple(basis_vec(n, p - k) for p in pivots if p >= k))
+    return out
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

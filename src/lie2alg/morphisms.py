@@ -12,18 +12,15 @@ Composition convention: ``compose(first, second)`` applies ``first`` and then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, ZERO, invert, is_zero_vec, vec_sub, vec_zero
+from .linalg import Matrix, basis_vec, invert, is_zero_vec, vec_sub, vec_zero
 from .core import (
     EquationFailure,
     Tensor3,
     TwoTermAlgebra,
     VerificationReport,
-    bracket00,
-    bracket_mixed,
-    jacobiator,
+    contract,
     shuffles,
     tensor3,
     vec_add,
@@ -80,24 +77,6 @@ def identity_morphism(L: TwoTermAlgebra) -> Morphism:
     )
 
 
-def phi_eval(m: Morphism, u, v):
-    """Phi evaluated on two source degree-0 coordinate vectors."""
-    out = [ZERO] * m.target.n1
-    for p, cp in enumerate(u):
-        if not cp:
-            continue
-        plane = m.Phi[p]
-        for q, cq in enumerate(v):
-            if not cq:
-                continue
-            c = cp * cq
-            row = plane[q]
-            for t in range(m.target.n1):
-                if row[t]:
-                    out[t] += c * row[t]
-    return tuple(out)
-
-
 def verify_morphism(m: Morphism) -> VerificationReport:
     """Check the four defining equations of a morphism on all basis tuples.
 
@@ -135,7 +114,7 @@ def verify_morphism(m: Morphism) -> VerificationReport:
             break
         for j in range(i + 1, src.n0):
             lhs = tgt.d.apply(m.Phi[i][j])
-            rhs = vec_sub(m.phi0.apply(src.b00[i][j]), bracket00(tgt, u0[i], u0[j]))
+            rhs = vec_sub(m.phi0.apply(src.b00[i][j]), contract(tgt.b00, u0[i], u0[j], n=tgt.n0))
             disc = vec_sub(lhs, rhs)
             if not is_zero_vec(disc):
                 fail = EquationFailure(EQ_BRACKET_DEFECT, (i, j), disc)
@@ -149,10 +128,10 @@ def verify_morphism(m: Morphism) -> VerificationReport:
         if fail:
             break
         for i in range(src.n0):
-            lhs = phi_eval(m, dcols[l], _basis(src.n0, i))
+            lhs = contract(m.Phi, dcols[l], basis_vec(src.n0, i), n=tgt.n1)
             # [f_l, e_i] = -[e_i, f_l];  [phi f_l, phi e_i]' = -[phi e_i, phi f_l]'
             rhs = vec_sub(
-                bracket_mixed(tgt, u0[i], w1[l]),
+                contract(tgt.b01, u0[i], w1[l], n=tgt.n1),
                 m.phi1.apply(src.b01[i][l]),
             )
             disc = vec_sub(lhs, rhs)
@@ -168,14 +147,14 @@ def verify_morphism(m: Morphism) -> VerificationReport:
     for tri in combinations(range(src.n0), 3):
         lhs = vec_sub(
             m.phi1.apply(src.jac[tri[0]][tri[1]][tri[2]]),
-            jacobiator(tgt, u0[tri[0]], u0[tri[1]], u0[tri[2]]),
+            contract(tgt.jac, u0[tri[0]], u0[tri[1]], u0[tri[2]], n=tgt.n1),
         )
         rhs = vec_zero(tgt.n1)
         for perm, sign in sh12:
             a, b, c = tri[perm[0]], tri[perm[1]], tri[perm[2]]
             term = vec_add(
-                bracket_mixed(tgt, u0[a], m.Phi[b][c]),
-                phi_eval(m, _basis(src.n0, a), src.b00[b][c]),
+                contract(tgt.b01, u0[a], m.Phi[b][c], n=tgt.n1),
+                contract(m.Phi[a], src.b00[b][c], n=tgt.n1),
             )
             if sign == 1:
                 rhs = vec_add(rhs, term)
@@ -189,10 +168,6 @@ def verify_morphism(m: Morphism) -> VerificationReport:
         failures.append(fail)
 
     return VerificationReport(MORPHISM_EQUATIONS, (), tuple(failures))
-
-
-def _basis(n: int, i: int):
-    return tuple(Fraction(1) if k == i else ZERO for k in range(n))
 
 
 def compose(first: Morphism, second: Morphism) -> Morphism:
@@ -209,7 +184,7 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
         for j in range(n0):
             row.append(
                 vec_add(
-                    phi_eval(second, cols[i], cols[j]),
+                    contract(second.Phi, cols[i], cols[j], n=second.target.n1),
                     second.phi1.apply(first.Phi[i][j]),
                 )
             )
@@ -228,7 +203,7 @@ def inverse(m: Morphism) -> Morphism | None:
     for i in range(n0):
         row = []
         for j in range(n0):
-            val = phi_eval(m, inv0.column(i), inv0.column(j))
+            val = contract(m.Phi, inv0.column(i), inv0.column(j), n=m.target.n1)
             row.append(tuple(-c for c in inv1.apply(val)))
         phi.append(tuple(row))
     return Morphism(m.target, m.source, inv0, inv1, tuple(phi))

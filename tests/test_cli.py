@@ -58,6 +58,17 @@ class TestVerify:
         assert code == 2
         assert "antisymmetry violated at (0, 0)" in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 50_000 + "]" * 50_000,
+        dumps({**algebra_to_document(TwoTermAlgebra.zero(1, 1)), "n0": 1.9}),
+    ], ids=["deep-json", "float-n0"])
+    def test_malformed_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
     def test_unreadable_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/no/such/file.json")
         assert code == 2
@@ -210,6 +221,23 @@ class TestCompare:
         written = load_morphism(str(iso))
         assert verify_morphism(written).passed
         assert is_isomorphism(written)
+
+    def test_maps_nonlist_row_exits_2(self, capsys, tmp_path):
+        maps = tmp_path / "maps.json"
+        with open(data("maps_identity_scale2.json")) as fh:
+            doc = json.load(fh)
+        doc["chi"] = [5]
+        maps.write_text(dumps(doc))
+        code, _, err = run(
+            capsys,
+            "compare",
+            data("skeletal_string_so3_k1.json"),
+            data("skeletal_string_so3_k2.json"),
+            "--maps",
+            str(maps),
+        )
+        assert code == 2
+        assert "chi[0]" in err
 
     def test_not_cohomologous(self, capsys):
         code, out, _ = run(

@@ -24,7 +24,8 @@ from lie2alg import (
     trivial_rep,
 )
 from lie2alg.builders import catalog_pairs
-from lie2alg.cohomology import cochain_to_vec, increasing_tuples
+from lie2alg.cohomology import cochain_to_vec, increasing_tuples, vec_to_cochain
+from lie2alg.linalg import image_basis, kernel_basis
 from lie2alg.linalg import vec_add, vec_scale, vec_sub, vec_zero
 
 F = Fraction
@@ -206,6 +207,28 @@ class TestCohomologyDims:
         rep2 = trivial_rep(so3(), 1)
         (rep3,) = cohomology_basis(3, rep2)
         assert not rep3.is_zero()
+
+
+def greedy_cohomology_basis(n, rep):
+    """Reference: keep each kernel vector of delta_n, in order, that is
+    independent of the image of delta_{n-1} and of the vectors kept so far."""
+    dn = delta_matrix(n, rep)
+    current = list(image_basis(delta_matrix(n - 1, rep)).basis) if n >= 1 else []
+    chosen = []
+    for cand in kernel_basis(dn).basis:
+        if Matrix.from_columns(current + [cand], rows=dn.cols).rank() > len(current):
+            current.append(cand)
+            chosen.append(vec_to_cochain(n, rep.g, rep.dimV, cand))
+    return tuple(chosen)
+
+
+class TestCohomologyBasisAgainstGreedy:
+    def test_catalog(self):
+        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=3, max_dim_v=3):
+            for n in range(0, g.dim + 1):
+                assert cohomology_basis(n, rep) == greedy_cohomology_basis(n, rep), (
+                    g_name, rep_name, n,
+                )
 
 
 class TestCohomologous:

@@ -1,6 +1,7 @@
 import math
+import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -17,7 +18,7 @@ from lie2alg import (
     structure_violations,
     verify,
 )
-from lie2alg.core import EQ_JACOBI_DEFECT, perm_sign
+from lie2alg.core import EQ_JACOBI_DEFECT, contract, perm_sign
 
 F = Fraction
 
@@ -155,6 +156,52 @@ class TestBracket:
         xy = bracket(L, x, v)
         yx = bracket(L, v, x)
         assert xy.deg1 == tuple(-c for c in yx.deg1)
+
+
+def random_tensor(rng, shape):
+    if len(shape) == 1:
+        return tuple(
+            F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else F(0)
+            for _ in range(shape[0])
+        )
+    return tuple(random_tensor(rng, shape[1:]) for _ in range(shape[0]))
+
+
+def brute_force_contract(tensor, vectors, n):
+    """Independent oracle: sum over every index tuple, zeros included."""
+    out = [F(0)] * n
+    for idx in product(*(range(len(v)) for v in vectors)):
+        coeff, node = F(1), tensor
+        for v, i in zip(vectors, idx):
+            coeff *= v[i]
+            node = node[i]
+        for t in range(n):
+            out[t] += coeff * node[t]
+    return tuple(out)
+
+
+class TestContract:
+    def test_against_brute_force(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            order = rng.randint(2, 4)
+            shape = tuple(rng.randint(0, 3) for _ in range(order))
+            tensor = random_tensor(rng, shape)
+            vectors = [random_tensor(rng, (k,)) for k in shape[:-1]]
+            got = contract(tensor, *vectors, n=shape[-1])
+            assert got == brute_force_contract(tensor, vectors, shape[-1]), shape
+            assert len(got) == shape[-1]
+
+    def test_zero_length_axis_keeps_output_length(self):
+        assert contract((), (), n=3) == (F(0),) * 3
+        assert contract(((), ()), (F(1), F(2)), (), n=2) == (F(0),) * 2
+
+    def test_bracket_of_basis_vectors_is_table_lookup(self):
+        L = quaternion_example("1+2i+3j+5k")
+        e = [tuple(F(int(k == i)) for k in range(L.n0)) for i in range(L.n0)]
+        for i in range(L.n0):
+            for j in range(L.n0):
+                assert contract(L.b00, e[i], e[j], n=L.n0) == L.b00[i][j]
 
 
 class TestCoherenceSmoke:

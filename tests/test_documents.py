@@ -109,6 +109,13 @@ class TestAlgebraRoundTrip:
         with pytest.raises(DocumentError, match="kind"):
             algebra_from_document(doc)
 
+    @pytest.mark.parametrize("bad", [1.9, True, "1", None])
+    def test_dimensions_must_be_json_integers(self, bad):
+        doc = algebra_to_document(TwoTermAlgebra.zero(1, 1))
+        doc["n0"] = bad
+        with pytest.raises(DocumentError, match="n0/n1"):
+            algebra_from_document(doc)
+
 
 class TestMorphismDocuments:
     def test_inline_round_trip(self):
@@ -150,6 +157,12 @@ class TestMapsAndTransport:
         chi2, fu2, tv2 = maps_from_document(doc)
         assert (chi2, fu2, tv2) == (chi, f_u, t_v)
 
+    def test_maps_nonlist_row(self):
+        doc = maps_to_document(Matrix.identity(1), Matrix.zero(0, 0), Matrix.identity(1))
+        doc["chi"] = [5]
+        with pytest.raises(DocumentError, match=r"chi\[0\]"):
+            maps_from_document(doc)
+
     def test_transport_round_trip(self):
         L = quaternion_example("0")
         m = example27_automorphism("0")
@@ -173,6 +186,11 @@ class TestFiles:
     def test_invalid_json(self):
         with pytest.raises(DocumentError, match="invalid JSON"):
             loads("{not json")
+
+    def test_deep_nesting(self):
+        depth = 50_000
+        with pytest.raises(DocumentError, match="nested too deeply"):
+            loads("[" * depth + "]" * depth)
 
     def test_save_load(self, tmp_path):
         L = skeletal_string(so3(), 2)

@@ -101,6 +101,17 @@ class TestKernelImage:
         assert img.basis == ((F(1), F(0)), (F(3), F(1)))
 
 
+def greedy_complement(s):
+    """Reference: add e_i, in increasing i, whenever it raises the rank."""
+    columns, added = list(s.basis), []
+    for i in range(s.ambient_dim):
+        e = tuple(F(int(k == i)) for k in range(s.ambient_dim))
+        if Matrix.from_columns(columns + [e], rows=s.ambient_dim).rank() > len(columns):
+            columns.append(e)
+            added.append(e)
+    return Subspace(s.ambient_dim, tuple(added))
+
+
 class TestComplement:
     def test_one_dim(self):
         s = Subspace(2, ((F(1), F(0)),))
@@ -116,6 +127,14 @@ class TestComplement:
         # e0 is the first standard vector independent of e0 + e1
         s = Subspace(2, ((F(1), F(1)),))
         assert complement(s).basis == ((F(1), F(0)),)
+
+    def test_matches_greedy_reference(self):
+        rng = random.Random(23)
+        for _ in range(200):
+            n = rng.randint(0, 6)
+            m = random_matrix(rng, n, rng.randint(0, n + 1), bound=2)
+            s = image_basis(m)
+            assert complement(s) == greedy_complement(s)
 
     def test_completes_basis(self):
         rng = random.Random(9)
