@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .linalg import Matrix, ZERO, invert, kernel_basis, rat, vec_zero
+from .linalg import Matrix, ZERO, invert, rat, vec_zero
 from .core import TwoTermAlgebra, perm_sign, verify, zero_tensor3
 from .morphisms import Morphism
 from .cohomology import (
@@ -27,7 +27,7 @@ from .cohomology import (
     LieAlgebra,
     Quadruple,
     Representation,
-    delta_matrix,
+    cocycle_basis,
     vec_to_cochain,
 )
 
@@ -401,7 +401,7 @@ def random_invertible(rng: random.Random, n: int, bound: int) -> Matrix:
 
 
 def random_cocycle(rng: random.Random, rep: Representation, bound: int) -> Cochain:
-    basis = kernel_basis(delta_matrix(3, rep)).basis
+    basis = cocycle_basis(3, rep)
     total = vec_zero(math.comb(rep.g.dim, 3) * rep.dimV)
     for b in basis:
         c = rng.randint(-bound, bound)

@@ -12,25 +12,25 @@ permutation signs), which matches the coherence equation of the algebra
 verifier.  Degree 0 is included with C_0 = V and (delta f)(x) = rho(x) f, so
 square-zero and dimension formulas hold uniformly.
 
+Each differential is assembled once per representation, straight from sc and
+rho, and eliminated once; the ``Representation`` keeps both for its lifetime.
+
 Matrix flattening convention: increasing tuples ordered lexicographically,
 V index fastest.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 from .linalg import (
     Matrix,
     ZERO,
-    basis_vec,
-    image_basis,
+    _kernel_vectors,
     is_zero_vec,
-    kernel_basis,
     rref,
     solve,
     vec,
@@ -113,6 +113,10 @@ class Representation:
         """rho of an arbitrary coordinate vector of g."""
         flat = contract([m.entries for m in self.rho], x, n=self.dimV * self.dimV)
         return Matrix(self.dimV, self.dimV, flat)
+
+    @cached_property
+    def _complex(self) -> dict:  # ("delta", n) -> delta_n, ("rref", n) -> its rref
+        return {}
 
 
 @lru_cache(maxsize=None)
@@ -204,31 +208,35 @@ def _sym_group(n: int):
 # ---------------------------------------------------------------------------
 
 
+def _delta_terms(g: LieAlgebra, n: int):
+    """(delta f)(key) term by term for every increasing (n+1)-tuple key:
+    yields (key, x, coeff, src) for coeff * rho(e_x) f(src), or with x None
+    for coeff * f(src); src is an increasing n-tuple."""
+    for key in increasing_tuples(g.dim, n + 1):
+        for perm, sign in shuffles(1, n).elements:
+            yield key, key[perm[0]], sign, tuple(key[p] for p in perm[1:])
+        if n >= 1:
+            for perm, sign in shuffles(2, n - 1).elements:
+                rest = tuple(key[p] for p in perm[2:])
+                for t, c in enumerate(g.sc[key[perm[0]]][key[perm[1]]]):
+                    if c and t not in rest:
+                        # f(e_t, rest) = (-1)^#(rest below t) f(sorted tuple)
+                        below = sum(1 for r in rest if r < t)
+                        yield key, None, -sign * c * (-1) ** below, tuple(sorted(rest + (t,)))
+
+
 def delta(f: Cochain, rep: Representation) -> Cochain:
     """Cochain differential: action sum over (1,n)-shuffles minus bracket sum
     over (2,n-1)-shuffles, ordinary permutation signs."""
     if f.g != rep.g or f.dimV != rep.dimV:
         raise ValueError("cochain and representation live on different data")
-    g = f.g
-    n = f.n
-    target = {}
-    for key in increasing_tuples(g.dim, n + 1):
-        acc = vec_zero(f.dimV)
-        for perm, sign in shuffles(1, n).elements:
-            x = key[perm[0]]
-            rest = tuple(key[p] for p in perm[1:])
-            val = f.values[rest]          # rest is increasing by the shuffle condition
-            if not is_zero_vec(val):
-                acc = vec_add(acc, vec_scale(sign, rep.rho[x].apply(val)))
-        if n >= 1:
-            for perm, sign in shuffles(2, n - 1).elements:
-                a, b = key[perm[0]], key[perm[1]]
-                rest = tuple(key[p] for p in perm[2:])
-                for t, c in enumerate(g.sc[a][b]):
-                    if c:
-                        acc = vec_sub(acc, vec_scale(sign * c, f.value_at_basis((t,) + rest)))
-        target[key] = acc
-    return Cochain(n + 1, g, f.dimV, target)
+    target = {key: vec_zero(f.dimV) for key in increasing_tuples(f.g.dim, f.n + 1)}
+    for key, x, coeff, src in _delta_terms(f.g, f.n):
+        val = f.values[src]
+        if not is_zero_vec(val):
+            val = val if x is None else rep.rho[x].apply(val)
+            target[key] = vec_add(target[key], vec_scale(coeff, val))
+    return Cochain(f.n + 1, f.g, f.dimV, target)
 
 
 def cochain_to_vec(f: Cochain) -> tuple[Fraction, ...]:
@@ -246,20 +254,36 @@ def vec_to_cochain(n: int, g: LieAlgebra, dimV: int, flat) -> Cochain:
 
 
 def delta_matrix(n: int, rep: Representation) -> Matrix:
-    """Matrix of the degree-n differential on the increasing-tuple (x) V basis."""
-    g = rep.g
-    dimV = rep.dimV
-    n_cols = math.comb(g.dim, n) * dimV
-    n_rows = math.comb(g.dim, n + 1) * dimV
-    columns = []
-    for key in increasing_tuples(g.dim, n):
-        for v_idx in range(dimV):
-            basis_cochain = Cochain(
-                n, g, dimV,
-                {key: basis_vec(dimV, v_idx)},
-            )
-            columns.append(cochain_to_vec(delta(basis_cochain, rep)))
-    return Matrix.from_columns(columns, rows=n_rows) if columns else Matrix.zero(n_rows, 0)
+    """Matrix of the degree-n differential on the increasing-tuple (x) V basis,
+    assembled once per representation from the blocks of ``_delta_terms``."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    cache = rep._complex
+    if ("delta", n) not in cache:
+        d = rep.dimV
+        rows = {key: i * d for i, key in enumerate(increasing_tuples(rep.g.dim, n + 1))}
+        cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
+        width = len(cols) * d
+        entries = [ZERO] * (len(rows) * d * width)
+        identity = Matrix.identity(d).entries
+        for key, x, coeff, src in _delta_terms(rep.g, n):
+            for k, e in enumerate(identity if x is None else rep.rho[x].entries):
+                if e:
+                    entries[(rows[key] + k // d) * width + cols[src] + k % d] += coeff * e
+        cache["delta", n] = Matrix(len(rows) * d, width, tuple(entries))
+    return cache["delta", n]
+
+
+def _elimination(n: int, rep: Representation) -> tuple[Matrix, tuple[int, ...]]:
+    """rref of delta_n and its pivot columns, computed once per representation."""
+    if ("rref", n) not in rep._complex:
+        rep._complex["rref", n] = rref(delta_matrix(n, rep))
+    return rep._complex["rref", n]
+
+
+def cocycle_basis(n: int, rep: Representation) -> tuple[tuple[Fraction, ...], ...]:
+    """Flattened kernel basis of delta_n, from its rref's free columns in order."""
+    return _kernel_vectors(*_elimination(n, rep))
 
 
 def is_cocycle(f: Cochain, rep: Representation) -> bool:
@@ -285,22 +309,21 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
 
 def cohomology_dim(n: int, rep: Representation) -> int:
     """dim ker(delta_n) - rank(delta_{n-1})."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    dn = delta_matrix(n, rep)
-    kernel_dim = dn.cols - dn.rank()
-    image_rank = delta_matrix(n - 1, rep).rank() if n >= 1 else 0
-    return kernel_dim - image_rank
+    red, pivots = _elimination(n, rep)
+    image_rank = len(_elimination(n - 1, rep)[1]) if n >= 1 else 0
+    return red.cols - len(pivots) - image_rank
 
 
 def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
     """Cocycle representatives spanning degree-n cohomology."""
-    dn = delta_matrix(n, rep)
-    cocycles = kernel_basis(dn).basis
-    img = image_basis(delta_matrix(n - 1, rep)).basis if n >= 1 else ()
+    cocycles = cocycle_basis(n, rep)
+    img = ()
+    if n >= 1:
+        prev = delta_matrix(n - 1, rep)
+        img = tuple(prev.column(p) for p in _elimination(n - 1, rep)[1])
     # the pivot columns of rref([image | cocycles]) past the image block are
     # the cocycles a greedy left-to-right scan keeps
-    _, pivots = rref(Matrix.from_columns(img + cocycles, rows=dn.cols))
+    _, pivots = rref(Matrix.from_columns(img + cocycles, rows=delta_matrix(n, rep).cols))
     return tuple(
         vec_to_cochain(n, rep.g, rep.dimV, cocycles[p - len(img)])
         for p in pivots if p >= len(img)
@@ -384,13 +407,7 @@ def cohomologous(
         lhs = t.apply(J.values[key])
         rhs = K.evaluate([psi_cols[i] for i in key])
         diff[key] = vec_sub(lhs, rhs)
-    target = Cochain(n, g, K.dimV, diff)
-    a = delta_matrix(n - 1, rep_target_pullback)
-    b = Matrix.from_columns([cochain_to_vec(target)], rows=a.rows)
-    x = solve(a, b)
-    if x is None:
-        return None
-    return vec_to_cochain(n - 1, g, K.dimV, x.column(0))
+    return is_coboundary(Cochain(n, g, K.dimV, diff), rep_target_pullback)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,15 @@ class Subspace:
         if vecs and Matrix.from_columns(vecs, rows=self.ambient_dim).rank() != len(vecs):
             raise ValueError("basis vectors are linearly dependent")
 
+    @classmethod
+    def _trusted(cls, ambient_dim: int, basis) -> "Subspace":
+        """A subspace on Fraction vectors independent by construction: skips
+        the constructor's re-check, which would be a second rref."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "ambient_dim", ambient_dim)
+        object.__setattr__(out, "basis", tuple(basis))
+        return out
+
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -263,11 +272,11 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
             rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
         if pv != 1:
-            rows[r] = [x / pv for x in rows[r]]
+            rows[r] = [x / pv if x else x for x in rows[r]]
         for i in range(m.rows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == m.rows:
@@ -275,26 +284,30 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)
 
 
-def kernel_basis(m: Matrix) -> Subspace:
-    """Null-space basis built from the rref free columns, in increasing order."""
-    red, pivots = rref(m)
+def _kernel_vectors(red: Matrix, pivots: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Null-space basis from an rref and its pivots, one vector per free column."""
     pivot_set = set(pivots)
     basis = []
-    for free in range(m.cols):
+    for free in range(red.cols):
         if free in pivot_set:
             continue
-        v = [ZERO] * m.cols
+        v = [ZERO] * red.cols
         v[free] = ONE
         for r, pc in enumerate(pivots):
             v[pc] = -red[r, free]
         basis.append(tuple(v))
-    return Subspace(m.cols, tuple(basis))
+    return tuple(basis)
+
+
+def kernel_basis(m: Matrix) -> Subspace:
+    """Null-space basis built from the rref free columns, in increasing order."""
+    return Subspace._trusted(m.cols, _kernel_vectors(*rref(m)))
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column-space basis: the original columns at the pivot positions."""
     _, pivots = rref(m)
-    return Subspace(m.rows, tuple(m.column(p) for p in pivots))
+    return Subspace._trusted(m.rows, (m.column(p) for p in pivots))
 
 
 def complement(s: Subspace) -> Subspace:
@@ -306,11 +319,7 @@ def complement(s: Subspace) -> Subspace:
     """
     n, k = s.ambient_dim, s.dim
     _, pivots = rref(s.matrix().hstack(Matrix.identity(n)))
-    # pivot columns are independent: skip the Subspace re-check (a second rref)
-    out = object.__new__(Subspace)
-    object.__setattr__(out, "ambient_dim", n)
-    object.__setattr__(out, "basis", tuple(basis_vec(n, p - k) for p in pivots if p >= k))
-    return out
+    return Subspace._trusted(n, (basis_vec(n, p - k) for p in pivots if p >= k))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

@@ -23,8 +23,8 @@ from lie2alg import (
     sl2,
     trivial_rep,
 )
-from lie2alg.builders import catalog_pairs
-from lie2alg.cohomology import cochain_to_vec, increasing_tuples, vec_to_cochain
+from lie2alg.builders import catalog_pairs, representation
+from lie2alg.cohomology import _elimination, cochain_to_vec, increasing_tuples, vec_to_cochain
 from lie2alg.linalg import image_basis, kernel_basis
 from lie2alg.linalg import vec_add, vec_scale, vec_sub, vec_zero
 
@@ -76,7 +76,7 @@ def oracle_delta_matrix(n: int, rep: Representation) -> Matrix:
 
 class TestDeltaAgainstOracle:
     def test_matrices_agree_across_catalog(self):
-        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=3, max_dim_v=3):
+        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=4):
             for n in range(0, g.dim + 1):
                 assert delta_matrix(n, rep) == oracle_delta_matrix(n, rep), (
                     g_name, rep_name, n,
@@ -118,7 +118,52 @@ class TestSquareZero:
                 assert prod.is_zero(), (g_name, rep_name, n)
 
 
+class TestComplexCache:
+    """Each representation keeps its differentials and their eliminations;
+    a cached answer must equal a fresh one in every order of queries."""
+
+    def test_repeated_delta_matrix_is_equal(self):
+        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=2):
+            for n in range(0, g.dim + 2):
+                first = delta_matrix(n, rep)
+                assert delta_matrix(n, rep) == first
+                assert delta_matrix(n, representation(g, rep_name)) == first, (g_name, rep_name, n)
+
+    def test_cached_rank_matches_matrix_rank(self):
+        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=4):
+            for n in range(0, g.dim + 2):
+                _, pivots = _elimination(n, rep)
+                assert len(pivots) == delta_matrix(n, rep).rank(), (g_name, rep_name, n)
+
+    def test_query_order_does_not_matter(self):
+        for g_name, g, rep_name, _ in catalog_pairs(max_dim_g=4, max_dim_v=3):
+            basis_first = representation(g, rep_name)
+            dim_first = representation(g, rep_name)
+            assert basis_first == dim_first
+            for n in range(0, g.dim + 1):
+                b1 = cohomology_basis(n, basis_first)
+                d1 = cohomology_dim(n, basis_first)
+                d2 = cohomology_dim(n, dim_first)
+                b2 = cohomology_basis(n, dim_first)
+                assert (b1, d1) == (b2, d2), (g_name, rep_name, n)
+                assert len(b1) == d1
+
+    def test_equal_reps_do_not_share_a_cache(self):
+        g = so3()
+        a, b = adjoint_rep(g), adjoint_rep(g)
+        delta_matrix(2, a)
+        assert a == b and a._complex is not b._complex
+        assert ("delta", 2) not in b._complex
+
+
 class TestDeltaMatrixShapes:
+    def test_negative_degree_rejected(self):
+        rep = trivial_rep(so3(), 1)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            delta_matrix(-1, rep)
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            cohomology_basis(-1, rep)
+
     def test_beyond_dimension(self):
         g = so3()
         rep = trivial_rep(g, 1)

@@ -101,6 +101,60 @@ class TestKernelImage:
         assert img.basis == ((F(1), F(0)), (F(3), F(1)))
 
 
+def checked_kernel_basis(m):
+    """Reference: the rref free-column kernel vectors through the checking
+    Subspace constructor."""
+    red, pivots = rref(m)
+    basis = []
+    for free in range(m.cols):
+        if free not in pivots:
+            v = [F(0)] * m.cols
+            v[free] = F(1)
+            for r, pc in enumerate(pivots):
+                v[pc] = -red[r, free]
+            basis.append(tuple(v))
+    return Subspace(m.cols, tuple(basis))
+
+
+def checked_image_basis(m):
+    """Reference: the pivot columns through the checking Subspace constructor."""
+    return Subspace(m.rows, tuple(m.column(p) for p in rref(m)[1]))
+
+
+def seeded_matrices(seed, count):
+    """Random matrices, half of them rank-deficient products, some with zero
+    rows or zero columns."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        if rng.random() < 0.5:
+            inner = rng.randint(0, max(0, min(rows, cols) - 1))
+            yield random_matrix(rng, rows, inner, bound=2) @ random_matrix(rng, inner, cols, bound=2)
+        else:
+            yield random_matrix(rng, rows, cols, bound=2)
+
+
+class TestKernelImageAgainstCheckedReference:
+    def test_same_bases_and_independent(self):
+        for m in seeded_matrices(31, 200):
+            for got, ref in ((kernel_basis(m), checked_kernel_basis(m)),
+                             (image_basis(m), checked_image_basis(m))):
+                assert got == ref
+                assert all(isinstance(x, Fraction) for v in got.basis for x in v)
+                if got.basis:
+                    assert got.matrix().rank() == got.dim
+            assert kernel_basis(m).dim + image_basis(m).dim == m.cols
+
+    def test_zero_width(self):
+        for m in (Matrix.zero(0, 3), Matrix.zero(3, 0), Matrix.zero(0, 0)):
+            assert kernel_basis(m) == checked_kernel_basis(m)
+            assert image_basis(m) == checked_image_basis(m)
+
+    def test_public_constructor_still_checks(self):
+        with pytest.raises(ValueError):
+            Subspace(2, ((F(1), F(2)), (F(2), F(4))))
+
+
 def greedy_complement(s):
     """Reference: add e_i, in increasing i, whenever it raises the rank."""
     columns, added = list(s.basis), []
