@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .linalg import Matrix, ZERO, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
+from .linalg import Matrix, _dot, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -204,19 +204,20 @@ def contract(tensor, *vectors, n: int) -> Vec:
     ``tensor[i1]...[ik][t]`` is coordinate t of the value on the basis
     arguments (e_i1, ..., e_ik); given k coordinate vectors, the result is
     the sum of v1[i1] * ... * vk[ik] * tensor[i1]...[ik] as a length-``n``
-    tuple.  Zero coordinates, and additions into a zero, are skipped.
-    ``n`` is explicit because a zero-length axis leaves nothing to read it
-    from.
+    tuple.  Zero coordinates and zero tensor entries are skipped; the
+    coefficients v1[i1] * ... * vk[ik] are kept as unreduced integer
+    numerator/denominator pairs, and each output coordinate is one ``_dot``,
+    so it is normalized to a `Fraction` once.  ``n`` is explicit because a
+    zero-length axis leaves nothing to read it from.
     """
-    terms = [(c, tensor[p]) for p, c in enumerate(vectors[0]) if c]
+    terms = [(c.numerator, c.denominator, tensor[p]) for p, c in enumerate(vectors[0]) if c]
     for v in vectors[1:]:
-        terms = [(c * cq, node[q]) for c, node in terms for q, cq in enumerate(v) if cq]
-    out = [ZERO] * n
-    for c, row in terms:
-        for t, x in enumerate(row):
-            if x:
-                out[t] = out[t] + c * x if out[t] else c * x
-    return tuple(out)
+        v = [(q, c.numerator, c.denominator) for q, c in enumerate(v) if c]
+        terms = [(an * bn, ad * bd, node[q]) for an, ad, node in terms for q, bn, bd in v]
+    return tuple(
+        _dot((an, ad, x.numerator, x.denominator) for an, ad, row in terms if (x := row[t]))
+        for t in range(n)
+    )
 
 
 def jacobi_defect(b: Tensor3, i: int, j: int, k: int) -> Vec:
@@ -364,9 +365,8 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
         for j in range(n1):
             lhs = d.apply(L.b01[i][j])
             rhs = contract(L.b00[i], dcols[j], n=n0)
-            disc = vec_sub(lhs, rhs)
-            if not is_zero_vec(disc):
-                fail = EquationFailure(EQ_D_BRACKET, (i, j), disc)
+            if lhs != rhs:
+                fail = EquationFailure(EQ_D_BRACKET, (i, j), vec_sub(lhs, rhs))
                 break
         if fail:
             break
@@ -379,9 +379,8 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
         for j in range(n1):
             lhs = contract(L.b01, dcols[i], basis_vec(n1, j), n=n1)
             rhs = tuple(-c for c in contract(L.b01, dcols[j], basis_vec(n1, i), n=n1))
-            disc = vec_sub(lhs, rhs)
-            if not is_zero_vec(disc):
-                fail = EquationFailure(EQ_D_SYMMETRY, (i, j), disc)
+            if lhs != rhs:
+                fail = EquationFailure(EQ_D_SYMMETRY, (i, j), vec_sub(lhs, rhs))
                 break
         if fail:
             break
@@ -393,9 +392,8 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     for (i, j, k) in combinations(range(n0), 3):
         lhs = d.apply(L.jac[i][j][k])
         rhs = jacobi_defect(L.b00, i, j, k)
-        disc = vec_sub(lhs, rhs)
-        if not is_zero_vec(disc):
-            fail = EquationFailure(EQ_JACOBI_DEFECT, (i, j, k), disc)
+        if lhs != rhs:
+            fail = EquationFailure(EQ_JACOBI_DEFECT, (i, j, k), vec_sub(lhs, rhs))
             break
     if fail:
         failures.append(fail)
@@ -415,9 +413,8 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
                         contract(L.b01[k], L.b01[j][l], n=n1)),
                 contract(L.b01, L.b00[j][k], basis_vec(n1, l), n=n1),
             )
-            disc = vec_sub(lhs, rhs)
-            if not is_zero_vec(disc):
-                fail = EquationFailure(EQ_JACOBI_DEFECT_DEG1, (l, j, k), disc)
+            if lhs != rhs:
+                fail = EquationFailure(EQ_JACOBI_DEFECT_DEG1, (l, j, k), vec_sub(lhs, rhs))
                 break
     if fail:
         failures.append(fail)

@@ -27,7 +27,7 @@ from .morphisms import Morphism
 
 FORMAT_VERSION = "1"
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(/[+-]?\d+)?\Z")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[+-]?[0-9]+)?\Z")
 
 
 class DocumentError(ValueError):
@@ -39,7 +39,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(text, where: str) -> Fraction:
-    if isinstance(text, int):
+    if type(text) is int:
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise DocumentError(f"{where}: invalid rational {text!r}")

@@ -4,13 +4,17 @@ All entries are `fractions.Fraction`, so ranks, kernels and solutions are
 computed exactly and every operation is deterministic: identical inputs give
 identical outputs, bit for bit.  Dimensions here are desk scale, so the
 implementation favours clarity over asymptotics (dense storage, plain
-Gauss-Jordan elimination, no pivot-size heuristics).
+Gauss-Jordan elimination, no pivot-size heuristics).  Dot products
+(``Matrix.apply``, ``Matrix.__matmul__`` and ``core.contract``) skip zero
+entries and accumulate over integer numerator/denominator pairs, normalizing
+to a reduced `Fraction` once per output entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 Rational = Fraction
@@ -62,6 +66,25 @@ def vec_scale(c, u) -> tuple[Fraction, ...]:
 
 def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
+
+
+def _dot(terms) -> Fraction:
+    """Exact sum of the products (an/ad) * (bn/bd) over ``terms``, an iterable
+    of (an, ad, bn, bd) int quadruples with positive denominators.
+
+    The sum is kept as one unreduced numerator over a common denominator and
+    turned into a `Fraction` once, at the end.
+    """
+    num, den = 0, 1
+    for an, ad, bn, bd in terms:
+        d = ad * bd
+        if d == den:
+            num += an * bn
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + an * bn * (den // g)
+            den = den // g * d
+    return Fraction(num, den) if num else ZERO
 
 
 @dataclass(frozen=True)
@@ -158,21 +181,17 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            r = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((r[k] * other.entries[k * other.cols + j]
-                                for k in range(self.cols)), ZERO))
-        return Matrix(self.rows, other.cols, tuple(out))
+        return Matrix.from_columns([self.apply(other.column(j)) for j in range(other.cols)],
+                                   rows=self.rows)
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix times coordinate vector."""
         if len(vector) != self.cols:
             raise ValueError("vector length mismatch")
+        v = [(k, x.numerator, x.denominator) for k, x in enumerate(vector) if x]
         return tuple(
-            sum((self.entries[i * self.cols + k] * vector[k]
-                 for k in range(self.cols) if vector[k]), ZERO)
+            _dot((a.numerator, a.denominator, bn, bd)
+                 for k, bn, bd in v if (a := self.entries[i * self.cols + k]))
             for i in range(self.rows)
         )
 

@@ -100,9 +100,9 @@ def verify_morphism(m: Morphism) -> VerificationReport:
     # phi0(d(f_j)) = d'(phi1(f_j))
     fail = None
     for j in range(src.n1):
-        disc = vec_sub(m.phi0.apply(dcols[j]), tgt.d.apply(w1[j]))
-        if not is_zero_vec(disc):
-            fail = EquationFailure(EQ_CHAIN_MAP, (j,), disc)
+        lhs, rhs = m.phi0.apply(dcols[j]), tgt.d.apply(w1[j])
+        if lhs != rhs:
+            fail = EquationFailure(EQ_CHAIN_MAP, (j,), vec_sub(lhs, rhs))
             break
     if fail:
         failures.append(fail)
@@ -115,9 +115,8 @@ def verify_morphism(m: Morphism) -> VerificationReport:
         for j in range(i + 1, src.n0):
             lhs = tgt.d.apply(m.Phi[i][j])
             rhs = vec_sub(m.phi0.apply(src.b00[i][j]), contract(tgt.b00, u0[i], u0[j], n=tgt.n0))
-            disc = vec_sub(lhs, rhs)
-            if not is_zero_vec(disc):
-                fail = EquationFailure(EQ_BRACKET_DEFECT, (i, j), disc)
+            if lhs != rhs:
+                fail = EquationFailure(EQ_BRACKET_DEFECT, (i, j), vec_sub(lhs, rhs))
                 break
     if fail:
         failures.append(fail)
@@ -134,9 +133,8 @@ def verify_morphism(m: Morphism) -> VerificationReport:
                 contract(tgt.b01, u0[i], w1[l], n=tgt.n1),
                 m.phi1.apply(src.b01[i][l]),
             )
-            disc = vec_sub(lhs, rhs)
-            if not is_zero_vec(disc):
-                fail = EquationFailure(EQ_MIXED_DEFECT, (l, i), disc)
+            if lhs != rhs:
+                fail = EquationFailure(EQ_MIXED_DEFECT, (l, i), vec_sub(lhs, rhs))
                 break
     if fail:
         failures.append(fail)
@@ -160,9 +158,8 @@ def verify_morphism(m: Morphism) -> VerificationReport:
                 rhs = vec_add(rhs, term)
             else:
                 rhs = vec_sub(rhs, term)
-        disc = vec_sub(lhs, rhs)
-        if not is_zero_vec(disc):
-            fail = EquationFailure(EQ_JACOBIATOR_COMPAT, tri, disc)
+        if lhs != rhs:
+            fail = EquationFailure(EQ_JACOBIATOR_COMPAT, tri, vec_sub(lhs, rhs))
             break
     if fail:
         failures.append(fail)

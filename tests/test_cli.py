@@ -69,6 +69,18 @@ class TestVerify:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("bad", [True, "\u0661"], ids=["true", "arabic-indic"])
+    def test_coerced_entry_exits_2(self, capsys, tmp_path, bad):
+        with open(data("quaternion.json")) as fh:
+            doc = json.load(fh)
+        doc["d"][0][0] = bad
+        path = tmp_path / "coerced.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "d[0][0]: invalid rational" in err
+
     def test_unreadable_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/no/such/file.json")
         assert code == 2

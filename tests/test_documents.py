@@ -109,6 +109,15 @@ class TestAlgebraRoundTrip:
         with pytest.raises(DocumentError, match="kind"):
             algebra_from_document(doc)
 
+    @pytest.mark.parametrize("bad", [True, False, "\u0661", "1/\u0662", "\uff11"],
+                             ids=["true", "false", "arabic-indic", "arabic-indic-den",
+                                  "fullwidth"])
+    def test_entries_reject_booleans_and_non_ascii_digits(self, bad):
+        doc = algebra_to_document(TwoTermAlgebra.zero(1, 1))
+        doc["d"] = [[bad]]
+        with pytest.raises(DocumentError, match=r"d\[0\]\[0\]: invalid rational"):
+            algebra_from_document(loads(dumps(doc)))
+
     @pytest.mark.parametrize("bad", [1.9, True, "1", None])
     def test_dimensions_must_be_json_integers(self, bad):
         doc = algebra_to_document(TwoTermAlgebra.zero(1, 1))
