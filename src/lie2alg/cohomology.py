@@ -112,7 +112,7 @@ class Representation:
     def rho_vec(self, x) -> Matrix:
         """rho of an arbitrary coordinate vector of g."""
         flat = contract([m.entries for m in self.rho], x, n=self.dimV * self.dimV)
-        return Matrix(self.dimV, self.dimV, flat)
+        return Matrix._trusted(self.dimV, self.dimV, flat)
 
     @cached_property
     def _complex(self) -> dict:  # ("delta", n) -> delta_n, ("rref", n) -> its rref
@@ -270,7 +270,7 @@ def delta_matrix(n: int, rep: Representation) -> Matrix:
             for k, e in enumerate(identity if x is None else rep.rho[x].entries):
                 if e:
                     entries[(rows[key] + k // d) * width + cols[src] + k % d] += coeff * e
-        cache["delta", n] = Matrix(len(rows) * d, width, tuple(entries))
+        cache["delta", n] = Matrix._trusted(len(rows) * d, width, entries)
     return cache["delta", n]
 
 

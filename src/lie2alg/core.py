@@ -12,10 +12,15 @@ The bracket of two degree-1 elements vanishes for degree reasons and is not
 stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
-validated as an explicit verifier stage.  Every structure map is evaluated
-by one primitive, ``contract``, on the full tensor or on a slice of it (a
-basis argument is an index into the tensor).  Because all structure maps
-are multilinear, checking the five defining equations on basis tuples is
+validated as an explicit verifier stage.  Structure maps are evaluated by
+one primitive, ``contract``, on the full tensor or on a slice of it (a
+basis argument is an index into the tensor).  The verifiers evaluate the
+same contractions on integers: each leaf vector of a structure tensor is
+kept as integer numerators over the lcm of its own denominators (the
+algebra's scaled form, built once per algebra), each equation is a signed
+sum of contractions summed by ``_isum``, and a `Fraction` is built only
+for the discrepancy of a reported failure.  Because all structure maps are
+multilinear, checking the five defining equations on basis tuples is
 sufficient; the verifier walks tuples in lexicographic order and reports
 the first failure per equation, so reports are deterministic.
 """
@@ -25,11 +30,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterator, Sequence
+from math import gcd, lcm
+from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import Matrix, _dot, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
+from .linalg import ZERO, Matrix, _dot, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -146,6 +152,14 @@ class TwoTermAlgebra:
         object.__setattr__(self, "b01", tensor3(self.b01, (self.n0, self.n1, self.n1)))
         object.__setattr__(self, "jac", tensor4(self.jac, (self.n0, self.n0, self.n0, self.n1)))
 
+    @cached_property
+    def _scaled(self) -> "_Scaled":
+        """The structure in scaled-integer form, built on first use."""
+        b01 = _scale_tensor(self.b01, 2)
+        return _Scaled(_scale_columns(self.d), _scale_tensor(self.b00, 2), b01,
+                       tuple(tuple(row[l] for row in b01) for l in range(self.n1)),
+                       _scale_tensor(self.jac, 3))
+
     @classmethod
     def zero(cls, n0: int, n1: int) -> "TwoTermAlgebra":
         return cls(
@@ -218,6 +232,93 @@ def contract(tensor, *vectors, n: int) -> Vec:
         _dot((an, ad, x.numerator, x.denominator) for an, ad, row in terms if (x := row[t]))
         for t in range(n)
     )
+
+
+# -- the scaled-integer form -------------------------------------------------
+#
+# A vector x is stored as (items, den): den is the lcm of the denominators of
+# its entries and items lists (t, x[t] * den) for every nonzero x[t], in
+# increasing t.  The form is canonical, so x == y exactly when the forms are
+# equal.  A tensor in scaled form nests these pairs where its leaf vectors
+# were.
+
+
+class _Scaled(NamedTuple):
+    """An algebra in scaled form.  ``d`` holds the columns of the
+    differential and ``b01t[l][p]`` is ``b01[p][l]``, so that [x, f_l] is
+    the contraction of ``b01t[l]`` with x."""
+
+    d: tuple
+    b00: tuple
+    b01: tuple
+    b01t: tuple
+    jac: tuple
+
+
+def _scale(v: Vec) -> tuple[tuple[tuple[int, int], ...], int]:
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*[q for _, q in ratios])
+    return tuple([(t, p * (den // q)) for t, (p, q) in enumerate(ratios) if p]), den
+
+
+def _scale_tensor(tensor, depth: int):
+    """Scaled form of a tensor whose leaf vectors sit ``depth`` indices deep."""
+    if depth == 1:
+        return tuple([_scale(v) for v in tensor])
+    return tuple([_scale_tensor(sub, depth - 1) for sub in tensor])
+
+
+def _scale_columns(m: Matrix) -> tuple:
+    """Columns of ``m`` in scaled form: a depth-1 tensor whose contraction
+    with a vector is ``m.apply``."""
+    return _scale_tensor([m.column(j) for j in range(m.cols)], 1)
+
+
+def _negates(x, y) -> bool:
+    """Whether the scaled vectors x and y satisfy x + y == 0."""
+    return x[1] == y[1] and x[0] == tuple((t, -c) for t, c in y[0])
+
+
+def _isum(n: int, parts) -> tuple[list[int], int]:
+    """Sum of sign * contract(tensor, *vectors) over ``parts``, an iterable of
+    (sign, tensor, vectors) on scaled forms, as (numerators, den) of length n.
+
+    Coefficients multiply as ints; each nonzero leaf vector of the tensor is
+    one term whose denominator (the product of the vectors' denominators and
+    the leaf's) is merged into the running denominator once.  The result is
+    not reduced.
+    """
+    acc, acc_den = [0] * n, 1
+    for sign, tensor, vectors in parts:
+        items, den = vectors[0]
+        terms = [(sign * c, tensor[p]) for p, c in items]
+        for items, vden in vectors[1:]:
+            den *= vden
+            terms = [(a * c, node[q]) for a, node in terms for q, c in items]
+        for c, (leaf, leaf_den) in terms:
+            if not leaf:
+                continue
+            term_den = den * leaf_den
+            if term_den != acc_den:
+                q, r = divmod(acc_den, term_den)
+                if r:
+                    # gcd(acc_den, term_den) == gcd(term_den, r): a gcd of
+                    # short numbers when the running denominator is long
+                    g = gcd(term_den, r)
+                    up = term_den // g
+                    acc = [x * up for x in acc]
+                    q = acc_den // g
+                    acc_den *= up
+                c *= q
+            for t, x in leaf:
+                acc[t] += c * x
+    return acc, acc_den
+
+
+def _fractions(total: tuple[list[int], int]) -> Vec:
+    """The reduced `Fraction` vector of a (numerators, den) pair."""
+    nums, den = total
+    return tuple(Fraction(x, den) if x else ZERO for x in nums)
 
 
 def jacobi_defect(b: Tensor3, i: int, j: int, k: int) -> Vec:
@@ -311,29 +412,30 @@ class VerificationReport:
 
 def structure_violations(L: TwoTermAlgebra) -> tuple[str, ...]:
     """Antisymmetry of b00 in its two slots and of jac in its three slots."""
+    S = L._scaled
     errors = []
     for i in range(L.n0):
         for j in range(i, L.n0):
-            if not is_zero_vec(vec_add(L.b00[i][j], L.b00[j][i])):
+            if not _negates(S.b00[i][j], S.b00[j][i]):
                 errors.append(f"b00 antisymmetry violated at ({i}, {j})")
-    for idx in _jac_violations(L):
+    for idx in _jac_violations(L.n0, S.jac):
         errors.append(f"jac antisymmetry violated at {idx}")
     return tuple(errors)
 
 
-def _jac_violations(L: TwoTermAlgebra) -> Iterator[tuple[int, int, int]]:
-    for i in range(L.n0):
-        for j in range(L.n0):
-            for k in range(L.n0):
+def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:
+    for i in range(n0):
+        for j in range(n0):
+            for k in range(n0):
                 key = (i, j, k)
                 if len({i, j, k}) < 3:
-                    if not is_zero_vec(L.jac[i][j][k]):
+                    if jac[i][j][k][0]:
                         yield key
                     continue
                 srt = tuple(sorted(key))
-                sign = perm_sign(_rank_pattern(key))
-                expected = tuple(sign * c for c in L.jac[srt[0]][srt[1]][srt[2]])
-                if L.jac[i][j][k] != expected:
+                leaf, ref = jac[i][j][k], jac[srt[0]][srt[1]][srt[2]]
+                same = leaf == ref if perm_sign(_rank_pattern(key)) == 1 else _negates(leaf, ref)
+                if not same:
                     yield key
 
 
@@ -342,94 +444,65 @@ def _rank_pattern(key: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(order.index(k) for k in key)
 
 
+def _first_failure(equation, n, checks) -> EquationFailure | None:
+    """The first (args, parts) of ``checks`` whose signed sum ``_isum(n, parts)``
+    is nonzero, as a failure whose discrepancy is that sum."""
+    for args, parts in checks:
+        total = _isum(n, parts)
+        if any(total[0]):
+            return EquationFailure(equation, args, _fractions(total))
+    return None
+
+
 def verify(L: TwoTermAlgebra) -> VerificationReport:
     """Check the five defining equations on all basis tuples.
 
     Multilinearity makes basis checks sufficient, so no random sampling is
     involved.  Tuple ranges follow the symmetries of each equation: all
     (n0 x n1) pairs, all (n1 x n1) pairs, strictly increasing triples,
-    n1 x increasing pairs, and strictly increasing 4-tuples.
+    n1 x increasing pairs, and strictly increasing 4-tuples.  Each equation
+    is written as lhs - rhs, a signed sum of contractions, and evaluated on
+    the algebra's scaled-integer form; a `Fraction` is built only for the
+    discrepancy of a reported failure.
     """
     structure = structure_violations(L)
     if structure:
         return VerificationReport(ALGEBRA_EQUATIONS, structure, ())
 
-    failures = []
     n0, n1 = L.n0, L.n1
-    d = L.d
-    dcols = [d.column(j) for j in range(n1)]
-
-    # d([e_i, f_j]) = [e_i, d(f_j)]
-    fail = None
-    for i in range(n0):
-        for j in range(n1):
-            lhs = d.apply(L.b01[i][j])
-            rhs = contract(L.b00[i], dcols[j], n=n0)
-            if lhs != rhs:
-                fail = EquationFailure(EQ_D_BRACKET, (i, j), vec_sub(lhs, rhs))
-                break
-        if fail:
-            break
-    if fail:
-        failures.append(fail)
-
-    # [d(f_i), f_j] = [f_i, d(f_j)]
-    fail = None
-    for i in range(n1):
-        for j in range(n1):
-            lhs = contract(L.b01, dcols[i], basis_vec(n1, j), n=n1)
-            rhs = tuple(-c for c in contract(L.b01, dcols[j], basis_vec(n1, i), n=n1))
-            if lhs != rhs:
-                fail = EquationFailure(EQ_D_SYMMETRY, (i, j), vec_sub(lhs, rhs))
-                break
-        if fail:
-            break
-    if fail:
-        failures.append(fail)
-
-    # d(J(e_i,e_j,e_k)) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]
-    fail = None
-    for (i, j, k) in combinations(range(n0), 3):
-        lhs = d.apply(L.jac[i][j][k])
-        rhs = jacobi_defect(L.b00, i, j, k)
-        if lhs != rhs:
-            fail = EquationFailure(EQ_JACOBI_DEFECT, (i, j, k), vec_sub(lhs, rhs))
-            break
-    if fail:
-        failures.append(fail)
-
-    # J(d(f_l),e_j,e_k) = [f_l,[e_j,e_k]] - [[f_l,e_j],e_k] - [e_j,[f_l,e_k]]
-    fail = None
-    for l in range(n1):
-        if fail:
-            break
-        for (j, k) in combinations(range(n0), 2):
-            # J(d(f_l), e_j, e_k) = J(e_j, e_k, d(f_l)): a cyclic permutation
-            lhs = contract(L.jac[j][k], dcols[l], n=n1)
-            # [f_l,[e_j,e_k]] = -[[e_j,e_k],f_l];  -[[f_l,e_j],e_k] = -[e_k,[e_j,f_l]];
-            # -[e_j,[f_l,e_k]] = [e_j,[e_k,f_l]]
-            rhs = vec_sub(
-                vec_sub(contract(L.b01[j], L.b01[k][l], n=n1),
-                        contract(L.b01[k], L.b01[j][l], n=n1)),
-                contract(L.b01, L.b00[j][k], basis_vec(n1, l), n=n1),
-            )
-            if lhs != rhs:
-                fail = EquationFailure(EQ_JACOBI_DEFECT_DEG1, (l, j, k), vec_sub(lhs, rhs))
-                break
-    if fail:
-        failures.append(fail)
-
-    # coherence of the Jacobiator in four arguments
-    fail = None
-    for quad in combinations(range(n0), 4):
-        disc = coherence_lhs(L, quad)
-        if not is_zero_vec(disc):
-            fail = EquationFailure(EQ_COHERENCE, quad, disc)
-            break
-    if fail:
-        failures.append(fail)
-
-    return VerificationReport(ALGEBRA_EQUATIONS, (), tuple(failures))
+    S = L._scaled
+    d, b00, b01, b01t, jac = S
+    checks = {
+        # d([e_i, f_j]) = [e_i, d(f_j)]
+        EQ_D_BRACKET: (n0, (
+            ((i, j), ((1, d, (b01[i][j],)), (-1, b00[i], (d[j],))))
+            for i in range(n0) for j in range(n1))),
+        # [d(f_i), f_j] = [f_i, d(f_j)] = -[d(f_j), f_i]
+        EQ_D_SYMMETRY: (n1, (
+            ((i, j), ((1, b01t[j], (d[i],)), (1, b01t[i], (d[j],))))
+            for i in range(n1) for j in range(n1))),
+        # d(J(e_i,e_j,e_k)) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]],
+        # where -[[e_i,e_j],e_k] = [e_k,[e_i,e_j]]
+        EQ_JACOBI_DEFECT: (n0, (
+            ((i, j, k), ((1, d, (jac[i][j][k],)), (-1, b00[i], (b00[j][k],)),
+                         (-1, b00[k], (b00[i][j],)), (1, b00[j], (b00[i][k],))))
+            for (i, j, k) in combinations(range(n0), 3))),
+        # J(d(f_l),e_j,e_k) = [f_l,[e_j,e_k]] - [[f_l,e_j],e_k] - [e_j,[f_l,e_k]];
+        # the left side is J(e_j, e_k, d(f_l)), a cyclic permutation, and
+        # [f_l,[e_j,e_k]] = -[[e_j,e_k],f_l];  -[[f_l,e_j],e_k] = -[e_k,[e_j,f_l]];
+        # -[e_j,[f_l,e_k]] = [e_j,[e_k,f_l]]
+        EQ_JACOBI_DEFECT_DEG1: (n1, (
+            ((l, j, k), ((1, jac[j][k], (d[l],)), (-1, b01[j], (b01[k][l],)),
+                         (1, b01[k], (b01[j][l],)), (1, b01t[l], (b00[j][k],))))
+            for l in range(n1) for (j, k) in combinations(range(n0), 2))),
+        # coherence of the Jacobiator in four arguments
+        EQ_COHERENCE: (n1, (
+            (quad, _coherence_parts(S, quad))
+            for quad in combinations(range(n0), 4))),
+    }
+    failures = tuple(f for eq in ALGEBRA_EQUATIONS
+                     if (f := _first_failure(eq, *checks[eq])) is not None)
+    return VerificationReport(ALGEBRA_EQUATIONS, (), failures)
 
 
 def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:
@@ -439,18 +512,19 @@ def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:
     verifier (increasing tuples) and by antisymmetry smoke tests.  ``jac``
     must be antisymmetric (no ``structure_violations``).
     """
-    n1 = L.n1
-    out = vec_zero(n1)
+    return _fractions(_isum(L.n1, _coherence_parts(L._scaled, args)))
+
+
+def _coherence_parts(S: "_Scaled", args: tuple[int, int, int, int]) -> list:
+    parts = []
     for perm, sign in shuffles(1, 3).elements:
         a, b, c, d = (args[p] for p in perm)
-        term = contract(L.b01[a], L.jac[b][c][d], n=n1)
-        out = vec_add(out, term) if sign == 1 else vec_sub(out, term)
+        parts.append((sign, S.b01[a], (S.jac[b][c][d],)))
     for perm, sign in shuffles(2, 2).elements:
         a, b, c, d = (args[p] for p in perm)
         # J([e_a,e_b], e_c, e_d) = J(e_c, e_d, [e_a,e_b]): a cyclic permutation
-        term = contract(L.jac[c][d], L.b00[a][b], n=n1)
-        out = vec_sub(out, term) if sign == 1 else vec_add(out, term)
-    return out
+        parts.append((-sign, S.jac[c][d], (S.b00[a][b],)))
+    return parts
 
 
 def homology_dims(L: TwoTermAlgebra) -> tuple[int, int]:

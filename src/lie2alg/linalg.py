@@ -105,6 +105,16 @@ class Matrix:
             )
         object.__setattr__(self, "entries", ent)
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries) -> "Matrix":
+        """A matrix on ``rows * cols`` row-major entries that are already
+        `Fraction`s: skips the constructor's per-entry ``rat`` coercion."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "entries", tuple(entries))
+        return out
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -163,26 +173,27 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix._trusted(self.rows, self.cols,
+                               (a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix._trusted(self.rows, self.cols,
+                               (a - b for a, b in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return Matrix._trusted(self.rows, self.cols, (-a for a in self.entries))
 
     def __rmul__(self, scalar) -> "Matrix":
         c = rat(scalar)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return Matrix._trusted(self.rows, self.cols, (c * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return Matrix.from_columns([self.apply(other.column(j)) for j in range(other.cols)],
-                                   rows=self.rows)
+        cols = [self.apply(other.column(j)) for j in range(other.cols)]
+        return Matrix._trusted(self.rows, other.cols,
+                               (c[i] for i in range(self.rows) for c in cols))
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix times coordinate vector."""
@@ -196,27 +207,28 @@ class Matrix:
         )
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.entries[i * self.cols + j]
-                            for j in range(self.cols) for i in range(self.rows)))
+        return Matrix._trusted(self.cols, self.rows,
+                               (self.entries[i * self.cols + j]
+                                for j in range(self.cols) for i in range(self.rows)))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        rows = [self.row(i) + other.row(i) for i in range(self.rows)]
-        return Matrix.from_rows(rows, cols=self.cols + other.cols)
+        return Matrix._trusted(self.rows, self.cols + other.cols,
+                               (x for i in range(self.rows) for x in self.row(i) + other.row(i)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix._trusted(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def rank(self) -> int:
         return len(rref(self)[1])
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
-        rows = [[self.entries[i * self.cols + j] for j in col_indices] for i in row_indices]
-        return Matrix.from_rows(rows, cols=len(col_indices))
+        return Matrix._trusted(len(row_indices), len(col_indices),
+                               (self.entries[i * self.cols + j]
+                                for i in row_indices for j in col_indices))
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -263,7 +275,8 @@ class Subspace:
         return len(self.basis)
 
     def matrix(self) -> Matrix:
-        return Matrix.from_columns(self.basis, rows=self.ambient_dim)
+        return Matrix._trusted(self.ambient_dim, self.dim,
+                               (v[i] for i in range(self.ambient_dim) for v in self.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +313,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         r += 1
         if r == m.rows:
             break
-    return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)
+    return Matrix._trusted(m.rows, m.cols, (x for r in rows for x in r)), tuple(pivots)
 
 
 def _kernel_vectors(red: Matrix, pivots: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
@@ -356,7 +369,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     for r, pc in enumerate(pivots):
         for j in range(b.cols):
             x[pc][j] = red[r, a.cols + j]
-    return Matrix.from_rows(x, cols=b.cols)
+    return Matrix._trusted(a.cols, b.cols, (e for r in x for e in r))
 
 
 def invert(m: Matrix) -> Matrix | None:

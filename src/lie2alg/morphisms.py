@@ -14,12 +14,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .linalg import Matrix, basis_vec, invert, is_zero_vec, vec_sub, vec_zero
+from .linalg import Matrix, invert
 from .core import (
-    EquationFailure,
     Tensor3,
     TwoTermAlgebra,
     VerificationReport,
+    _first_failure,
+    _negates,
+    _scale_columns,
+    _scale_tensor,
     contract,
     shuffles,
     tensor3,
@@ -81,90 +84,60 @@ def verify_morphism(m: Morphism) -> VerificationReport:
     """Check the four defining equations of a morphism on all basis tuples.
 
     Requires source and target to be valid algebras; this is a precondition,
-    not re-checked here.
+    not re-checked here.  As in ``core.verify``, each equation is a signed
+    sum of contractions on scaled-integer forms (the algebras' cached ones
+    and the morphism's, built here), and a `Fraction` is built only for the
+    discrepancy of a reported failure.
     """
-    structure = []
-    for i in range(m.source.n0):
-        for j in range(i, m.source.n0):
-            if not is_zero_vec(vec_add(m.Phi[i][j], m.Phi[j][i])):
-                structure.append(f"Phi antisymmetry violated at ({i}, {j})")
-    if structure:
-        return VerificationReport(MORPHISM_EQUATIONS, tuple(structure), ())
-
     src, tgt = m.source, m.target
-    failures = []
-    u0 = [m.phi0.column(i) for i in range(src.n0)]   # phi(e_i)
-    w1 = [m.phi1.column(j) for j in range(src.n1)]   # phi(f_j)
-    dcols = [src.d.column(j) for j in range(src.n1)]
+    Phi = _scale_tensor(m.Phi, 2)
+    structure = tuple(
+        f"Phi antisymmetry violated at ({i}, {j})"
+        for i in range(src.n0) for j in range(i, src.n0) if not _negates(Phi[i][j], Phi[j][i])
+    )
+    if structure:
+        return VerificationReport(MORPHISM_EQUATIONS, structure, ())
 
-    # phi0(d(f_j)) = d'(phi1(f_j))
-    fail = None
-    for j in range(src.n1):
-        lhs, rhs = m.phi0.apply(dcols[j]), tgt.d.apply(w1[j])
-        if lhs != rhs:
-            fail = EquationFailure(EQ_CHAIN_MAP, (j,), vec_sub(lhs, rhs))
-            break
-    if fail:
-        failures.append(fail)
+    S, T = src._scaled, tgt._scaled
+    u0 = _scale_columns(m.phi0)   # phi(e_i)
+    w1 = _scale_columns(m.phi1)   # phi(f_j)
+    checks = {
+        # phi0(d(f_j)) = d'(phi1(f_j))
+        EQ_CHAIN_MAP: (tgt.n0, (
+            ((j,), ((1, u0, (S.d[j],)), (-1, T.d, (w1[j],))))
+            for j in range(src.n1))),
+        # d'(Phi(e_i,e_j)) = phi([e_i,e_j]) - [phi e_i, phi e_j]'
+        EQ_BRACKET_DEFECT: (tgt.n0, (
+            ((i, j), ((1, T.d, (Phi[i][j],)), (-1, u0, (S.b00[i][j],)),
+                      (1, T.b00, (u0[i], u0[j]))))
+            for (i, j) in combinations(range(src.n0), 2))),
+        # Phi(d(f_l), e_i) = phi([f_l,e_i]) - [phi f_l, phi e_i]', where
+        # Phi(d(f_l), e_i) = -Phi(e_i, d(f_l)), [f_l, e_i] = -[e_i, f_l] and
+        # [phi f_l, phi e_i]' = -[phi e_i, phi f_l]'
+        EQ_MIXED_DEFECT: (tgt.n1, (
+            ((l, i), ((-1, Phi[i], (S.d[l],)), (-1, T.b01, (u0[i], w1[l])),
+                      (1, w1, (S.b01[i][l],))))
+            for l in range(src.n1) for i in range(src.n0))),
+        # compatibility of the Jacobiators through Phi
+        EQ_JACOBIATOR_COMPAT: (tgt.n1, (
+            (tri, _jacobiator_parts(S, T, u0, w1, Phi, tri))
+            for tri in combinations(range(src.n0), 3))),
+    }
+    failures = tuple(f for eq in MORPHISM_EQUATIONS
+                     if (f := _first_failure(eq, *checks[eq])) is not None)
+    return VerificationReport(MORPHISM_EQUATIONS, (), failures)
 
-    # d'(Phi(e_i,e_j)) = phi([e_i,e_j]) - [phi e_i, phi e_j]'
-    fail = None
-    for i in range(src.n0):
-        if fail:
-            break
-        for j in range(i + 1, src.n0):
-            lhs = tgt.d.apply(m.Phi[i][j])
-            rhs = vec_sub(m.phi0.apply(src.b00[i][j]), contract(tgt.b00, u0[i], u0[j], n=tgt.n0))
-            if lhs != rhs:
-                fail = EquationFailure(EQ_BRACKET_DEFECT, (i, j), vec_sub(lhs, rhs))
-                break
-    if fail:
-        failures.append(fail)
 
-    # Phi(d(f_l), e_i) = phi([f_l,e_i]) - [phi f_l, phi e_i]'
-    fail = None
-    for l in range(src.n1):
-        if fail:
-            break
-        for i in range(src.n0):
-            lhs = contract(m.Phi, dcols[l], basis_vec(src.n0, i), n=tgt.n1)
-            # [f_l, e_i] = -[e_i, f_l];  [phi f_l, phi e_i]' = -[phi e_i, phi f_l]'
-            rhs = vec_sub(
-                contract(tgt.b01, u0[i], w1[l], n=tgt.n1),
-                m.phi1.apply(src.b01[i][l]),
-            )
-            if lhs != rhs:
-                fail = EquationFailure(EQ_MIXED_DEFECT, (l, i), vec_sub(lhs, rhs))
-                break
-    if fail:
-        failures.append(fail)
-
-    # compatibility of the Jacobiators through Phi
-    fail = None
-    sh12 = shuffles(1, 2).elements
-    for tri in combinations(range(src.n0), 3):
-        lhs = vec_sub(
-            m.phi1.apply(src.jac[tri[0]][tri[1]][tri[2]]),
-            contract(tgt.jac, u0[tri[0]], u0[tri[1]], u0[tri[2]], n=tgt.n1),
-        )
-        rhs = vec_zero(tgt.n1)
-        for perm, sign in sh12:
-            a, b, c = tri[perm[0]], tri[perm[1]], tri[perm[2]]
-            term = vec_add(
-                contract(tgt.b01, u0[a], m.Phi[b][c], n=tgt.n1),
-                contract(m.Phi[a], src.b00[b][c], n=tgt.n1),
-            )
-            if sign == 1:
-                rhs = vec_add(rhs, term)
-            else:
-                rhs = vec_sub(rhs, term)
-        if lhs != rhs:
-            fail = EquationFailure(EQ_JACOBIATOR_COMPAT, tri, vec_sub(lhs, rhs))
-            break
-    if fail:
-        failures.append(fail)
-
-    return VerificationReport(MORPHISM_EQUATIONS, (), tuple(failures))
+def _jacobiator_parts(S, T, u0, w1, Phi, tri: tuple[int, int, int]) -> list:
+    """phi1(J(x,y,z)) - J'(phi x, phi y, phi z) minus the sum over
+    (1,2)-shuffles of sign * ([phi a, Phi(b,c)]' + Phi(a, [b,c]))."""
+    i, j, k = tri
+    parts = [(1, w1, (S.jac[i][j][k],)), (-1, T.jac, (u0[i], u0[j], u0[k]))]
+    for perm, sign in shuffles(1, 2).elements:
+        a, b, c = (tri[p] for p in perm)
+        parts.append((-sign, T.b01, (u0[a], Phi[b][c])))
+        parts.append((-sign, Phi[a], (S.b00[b][c],)))
+    return parts
 
 
 def compose(first: Morphism, second: Morphism) -> Morphism:
