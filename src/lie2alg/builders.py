@@ -20,7 +20,8 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .linalg import Matrix, ZERO, invert, rat, vec_zero
-from .core import TwoTermAlgebra, perm_sign, verify, zero_tensor3
+from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, perm_sign, verify,
+                   zero_tensor3)
 from .morphisms import Morphism
 from .cohomology import (
     Cochain,
@@ -227,39 +228,22 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
     Degree 0 is g followed by U, degree 1 is V followed by U.  The
     differential embeds the degree-1 copy of U as the degree-0 copy, the
     bracket restricts to g and acts on V through the representation, and the
-    Jacobiator is the cocycle on g-arguments.  The result is re-verified
-    before being returned.
+    Jacobiator is the cocycle on g-arguments.  The structure is assembled on
+    the scaled-integer form, which the result keeps, and converted to
+    `Fraction`s once; the result is re-verified before being returned.
     """
     gdim, u, v = q.g.dim, q.dim_u, q.rep.dimV
     n0, n1 = gdim + u, v + u
 
-    d = [[ZERO] * n1 for _ in range(n0)]
-    for a in range(u):
-        d[gdim + a][v + a] = Fraction(1)
-
-    b00 = [[list(vec_zero(n0)) for _ in range(n0)] for _ in range(n0)]
-    for i in range(gdim):
-        for j in range(gdim):
-            for t, c in enumerate(q.g.sc[i][j]):
-                b00[i][j][t] = c
-
-    b01 = [[list(vec_zero(n1)) for _ in range(n1)] for _ in range(n0)]
-    for i in range(gdim):
-        rho_i = q.rep.rho[i]
-        for jv in range(v):
-            for t in range(v):
-                b01[i][jv][t] = rho_i[t, jv]
-
-    jac = [[[list(vec_zero(n1)) for _ in range(n0)] for _ in range(n0)] for _ in range(n0)]
-    for key in combinations(range(gdim), 3):
-        base = q.jtilde.values[key]
-        for order in permutations(range(3)):
-            sign = perm_sign(order)
-            a, b, c = key[order[0]], key[order[1]], key[order[2]]
-            for t in range(v):
-                jac[a][b][c][t] = sign * base[t]
-
-    out = TwoTermAlgebra(n0, n1, d, b00, b01, jac)
+    zero = _ZERO_SCALED
+    d = tuple((((gdim + j - v, 1),), 1) if j >= v else zero for j in range(n1))
+    b00 = _alternating(n0, 2, {(i, j): _scale(q.g.sc[i][j])
+                               for i, j in combinations(range(gdim), 2)})
+    b01 = tuple(tuple(_scale(q.rep.rho[i].column(jv)) if i < gdim and jv < v else zero
+                      for jv in range(n1)) for i in range(n0))
+    jac = _alternating(n0, 3, {key: _scale(q.jtilde.values[key])
+                               for key in combinations(range(gdim), 3)})
+    out = TwoTermAlgebra._from_scaled(n0, n1, d, b00, b01, jac)
     report = verify(out)
     if not report.passed:
         raise RuntimeError(f"assembled algebra failed verification: {report.lines()}")

@@ -9,6 +9,12 @@ between isomorphisms of algebras and isomorphisms of their classifying
 quadruples.  ``invariants`` computes a fingerprint of necessary conditions
 used by ``distinguish`` to refute isomorphism.
 
+``transport``, ``extract_triple`` and ``normal_form`` build their tensors on
+the scaled-integer form of ``core`` (integer numerators, one denominator per
+vector, summed by ``core._isum``); `Fraction`s appear only at the API
+boundary, and the algebras and morphisms they return carry their scaled form
+already, so verifying them converts nothing.
+
 A full search for a Lie algebra isomorphism is deliberately out of scope:
 the module certifies user-supplied maps and refutes via invariants.
 """
@@ -17,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import cached_property
+from itertools import combinations
 from typing import NamedTuple
 
 from .linalg import (
@@ -30,14 +37,21 @@ from .linalg import (
     invert,
     is_zero_vec,
     kernel_basis,
-    vec_add,
     vec_sub,
     vec_zero,
 )
 from .core import (
     TwoTermAlgebra,
+    _alternating,
+    _column_matrix,
+    _ivec,
+    _keep_scaled,
+    _scale,
+    _scale_columns,
+    _scale_tensor,
+    _unscale,
+    _unscale_tensor,
     contract,
-    perm_sign,
     shuffles,
     tensor3,
     verify,
@@ -99,6 +113,16 @@ class Decomposition:
     coords0: Matrix
     coords1: Matrix
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(g basis, kernel basis, g coordinates, kernel coordinates, h) in
+        scaled form, built on first use: what ``extract_triple`` and
+        ``normal_form`` contract with."""
+        return (_scale_tensor(self.g_basis.basis, 1), _scale_tensor(self.kerd_basis.basis, 1),
+                _scale_columns(self.coords0, range(self.g_basis.dim)),
+                _scale_columns(self.coords1, range(self.kerd_basis.dim)),
+                _scale_columns(self.h))
+
 
 def decompose(L: TwoTermAlgebra) -> Decomposition:
     """Deterministic decomposition via greedy standard-basis complements.
@@ -143,43 +167,33 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
     """
     if dec.source != L:
         raise ValueError("decomposition belongs to a different algebra")
-    gdim = dec.g_basis.dim
-    kdim = dec.kerd_basis.dim
+    gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
     n0, n1 = L.n0, L.n1
-    g_cols = dec.g_basis.basis
-    k_cols = dec.kerd_basis.basis
+    S = L._scaled
+    G, K, g_coords, k_coords, h = dec._scaled
 
-    sc = [[list(vec_zero(gdim)) for _ in range(gdim)] for _ in range(gdim)]
-    for i in range(gdim):
-        for j in range(i + 1, gdim):
-            w = contract(L.b00, g_cols[i], g_cols[j], n=n0)
-            gpart = dec.coords0.apply(w)[:gdim]
-            sc[i][j] = list(gpart)
-            sc[j][i] = [-c for c in gpart]
+    w = {(i, j): _ivec(n0, ((1, S.b00, (G[i], G[j])),))     # [x_i, x_j]
+         for i, j in combinations(range(gdim), 2)}
+    sc = [[vec_zero(gdim)] * gdim for _ in range(gdim)]
+    for (i, j), wij in w.items():
+        sc[i][j] = _unscale(_ivec(gdim, ((1, g_coords, (wij,)),)), gdim)
+        sc[j][i] = tuple(-c for c in sc[i][j])
     g = LieAlgebra(gdim, sc)
 
-    rho = []
-    for i in range(gdim):
-        cols = []
-        for b in range(kdim):
-            w = contract(L.b01, g_cols[i], k_cols[b], n=n1)
-            cols.append(dec.coords1.apply(w)[:kdim])
-        rho.append(Matrix.from_columns(cols, rows=kdim))
-    rep = Representation(g, kdim, tuple(rho))
+    rho = tuple(
+        _column_matrix([_ivec(kdim, ((1, k_coords, (_ivec(n1, ((1, S.b01, (G[i], k)),)),)),))
+                        for k in K], kdim)
+        for i in range(gdim))
+    rep = Representation(g, kdim, rho)
 
-    sh12 = shuffles(1, 2).elements
+    hw = {key: _ivec(n1, ((1, h, (wij,)),)) for key, wij in w.items()}   # h([x_i, x_j])
     values = {}
     for key in combinations(range(gdim), 3):
-        total = contract(L.jac, g_cols[key[0]], g_cols[key[1]], g_cols[key[2]], n=n1)
-        for perm, sign in sh12:
-            x1 = g_cols[key[perm[0]]]
-            inner = contract(L.b00, g_cols[key[perm[1]]], g_cols[key[perm[2]]], n=n0)
-            term = contract(L.b01, x1, dec.h.apply(inner), n=n1)
-            if sign == 1:
-                total = vec_sub(total, term)
-            else:
-                total = vec_add(total, term)
-        values[key] = dec.coords1.apply(total)[:kdim]
+        parts = [(1, S.jac, tuple(G[k] for k in key))]
+        for perm, sign in shuffles(1, 2).elements:
+            a, y, z = (key[p] for p in perm)
+            parts.append((-sign, S.b01, (G[a], hw[y, z])))
+        values[key] = _unscale(_ivec(kdim, ((1, k_coords, (_ivec(n1, parts),)),)), kdim)
     jtilde = Cochain(3, g, kdim, values)
 
     return Quadruple(g, dec.u_basis.dim, rep, jtilde)
@@ -197,8 +211,10 @@ def transport(
 
     The new differential, brackets and Jacobiator are the unique ones making
     (phi0, phi1, correction) a morphism; the new Jacobiator uses the already
-    transported mixed bracket.  Returns the new algebra and the connecting
-    morphism; both are re-verified before returning.
+    transported mixed bracket.  Each is built on scaled integers, one
+    ``core._isum`` per output vector, and converted to `Fraction`s once.
+    Returns the new algebra and the connecting morphism, both carrying their
+    scaled form; both are re-verified before returning.
 
     Precondition: ``verify(L)`` passes and ``correction`` is antisymmetric.
     """
@@ -219,53 +235,35 @@ def transport(
     corr = tensor3(correction, (L.n0, L.n0, L.n1))
 
     n0, n1 = L.n0, L.n1
-    x_cols = [inv0.column(a) for a in range(n0)]    # preimages of target basis
-    v_cols = [inv1.column(b) for b in range(n1)]
+    S = L._scaled
+    P0, P1 = _scale_columns(phi0), _scale_columns(phi1)
+    X, V = _scale_columns(inv0), _scale_columns(inv1)   # preimages of target bases
+    C = _scale_tensor(corr, 2)
 
-    d_new = phi0 @ (L.d @ inv1)
+    dv = [_ivec(n0, ((1, S.d, (v,)),)) for v in V]
+    d_new = tuple(_ivec(n0, ((1, P0, (w,)),)) for w in dv)
 
-    b00_new = [[list(vec_zero(n0)) for _ in range(n0)] for _ in range(n0)]
-    for a in range(n0):
-        for b in range(a + 1, n0):
-            val = vec_sub(
-                phi0.apply(contract(L.b00, x_cols[a], x_cols[b], n=n0)),
-                d_new.apply(contract(corr, x_cols[a], x_cols[b], n=n1)),
-            )
-            b00_new[a][b] = list(val)
-            b00_new[b][a] = [-c for c in val]
+    pairs = list(combinations(range(n0), 2))
+    w = {(a, b): _ivec(n0, ((1, S.b00, (X[a], X[b])),)) for a, b in pairs}   # [x_a, x_b]
+    c = {(a, b): _ivec(n1, ((1, C, (X[a], X[b])),)) for a, b in pairs}       # corr(x_a, x_b)
+    b00_new = _alternating(n0, 2, {
+        p: _ivec(n0, ((1, P0, (w[p],)), (-1, d_new, (c[p],)))) for p in pairs})
 
-    b01_new = [[list(vec_zero(n1)) for _ in range(n1)] for _ in range(n0)]
-    for a in range(n0):
-        for b in range(n1):
-            dv = L.d.apply(v_cols[b])
-            val = vec_add(
-                phi1.apply(contract(L.b01, x_cols[a], v_cols[b], n=n1)),
-                contract(corr, dv, x_cols[a], n=n1),
-            )
-            b01_new[a][b] = list(val)
+    b01_new = tuple(tuple(_ivec(n1, ((1, P1, (_ivec(n1, ((1, S.b01, (X[a], V[b])),)),)),
+                                     (1, C, (dv[b], X[a]))))
+                          for b in range(n1)) for a in range(n0))
 
-    sh12 = shuffles(1, 2).elements
-    jac_new = [[[list(vec_zero(n1)) for _ in range(n0)] for _ in range(n0)] for _ in range(n0)]
+    jac_new = {}
     for key in combinations(range(n0), 3):
-        val = phi1.apply(contract(L.jac, x_cols[key[0]], x_cols[key[1]], x_cols[key[2]], n=n1))
-        for perm, sign in sh12:
-            a = key[perm[0]]
-            y, z = x_cols[key[perm[1]]], x_cols[key[perm[2]]]
-            term = vec_add(
-                contract(b01_new[a], contract(corr, y, z, n=n1), n=n1),
-                contract(corr, x_cols[a], contract(L.b00, y, z, n=n0), n=n1),
-            )
-            if sign == 1:
-                val = vec_sub(val, term)
-            else:
-                val = vec_add(val, term)
-        for order in permutations(range(3)):
-            sign = perm_sign(order)
-            a, b, c = key[order[0]], key[order[1]], key[order[2]]
-            jac_new[a][b][c] = [sign * x for x in val]
+        parts = [(1, P1, (_ivec(n1, ((1, S.jac, tuple(X[k] for k in key)),)),))]
+        for perm, sign in shuffles(1, 2).elements:
+            a, y, z = (key[p] for p in perm)
+            parts += [(-sign, b01_new[a], (c[y, z],)), (-sign, C, (X[a], w[y, z]))]
+        jac_new[key] = _ivec(n1, parts)
 
-    out = TwoTermAlgebra(n0, n1, d_new, b00_new, b01_new, jac_new)
-    mor = Morphism(L, out, phi0, phi1, corr)
+    out = TwoTermAlgebra._from_scaled(n0, n1, d_new, b00_new, b01_new,
+                                      _alternating(n0, 3, jac_new))
+    mor = _keep_scaled(Morphism(L, out, phi0, phi1, corr), (P0, P1, C))
     report = verify_algebra_or_raise(out, "transported algebra")
     mreport = verify_morphism(mor)
     if not mreport.passed:
@@ -302,32 +300,23 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     q = extract_triple(L, dec)
     target = normal_form_algebra(q)
 
-    gdim = dec.g_basis.dim
-    kdim = dec.kerd_basis.dim
+    gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
     n0, n1 = L.n0, L.n1
-    g_mat, imd_mat = dec.g_basis.matrix(), dec.imd_basis.matrix()
-    g_std = [g_mat.apply(dec.coords0.column(i)[:gdim]) for i in range(n0)]
-    imd_std = [imd_mat.apply(dec.coords0.column(i)[gdim:]) for i in range(n0)]
+    S = L._scaled
+    G, _, g_coords, k_coords, h = dec._scaled
+    g_std = [_ivec(n0, ((1, G, (c,)),)) for c in g_coords]   # the g part of e_i
+    # U coordinates in degree 0, placed after the kdim kernel coordinates of
+    # degree 1 (as in the normal form, V = ker d comes first)
+    u = _scale_columns(dec.coords0, range(gdim, n0), offset=kdim)
 
-    phi_corr = [[list(vec_zero(n1)) for _ in range(n0)] for _ in range(n0)]
-    for i in range(n0):
-        h_i = dec.h.column(i)
-        for j in range(i + 1, n0):
-            h_j = dec.h.column(j)
-            s = vec_add(
-                contract(L.b01, imd_std[i], h_j, n=n1),
-                vec_sub(
-                    contract(L.b01, g_std[i], h_j, n=n1),
-                    contract(L.b01, g_std[j], h_i, n=n1),
-                ),
-            )
-            ker_part = dec.coords1.apply(s)[:kdim]
-            u_part = dec.coords0.apply(L.b00[i][j])[gdim:]
-            value = tuple(ker_part) + tuple(u_part)
-            phi_corr[i][j] = list(value)
-            phi_corr[j][i] = [-c for c in value]
-
-    mor = Morphism(L, target, dec.coords0, dec.f, phi_corr)
+    Phi = {}
+    for i, j in combinations(range(n0), 2):
+        # [e_i, h_j] - [g_j, h_i], where e_i = g_i + (the image part of e_i)
+        s = _ivec(n1, ((1, S.b01[i], (h[j],)), (-1, S.b01, (g_std[j], h[i]))))
+        Phi[i, j] = _ivec(n1, ((1, k_coords, (s,)), (1, u, (S.b00[i][j],))))
+    Phi = _alternating(n0, 2, Phi)
+    mor = _keep_scaled(Morphism(L, target, dec.coords0, dec.f, _unscale_tensor(Phi, 2, n1)),
+                       (_scale_columns(dec.coords0), _scale_columns(dec.f), Phi))
     report = verify_morphism(mor)
     if not report.passed or not is_isomorphism(mor):
         raise RuntimeError(f"normalizing morphism failed verification: {report.lines()}")
@@ -578,20 +567,11 @@ def certify_isomorphism(
     if witness is None:
         return None
 
-    gdim = q_l.g.dim
-    n0, n1 = nf_l.algebra.n0, nf_l.algebra.n1
-    target_n1 = nf_m.algebra.n1
-    phi0 = block_diag(chi, f_u)
-    phi1 = block_diag(t_v, f_u)
-    corr = [[list(vec_zero(target_n1)) for _ in range(n0)] for _ in range(n0)]
-    for i in range(gdim):
-        for j in range(i + 1, gdim):
-            value = witness.values[(i, j)]
-            padded = tuple(value) + vec_zero(q_m.dim_u)
-            corr[i][j] = list(padded)
-            corr[j][i] = [-c for c in padded]
-
-    mor_nf = Morphism(nf_l.algebra, nf_m.algebra, phi0, phi1, corr)
+    # the correction is the witness on the g part, zero on U
+    corr = _alternating(nf_l.algebra.n0, 2,
+                        {key: _scale(value) for key, value in witness.values.items()})
+    mor_nf = Morphism(nf_l.algebra, nf_m.algebra, block_diag(chi, f_u), block_diag(t_v, f_u),
+                      _unscale_tensor(corr, 2, nf_m.algebra.n1))
     report = verify_morphism(mor_nf)
     if not report.passed:
         raise RuntimeError(f"certificate morphism failed verification: {report.lines()}")

@@ -12,15 +12,19 @@ The bracket of two degree-1 elements vanishes for degree reasons and is not
 stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
-validated as an explicit verifier stage.  Structure maps are evaluated by
-one primitive, ``contract``, on the full tensor or on a slice of it (a
-basis argument is an index into the tensor).  The verifiers evaluate the
-same contractions on integers: each leaf vector of a structure tensor is
-kept as integer numerators over the lcm of its own denominators (the
-algebra's scaled form, built once per algebra), each equation is a signed
-sum of contractions summed by ``_isum``, and a `Fraction` is built only
-for the discrepancy of a reported failure.  Because all structure maps are
-multilinear, checking the five defining equations on basis tuples is
+validated as an explicit verifier stage.  The public tensors hold
+`Fraction`s, but the arithmetic runs on the algebra's scaled form: each
+leaf vector of a structure tensor is kept as integer numerators over the
+lcm of its own denominators, built once per algebra or handed over by the
+code that built the algebra.  One kernel, ``_isum``, sums signed
+contractions of scaled tensors with scaled vectors (a basis argument is an
+index into the tensor).  The verifiers check each equation as such a sum,
+and the pipeline (``classify``, ``morphisms``, ``builders``) builds new
+algebras and morphisms with it, so `Fraction`s appear only at the API
+boundary: in the public tensors and in the discrepancy of a reported
+failure.  ``contract`` evaluates the same maps on `Fraction` vectors for
+small `Fraction`-in, `Fraction`-out callers.  Because all structure maps
+are multilinear, checking the five defining equations on basis tuples is
 sufficient; the verifier walks tuples in lexicographic order and reports
 the first failure per equation, so reports are deterministic.
 """
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
@@ -155,10 +159,18 @@ class TwoTermAlgebra:
     @cached_property
     def _scaled(self) -> "_Scaled":
         """The structure in scaled-integer form, built on first use."""
-        b01 = _scale_tensor(self.b01, 2)
-        return _Scaled(_scale_columns(self.d), _scale_tensor(self.b00, 2), b01,
-                       tuple(tuple(row[l] for row in b01) for l in range(self.n1)),
-                       _scale_tensor(self.jac, 3))
+        return _scaled_algebra(_scale_columns(self.d), _scale_tensor(self.b00, 2),
+                               _scale_tensor(self.b01, 2), _scale_tensor(self.jac, 3))
+
+    @classmethod
+    def _from_scaled(cls, n0: int, n1: int, d, b00, b01, jac) -> "TwoTermAlgebra":
+        """The algebra whose structure is given in scaled form (``d`` as its
+        columns, every tensor nested in tuples).  The public tensors are
+        built from it, and it is kept as ``_scaled``."""
+        out = object.__new__(cls)
+        out.__dict__.update(n0=n0, n1=n1, d=_column_matrix(d, n0), b00=_unscale_tensor(b00, 2, n0),
+                            b01=_unscale_tensor(b01, 2, n1), jac=_unscale_tensor(jac, 3, n1))
+        return _keep_scaled(out, _scaled_algebra(d, b00, b01, jac))
 
     @classmethod
     def zero(cls, n0: int, n1: int) -> "TwoTermAlgebra":
@@ -255,28 +267,93 @@ class _Scaled(NamedTuple):
     jac: tuple
 
 
+def _scaled_algebra(d, b00, b01, jac) -> _Scaled:
+    return _Scaled(d, b00, b01, tuple(tuple(row[l] for row in b01) for l in range(len(d))), jac)
+
+
+_ZERO_SCALED = ((), 1)
+
+
 def _scale(v: Vec) -> tuple[tuple[tuple[int, int], ...], int]:
     ratios = [x.as_integer_ratio() for x in v]
     den = lcm(*[q for _, q in ratios])
     return tuple([(t, p * (den // q)) for t, (p, q) in enumerate(ratios) if p]), den
 
 
+def _reduce(total: tuple[list[int], int]):
+    """The scaled form of an unreduced (numerators, den) pair: both divided by
+    g = gcd(den, *numerators), since the lcm over t of den / gcd(den, n_t)
+    is den / gcd(den, n_1, ..., n_k).  The zero vector comes out ((), 1)."""
+    nums, den = total
+    g = gcd(den, *nums)
+    return tuple([(t, x // g) for t, x in enumerate(nums) if x]), den // g
+
+
+def _unscale(v, n: int) -> Vec:
+    """The length-``n`` `Fraction` vector of a scaled vector."""
+    entries = dict(v[0])
+    return tuple(Fraction(entries[t], v[1]) if t in entries else ZERO for t in range(n))
+
+
+def _neg(v):
+    """The scaled form of -v."""
+    return tuple([(t, -x) for t, x in v[0]]), v[1]
+
+
+def _leaves(fn, tensor, depth: int):
+    """``tensor`` with ``fn`` applied to each leaf vector ``depth`` indices deep."""
+    if depth == 1:
+        return tuple([fn(v) for v in tensor])
+    return tuple([_leaves(fn, sub, depth - 1) for sub in tensor])
+
+
 def _scale_tensor(tensor, depth: int):
     """Scaled form of a tensor whose leaf vectors sit ``depth`` indices deep."""
-    if depth == 1:
-        return tuple([_scale(v) for v in tensor])
-    return tuple([_scale_tensor(sub, depth - 1) for sub in tensor])
+    return _leaves(_scale, tensor, depth)
 
 
-def _scale_columns(m: Matrix) -> tuple:
-    """Columns of ``m`` in scaled form: a depth-1 tensor whose contraction
-    with a vector is ``m.apply``."""
-    return _scale_tensor([m.column(j) for j in range(m.cols)], 1)
+def _unscale_tensor(tensor, depth: int, n: int):
+    """The `Fraction` tensor of a scaled one with length-``n`` leaves; equal
+    leaves are converted once."""
+    memo = {}
+    return _leaves(lambda v: memo.get(v) or memo.setdefault(v, _unscale(v, n)), tensor, depth)
 
 
-def _negates(x, y) -> bool:
-    """Whether the scaled vectors x and y satisfy x + y == 0."""
-    return x[1] == y[1] and x[0] == tuple((t, -c) for t, c in y[0])
+def _alternating(n: int, slots: int, values: dict):
+    """The scaled tensor of leaves ``slots`` indices deep over range(n) that
+    is alternating in those indices and takes ``values`` on increasing
+    index tuples (every other leaf with a repeated index is zero)."""
+    leaves = {}
+    for key, v in values.items():
+        for order in permutations(range(slots)):
+            leaves[tuple(key[o] for o in order)] = v if perm_sign(order) == 1 else _neg(v)
+    grid = [leaves.get(idx, _ZERO_SCALED) for idx in product(range(n), repeat=slots)]
+    for _ in range(slots - 1):
+        grid = [tuple(grid[i:i + n]) for i in range(0, len(grid), n or 1)]
+    return tuple(grid)
+
+
+def _keep_scaled(obj, scaled):
+    """``obj`` (an algebra or a morphism) with ``scaled`` as its cached
+    scaled form, which must equal the one its public tensors give."""
+    obj.__dict__["_scaled"] = scaled
+    return obj
+
+
+def _column_matrix(columns, rows: int) -> Matrix:
+    """The `Matrix` whose columns are the scaled vectors ``columns``."""
+    cols = [_unscale(c, rows) for c in columns]
+    return Matrix._trusted(rows, len(cols), (c[i] for i in range(rows) for c in cols))
+
+
+def _scale_columns(m: Matrix, rows: range | None = None, offset: int = 0) -> tuple:
+    """Columns of ``m`` in scaled form, a depth-1 tensor whose contraction
+    with a vector is ``m.apply``; with ``rows``, of those rows alone, their
+    coordinates counted from ``offset``."""
+    rows, c = range(m.rows) if rows is None else rows, m.cols
+    cols = [_scale(m.entries[rows.start * c + j:rows.stop * c:c]) for j in range(c)]
+    return tuple([(tuple([(t + offset, x) for t, x in v]), den) for v, den in cols]
+                 if offset else cols)
 
 
 def _isum(n: int, parts) -> tuple[list[int], int]:
@@ -315,10 +392,9 @@ def _isum(n: int, parts) -> tuple[list[int], int]:
     return acc, acc_den
 
 
-def _fractions(total: tuple[list[int], int]) -> Vec:
-    """The reduced `Fraction` vector of a (numerators, den) pair."""
-    nums, den = total
-    return tuple(Fraction(x, den) if x else ZERO for x in nums)
+def _ivec(n: int, parts):
+    """``_isum(n, parts)`` in scaled form."""
+    return _reduce(_isum(n, parts))
 
 
 def jacobi_defect(b: Tensor3, i: int, j: int, k: int) -> Vec:
@@ -403,11 +479,28 @@ class VerificationReport:
         for eq in self.equations:
             if eq in failed:
                 f = failed[eq]
-                disc = ", ".join(str(c) for c in f.discrepancy)
+                disc = ", ".join(_rational_text(c) for c in f.discrepancy)
                 out.append(f"{eq}: FAIL at {f.args} discrepancy ({disc})")
             else:
                 out.append(f"{eq}: ok")
         return out
+
+
+def _digits(n: int) -> str:
+    """``str(n)``, also past Python's int-to-str digit limit: numbers longer
+    than 2000 bits (below the smallest allowed limit) are split in two near
+    half of their decimal digits."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20       # log10(2) is about 3/10
+    high, low = divmod(abs(n), 10 ** k)
+    return "-" * (n < 0) + _digits(high) + _digits(low).zfill(k)
+
+
+def _rational_text(x: Fraction) -> str:
+    """``str(x)`` for a `Fraction` of any length."""
+    text = _digits(x.numerator)
+    return text if x.denominator == 1 else f"{text}/{_digits(x.denominator)}"
 
 
 def structure_violations(L: TwoTermAlgebra) -> tuple[str, ...]:
@@ -416,7 +509,7 @@ def structure_violations(L: TwoTermAlgebra) -> tuple[str, ...]:
     errors = []
     for i in range(L.n0):
         for j in range(i, L.n0):
-            if not _negates(S.b00[i][j], S.b00[j][i]):
+            if S.b00[i][j] != _neg(S.b00[j][i]):
                 errors.append(f"b00 antisymmetry violated at ({i}, {j})")
     for idx in _jac_violations(L.n0, S.jac):
         errors.append(f"jac antisymmetry violated at {idx}")
@@ -434,7 +527,7 @@ def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:
                     continue
                 srt = tuple(sorted(key))
                 leaf, ref = jac[i][j][k], jac[srt[0]][srt[1]][srt[2]]
-                same = leaf == ref if perm_sign(_rank_pattern(key)) == 1 else _negates(leaf, ref)
+                same = leaf == (ref if perm_sign(_rank_pattern(key)) == 1 else _neg(ref))
                 if not same:
                     yield key
 
@@ -450,7 +543,7 @@ def _first_failure(equation, n, checks) -> EquationFailure | None:
     for args, parts in checks:
         total = _isum(n, parts)
         if any(total[0]):
-            return EquationFailure(equation, args, _fractions(total))
+            return EquationFailure(equation, args, _unscale(_reduce(total), n))
     return None
 
 
@@ -512,7 +605,7 @@ def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:
     verifier (increasing tuples) and by antisymmetry smoke tests.  ``jac``
     must be antisymmetric (no ``structure_violations``).
     """
-    return _fractions(_isum(L.n1, _coherence_parts(L._scaled, args)))
+    return _unscale(_ivec(L.n1, _coherence_parts(L._scaled, args)), L.n1)
 
 
 def _coherence_parts(S: "_Scaled", args: tuple[int, int, int, int]) -> list:

@@ -7,11 +7,18 @@ the source basis pair (e_i, e_j).
 
 Composition convention: ``compose(first, second)`` applies ``first`` and then
 ``second``.
+
+A morphism keeps the columns of phi0 and phi1 and its correction in the
+scaled-integer form of ``core`` (built on first use, or handed over by the
+code that built it).  ``verify_morphism`` checks its equations on that form,
+and ``compose`` and ``inverse`` build their results on it with
+``core._isum``, so `Fraction`s appear only at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import Matrix, invert
@@ -19,14 +26,16 @@ from .core import (
     Tensor3,
     TwoTermAlgebra,
     VerificationReport,
+    _column_matrix,
     _first_failure,
-    _negates,
+    _ivec,
+    _keep_scaled,
+    _neg,
     _scale_columns,
     _scale_tensor,
-    contract,
+    _unscale_tensor,
     shuffles,
     tensor3,
-    vec_add,
     zero_tensor3,
 )
 
@@ -69,6 +78,12 @@ class Morphism:
             tensor3(self.Phi, (self.source.n0, self.source.n0, self.target.n1)),
         )
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(columns of phi0, columns of phi1, Phi) in scaled form, built on
+        first use."""
+        return _scale_columns(self.phi0), _scale_columns(self.phi1), _scale_tensor(self.Phi, 2)
+
 
 def identity_morphism(L: TwoTermAlgebra) -> Morphism:
     return Morphism(
@@ -85,22 +100,20 @@ def verify_morphism(m: Morphism) -> VerificationReport:
 
     Requires source and target to be valid algebras; this is a precondition,
     not re-checked here.  As in ``core.verify``, each equation is a signed
-    sum of contractions on scaled-integer forms (the algebras' cached ones
-    and the morphism's, built here), and a `Fraction` is built only for the
-    discrepancy of a reported failure.
+    sum of contractions on the scaled-integer forms of the morphism and its
+    two algebras, and a `Fraction` is built only for the discrepancy of a
+    reported failure.
     """
     src, tgt = m.source, m.target
-    Phi = _scale_tensor(m.Phi, 2)
+    u0, w1, Phi = m._scaled   # phi(e_i), phi(f_j), Phi(e_i, e_j)
     structure = tuple(
         f"Phi antisymmetry violated at ({i}, {j})"
-        for i in range(src.n0) for j in range(i, src.n0) if not _negates(Phi[i][j], Phi[j][i])
+        for i in range(src.n0) for j in range(i, src.n0) if Phi[i][j] != _neg(Phi[j][i])
     )
     if structure:
         return VerificationReport(MORPHISM_EQUATIONS, structure, ())
 
     S, T = src._scaled, tgt._scaled
-    u0 = _scale_columns(m.phi0)   # phi(e_i)
-    w1 = _scale_columns(m.phi1)   # phi(f_j)
     checks = {
         # phi0(d(f_j)) = d'(phi1(f_j))
         EQ_CHAIN_MAP: (tgt.n0, (
@@ -144,22 +157,17 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
     """Apply ``first``, then ``second``."""
     if first.target != second.source:
         raise ValueError("compose: first.target must equal second.source")
-    phi0 = second.phi0 @ first.phi0
-    phi1 = second.phi1 @ first.phi1
-    n0 = first.source.n0
-    cols = [first.phi0.column(i) for i in range(n0)]
-    psi = []
-    for i in range(n0):
-        row = []
-        for j in range(n0):
-            row.append(
-                vec_add(
-                    contract(second.Phi, cols[i], cols[j], n=second.target.n1),
-                    second.phi1.apply(first.Phi[i][j]),
-                )
-            )
-        psi.append(tuple(row))
-    return Morphism(first.source, second.target, phi0, phi1, tuple(psi))
+    a0, a1, A = first._scaled
+    b0, b1, B = second._scaled
+    n0, m0, m1 = first.source.n0, second.target.n0, second.target.n1
+    u0 = tuple(_ivec(m0, ((1, b0, (c,)),)) for c in a0)
+    w1 = tuple(_ivec(m1, ((1, b1, (c,)),)) for c in a1)
+    # Psi(x, y) = Phi2(phi1 x, phi1 y) + phi2(Phi1(x, y))
+    Psi = tuple(tuple(_ivec(m1, ((1, B, (a0[i], a0[j])), (1, b1, (A[i][j],))))
+                      for j in range(n0)) for i in range(n0))
+    return _keep_scaled(Morphism(first.source, second.target, _column_matrix(u0, m0),
+                                 _column_matrix(w1, m1), _unscale_tensor(Psi, 2, m1)),
+                        (u0, w1, Psi))
 
 
 def inverse(m: Morphism) -> Morphism | None:
@@ -168,15 +176,13 @@ def inverse(m: Morphism) -> Morphism | None:
     inv1 = invert(m.phi1) if m.phi1.rows == m.phi1.cols else None
     if inv0 is None or inv1 is None:
         return None
-    n0 = m.target.n0
-    phi = []
-    for i in range(n0):
-        row = []
-        for j in range(n0):
-            val = contract(m.Phi, inv0.column(i), inv0.column(j), n=m.target.n1)
-            row.append(tuple(-c for c in inv1.apply(val)))
-        phi.append(tuple(row))
-    return Morphism(m.target, m.source, inv0, inv1, tuple(phi))
+    x, v = _scale_columns(inv0), _scale_columns(inv1)
+    Phi, n0, n1 = m._scaled[2], m.target.n0, m.target.n1
+    # Phi^-1(x, y) = -phi1^-1(Phi(phi0^-1 x, phi0^-1 y))
+    Psi = tuple(tuple(_ivec(n1, ((-1, v, (_ivec(n1, ((1, Phi, (x[i], x[j])),)),)),))
+                      for j in range(n0)) for i in range(n0))
+    return _keep_scaled(Morphism(m.target, m.source, inv0, inv1, _unscale_tensor(Psi, 2, n1)),
+                        (x, v, Psi))
 
 
 def is_isomorphism(m: Morphism) -> bool:

@@ -1,9 +1,13 @@
 import json
 import os
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from lie2alg import TwoTermAlgebra, quaternion_example
+from lie2alg.core import perm_sign
 from lie2alg.cli import main
 from lie2alg.documents import (
     algebra_to_document,
@@ -90,6 +94,38 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--quiet", data("quaternion.json"))
         assert code == 0
         assert out == ""
+
+    def test_report_past_int_str_digit_limit(self, capsys, tmp_path):
+        # a well-formed 4+3 algebra, antisymmetric where it must be, whose
+        # entries each have their own random 300-digit denominator: the
+        # discrepancies of its failing equations run past 4300 digits
+        rng = random.Random(5)
+
+        def entry():
+            return Fraction(rng.randrange(-10**300, 10**300), rng.randrange(10**299, 10**300))
+
+        n0, n1 = 4, 3
+        d = [[entry() for _ in range(n1)] for _ in range(n0)]
+        b00 = [[[0] * n0 for _ in range(n0)] for _ in range(n0)]
+        for i, j in combinations(range(n0), 2):
+            b00[i][j] = [entry() for _ in range(n0)]
+            b00[j][i] = [-x for x in b00[i][j]]
+        b01 = [[[entry() for _ in range(n1)] for _ in range(n1)] for _ in range(n0)]
+        jac = [[[[0] * n1 for _ in range(n0)] for _ in range(n0)] for _ in range(n0)]
+        for key in combinations(range(n0), 3):
+            value = [entry() for _ in range(n1)]
+            for order in permutations(range(3)):
+                a, b, c = (key[o] for o in order)
+                jac[a][b][c] = [perm_sign(order) * x for x in value]
+        path = tmp_path / "long.json"
+        save_document(str(path), algebra_to_document(TwoTermAlgebra(n0, n1, d, b00, b01, jac)))
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "d-bracket-compat", "d-bracket-symmetry", "jacobi-defect",
+            "jacobi-defect-deg1", "jacobiator-coherence", "FAIL"]
+        assert max(len(line) for line in lines) > 2 * 4300
 
 
 class TestNormalize:
@@ -186,6 +222,13 @@ class TestCohomology:
         code, out, _ = run(capsys, "cohomology", str(path), "trivial", "1")
         assert code == 0
         assert "dim H^1 = 2" in out
+
+    def test_abelian9_top_degrees(self, capsys, tmp_path):
+        # degree 8 of a 9-dimensional algebra brackets positions of 9-tuples
+        path = tmp_path / "ab9.json"
+        save_document(str(path), algebra_to_document(TwoTermAlgebra.zero(9, 0)))
+        code, out, err = run(capsys, "cohomology", str(path), "trivial", "8")
+        assert (code, out, err) == (0, "dim H^8 = 9\n", "")
 
     def test_nonzero_degree1_rejected(self, capsys):
         code, _, err = run(capsys, "cohomology", data("quaternion.json"), "trivial", "1")

@@ -18,7 +18,7 @@ from lie2alg import (
     structure_violations,
     verify,
 )
-from lie2alg.core import EQ_JACOBI_DEFECT, contract, perm_sign
+from lie2alg.core import EQ_JACOBI_DEFECT, _rational_text, contract, perm_sign
 
 F = Fraction
 
@@ -236,3 +236,33 @@ class TestPermSign:
                 1 for a in range(4) for b in range(a + 1, 4) if p[a] > p[b]
             )
             assert perm_sign(p) == (-1) ** inv
+
+
+def chunked_value(text):
+    """The integer a decimal string stands for, read 1000 digits at a time
+    (each piece below Python's int-from-str digit limit)."""
+    digits = text.removeprefix("-")
+    assert digits.isdigit() and (digits == "0" or digits[0] != "0")
+    total = 0
+    for k in range(0, len(digits), 1000):
+        piece = digits[k:k + 1000]
+        total = total * 10 ** len(piece) + int(piece)
+    return -total if text.startswith("-") else total
+
+
+class TestRationalText:
+    def test_short_values_match_str(self):
+        for x in (F(0), F(7), F(-3, 4), F(10**600 + 1, 3), F(-(2**1999), 2**1999 - 1)):
+            assert _rational_text(x) == str(x)
+
+    def test_long_values_past_digit_limit(self):
+        # numbers of up to 18,000 digits: str() of these raises by default
+        rng = random.Random(11)
+        for bits in (2001, 2400, 14_300, 30_000, 60_000):
+            for n in (rng.getrandbits(bits) | 1 << (bits - 1), 10 ** (bits * 3 // 10),
+                      10 ** (bits * 3 // 10) - 1):
+                for x in (F(n), F(-n, 3), F(7, n | 1), F(-n, n + 2 if n % 2 else n + 1)):
+                    text = _rational_text(x)
+                    num, _, den = text.partition("/")
+                    assert chunked_value(num) == x.numerator
+                    assert chunked_value(den or "1") == x.denominator
