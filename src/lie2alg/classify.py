@@ -38,7 +38,6 @@ from .linalg import (
     is_zero_vec,
     kernel_basis,
     vec_sub,
-    vec_zero,
 )
 from .core import (
     TwoTermAlgebra,
@@ -174,11 +173,9 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
 
     w = {(i, j): _ivec(n0, ((1, S.b00, (G[i], G[j])),))     # [x_i, x_j]
          for i, j in combinations(range(gdim), 2)}
-    sc = [[vec_zero(gdim)] * gdim for _ in range(gdim)]
-    for (i, j), wij in w.items():
-        sc[i][j] = _unscale(_ivec(gdim, ((1, g_coords, (wij,)),)), gdim)
-        sc[j][i] = tuple(-c for c in sc[i][j])
-    g = LieAlgebra(gdim, sc)
+    sc = _alternating(gdim, 2, {key: _ivec(gdim, ((1, g_coords, (wij,)),))
+                                for key, wij in w.items()})
+    g = LieAlgebra(gdim, _unscale_tensor(sc, 2, gdim))
 
     rho = tuple(
         _column_matrix([_ivec(kdim, ((1, k_coords, (_ivec(n1, ((1, S.b01, (G[i], k)),)),)),))
