@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .linalg import (
@@ -35,9 +35,7 @@ from .linalg import (
     complement,
     image_basis,
     invert,
-    is_zero_vec,
     kernel_basis,
-    vec_sub,
 )
 from .core import (
     TwoTermAlgebra,
@@ -50,7 +48,6 @@ from .core import (
     _scale_tensor,
     _unscale,
     _unscale_tensor,
-    contract,
     shuffles,
     tensor3,
     verify,
@@ -72,10 +69,10 @@ from .cohomology import (
     cohomologous,
     cohomology_dim,
     delta,
-    increasing_tuples,
     is_coboundary,
     is_lie_morphism,
     pullback_representation,
+    _transfer_difference,
     is_intertwiner,
 )
 from .builders import killing_form, normal_form_algebra
@@ -423,8 +420,10 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def _subspace_basis(g: LieAlgebra, vectors):
-    vectors = [v for v in vectors if not is_zero_vec(v)]
+def _bracket_span(g: LieAlgebra, pairs) -> tuple:
+    """A basis of the span of [x, y] over ``pairs`` of scaled vectors of g."""
+    brackets = [_ivec(g.dim, ((1, g._scaled, pair),)) for pair in pairs]
+    vectors = [_unscale(v, g.dim) for v in brackets if v[0]]
     if not vectors:
         return ()
     return image_basis(Matrix.from_columns(vectors, rows=g.dim)).basis
@@ -433,18 +432,13 @@ def _subspace_basis(g: LieAlgebra, vectors):
 def derived_series_dims(g: LieAlgebra) -> tuple[int, ...]:
     """Dimensions along g, [g,g], [[g,g],[g,g]], ... until they stabilize."""
     dims = [g.dim]
-    current = tuple(basis_vec(g.dim, i) for i in range(g.dim))
+    current = [_scale(basis_vec(g.dim, i)) for i in range(g.dim)]
     while True:
-        brackets = [
-            contract(g.sc, current[a], current[b], n=g.dim)
-            for a in range(len(current))
-            for b in range(a + 1, len(current))
-        ]
-        nxt = _subspace_basis(g, brackets)
+        nxt = _bracket_span(g, combinations(current, 2))
         if len(nxt) == dims[-1]:
             break
         dims.append(len(nxt))
-        current = nxt
+        current = [_scale(c) for c in nxt]
         if not nxt:
             break
     return tuple(dims)
@@ -453,17 +447,14 @@ def derived_series_dims(g: LieAlgebra) -> tuple[int, ...]:
 def lower_central_series_dims(g: LieAlgebra) -> tuple[int, ...]:
     """Dimensions along g, [g,g], [g,[g,g]], ... until they stabilize."""
     dims = [g.dim]
-    basis_g = tuple(basis_vec(g.dim, i) for i in range(g.dim))
+    basis_g = [_scale(basis_vec(g.dim, i)) for i in range(g.dim)]
     current = basis_g
     while True:
-        brackets = [
-            contract(g.sc, x, c, n=g.dim) for x in basis_g for c in current
-        ]
-        nxt = _subspace_basis(g, brackets)
+        nxt = _bracket_span(g, product(basis_g, current))
         if len(nxt) == dims[-1]:
             break
         dims.append(len(nxt))
-        current = nxt
+        current = [_scale(c) for c in nxt]
         if not nxt:
             break
     return tuple(dims)
@@ -649,16 +640,7 @@ def extract_quadruple_maps(m: Morphism) -> QuadrupleMaps:
     )
 
     # t_v(J(x)) - J'(tau x) must equal delta(witness) in the pulled-back complex
-    lhs = {}
-    tau_cols = [tau.column(i) for i in range(g)]
-    for key in increasing_tuples(q_src.g.dim, 3):
-        val = vec_sub(
-            t_v.apply(q_src.jtilde.values[key]),
-            q_tgt.jtilde.evaluate([tau_cols[i] for i in key]),
-        )
-        lhs[key] = val
-    expected = delta(witness, pulled)
-    if Cochain(3, q_src.g, v2, lhs) != expected:
+    if _transfer_difference(q_src.jtilde, q_tgt.jtilde, tau, t_v) != delta(witness, pulled):
         raise RuntimeError("correction does not witness the cocycles as cohomologous")
 
     return QuadrupleMaps(tau, f_u, t_v, witness)

@@ -22,6 +22,7 @@ from .cohomology import (
     LieMorphismError,
     cohomology_basis,
     cohomology_dim,
+    is_coboundary,
 )
 from .classify import (
     InvertibilityError,
@@ -49,6 +50,7 @@ from .documents import (
     load_morphism,
     maps_from_document,
     morphism_to_document,
+    parse_rational,
     save_document,
     transport_from_document,
 )
@@ -93,8 +95,6 @@ def cmd_normalize(args) -> int:
         return 1
     result = normal_form(L)
     q = result.quadruple
-    from .cohomology import is_coboundary
-
     flag = "true" if is_coboundary(q.jtilde, q.rep) is not None else "false"
     _say(args, f"g={q.g.dim}, U={q.dim_u}, V={q.rep.dimV}, coboundary={flag}")
     if args.out:
@@ -169,8 +169,6 @@ def cmd_example(args) -> int:
         doc = _checked_algebra_document(L, name=f"quaternion v={args.v}")
     elif args.name == "skeletal-string":
         g = lie_algebra(args.lie)
-        from .documents import parse_rational
-
         k = parse_rational(args.k, "--k")
         L = skeletal_string(g, k)
         doc = _checked_algebra_document(L, name=f"skeletal-string {args.lie} k={args.k}")
@@ -199,17 +197,8 @@ def cmd_random(args) -> int:
 def cmd_compose(args) -> int:
     first = load_morphism(args.first)
     second = load_morphism(args.second)
-    result = morphism_ops.compose(first, second)
-    _emit_morphism(args, result)
+    _emit(args, morphism_to_document(morphism_ops.compose(first, second)))
     return 0
-
-
-def _emit_morphism(args, m) -> None:
-    doc = morphism_to_document(m)
-    if args.out:
-        save_document(args.out, doc)
-    else:
-        sys.stdout.write(dumps(doc))
 
 
 def cmd_transport(args) -> int:

@@ -16,6 +16,13 @@ uniformly.
 
 Each differential is assembled once per representation, straight from sc and
 rho, and eliminated once; the ``Representation`` keeps both for its lifetime.
+``delta`` applies that cached matrix, so the differential is written once.
+
+Tensor contractions run on the scaled integers of ``core``: a Lie algebra,
+a representation and a cochain each keep their structure in scaled form,
+built on first use, and the Jacobi identity, the representation law and the
+Lie-morphism condition are the same signed ``core._isum`` sums the
+verifiers of ``core`` and ``morphisms`` check.
 
 Matrix flattening convention: increasing tuples ordered lexicographically,
 V index fastest.
@@ -26,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .linalg import (
     Matrix,
@@ -36,12 +43,27 @@ from .linalg import (
     rref,
     solve,
     vec,
-    vec_add,
-    vec_scale,
     vec_sub,
     vec_zero,
 )
-from .core import contract, jacobi_defect, perm_sign, tensor3, Tensor3
+from .core import (
+    Tensor3,
+    _alternating,
+    _bracket_defect_parts,
+    _column_matrix,
+    _isum,
+    _ivec,
+    _jacobi_parts,
+    _mixed_jacobi_parts,
+    _neg,
+    _scale,
+    _scale_arg,
+    _scale_columns,
+    _scale_tensor,
+    _unscale,
+    perm_sign,
+    tensor3,
+)
 
 
 class LieMorphismError(ValueError):
@@ -65,20 +87,23 @@ class LieAlgebra:
 
     def __post_init__(self):
         object.__setattr__(self, "sc", tensor3(self.sc, (self.dim, self.dim, self.dim)))
+        sc = self._scaled
         for i in range(self.dim):
             for j in range(i, self.dim):
-                if not is_zero_vec(vec_add(self.sc[i][j], self.sc[j][i])):
+                if sc[i][j] != _neg(sc[j][i]):
                     raise ValueError(f"structure constants not antisymmetric at ({i}, {j})")
         for (i, j, k) in combinations(range(self.dim), 3):
-            if not is_zero_vec(jacobi_defect(self.sc, i, j, k)):
+            if any(_isum(self.dim, _jacobi_parts(sc, i, j, k))[0]):
                 raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """The structure constants in scaled form, built on first use."""
+        return _scale_tensor(self.sc, 2)
+
     def ad(self, i: int) -> Matrix:
-        """Matrix of ad(e_i): x -> [e_i, x]."""
-        return Matrix.from_rows(
-            [[self.sc[i][s][t] for s in range(self.dim)] for t in range(self.dim)],
-            cols=self.dim,
-        )
+        """Matrix of ad(e_i): x -> [e_i, x]; its columns are the [e_i, e_s]."""
+        return Matrix.from_columns(self.sc[i], rows=self.dim)
 
 
 @dataclass(frozen=True)
@@ -104,17 +129,25 @@ class Representation:
         if len(mats) != self.g.dim:
             raise ValueError("need one rho matrix per basis element")
         object.__setattr__(self, "rho", tuple(mats))
-        for i in range(self.g.dim):
-            for j in range(i + 1, self.g.dim):
-                lhs = self.rho_vec(self.g.sc[i][j])
-                rhs = self.rho[i] @ self.rho[j] - self.rho[j] @ self.rho[i]
-                if lhs != rhs:
+        sc, (r, rt) = self.g._scaled, self._scaled
+        for i, j in combinations(range(self.g.dim), 2):
+            for l in range(self.dimV):
+                if any(_isum(self.dimV, _mixed_jacobi_parts(sc, r, rt, i, j, l))[0]):
                     raise ValueError(f"representation law fails at ({i}, {j})")
+
+    @cached_property
+    def _scaled(self) -> tuple:
+        """(r, rt) in scaled form, built on first use: r[i] holds the columns
+        of rho[i] and rt[l][i] is r[i][l], so that rho(x) e_l is the
+        contraction of rt[l] with x."""
+        r = tuple(_scale_columns(m) for m in self.rho)
+        return r, tuple(tuple(c[l] for c in r) for l in range(self.dimV))
 
     def rho_vec(self, x) -> Matrix:
         """rho of an arbitrary coordinate vector of g."""
-        flat = contract([m.entries for m in self.rho], x, n=self.dimV * self.dimV)
-        return Matrix._trusted(self.dimV, self.dimV, flat)
+        x = _scale_arg(x, self.g.dim)
+        return _column_matrix([_ivec(self.dimV, ((1, c, (x,)),)) for c in self._scaled[1]],
+                              self.dimV)
 
     @cached_property
     def _complex(self) -> dict:  # ("delta", n) -> delta_n, ("rref", n) -> its rref
@@ -175,34 +208,17 @@ class Cochain:
         """Full alternating multilinear evaluation at coordinate vectors of g."""
         if len(vectors) != self.n:
             raise ValueError(f"expected {self.n} arguments")
-        out = vec_zero(self.dimV)
-        for key in increasing_tuples(self.g.dim, self.n):
-            coeff = _minor_det([v for v in vectors], key)
-            if coeff:
-                out = vec_add(out, vec_scale(coeff, self.values[key]))
-        return out
+        args = [_scale_arg(v, self.g.dim) for v in vectors]
+        if not args:
+            return self.values[()]
+        return _unscale(_ivec(self.dimV, ((1, self._scaled, args),)), self.dimV)
 
-
-def _minor_det(vectors, rows: tuple[int, ...]) -> Fraction:
-    """det of the square minor picking the given coordinates of each vector."""
-    n = len(vectors)
-    if n == 0:
-        return Fraction(1)
-    total = ZERO
-    for perm_positions, sign in _sym_group(n):
-        prod = Fraction(1)
-        for col, r in enumerate(perm_positions):
-            prod *= vectors[col][rows[r]]
-            if not prod:
-                break
-        if prod:
-            total += sign * prod
-    return total
-
-
-@lru_cache(maxsize=None)
-def _sym_group(n: int):
-    return tuple((p, perm_sign(p)) for p in permutations(range(n)))
+    @cached_property
+    def _scaled(self) -> tuple:
+        """The cochain as a full alternating tensor in scaled form, built on
+        first use."""
+        return _alternating(self.g.dim, self.n,
+                            {key: _scale(v) for key, v in self.values.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -230,16 +246,11 @@ def _delta_terms(g: LieAlgebra, n: int):
 
 def delta(f: Cochain, rep: Representation) -> Cochain:
     """Cochain differential: action sum over (1,n)-shuffles minus bracket sum
-    over (2,n-1)-shuffles, ordinary permutation signs."""
+    over (2,n-1)-shuffles, ordinary permutation signs; the cached
+    ``delta_matrix`` applied to the coordinates of f."""
     if f.g != rep.g or f.dimV != rep.dimV:
         raise ValueError("cochain and representation live on different data")
-    target = {key: vec_zero(f.dimV) for key in increasing_tuples(f.g.dim, f.n + 1)}
-    for key, x, coeff, src in _delta_terms(f.g, f.n):
-        val = f.values[src]
-        if not is_zero_vec(val):
-            val = val if x is None else rep.rho[x].apply(val)
-            target[key] = vec_add(target[key], vec_scale(coeff, val))
-    return Cochain(f.n + 1, f.g, f.dimV, target)
+    return vec_to_cochain(f.n + 1, f.g, f.dimV, delta_matrix(f.n, rep).apply(cochain_to_vec(f)))
 
 
 def cochain_to_vec(f: Cochain) -> tuple[Fraction, ...]:
@@ -341,13 +352,9 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
 def is_lie_morphism(psi: Matrix, g: LieAlgebra, h: LieAlgebra) -> bool:
     if psi.rows != h.dim or psi.cols != g.dim:
         return False
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            lhs = psi.apply(g.sc[i][j])
-            rhs = contract(h.sc, psi.column(i), psi.column(j), n=h.dim)
-            if lhs != rhs:
-                return False
-    return True
+    u = _scale_columns(psi)
+    return not any(any(_isum(h.dim, _bracket_defect_parts(u, g._scaled, h._scaled, i, j))[0])
+                   for i, j in combinations(range(g.dim), 2))
 
 
 def pullback_representation(rep: Representation, psi: Matrix, g: LieAlgebra) -> Representation:
@@ -402,15 +409,17 @@ def cohomologous(
     if not is_intertwiner(t, rep_source, rep_target_pullback):
         raise IntertwinerError("t does not intertwine the representations over psi")
 
-    n = J.n
-    g = J.g
-    diff = {}
-    psi_cols = [psi.column(i) for i in range(g.dim)]
-    for key in increasing_tuples(g.dim, n):
-        lhs = t.apply(J.values[key])
-        rhs = K.evaluate([psi_cols[i] for i in key])
-        diff[key] = vec_sub(lhs, rhs)
-    return is_coboundary(Cochain(n, g, K.dimV, diff), rep_target_pullback)
+    return is_coboundary(_transfer_difference(J, K, psi, t), rep_target_pullback)
+
+
+def _transfer_difference(J: Cochain, K: Cochain, psi: Matrix, t: Matrix) -> Cochain:
+    """The cochain t(J(x_1..x_n)) - K(psi x_1, .., psi x_n) on J's algebra,
+    whose coboundary primitives witness J and K as cohomologous over
+    (psi, t)."""
+    cols = [psi.column(i) for i in range(J.g.dim)]
+    return Cochain(J.n, J.g, K.dimV, {
+        key: vec_sub(t.apply(J.values[key]), K.evaluate([cols[i] for i in key]))
+        for key in increasing_tuples(J.g.dim, J.n)})
 
 
 # ---------------------------------------------------------------------------

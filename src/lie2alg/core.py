@@ -13,18 +13,19 @@ stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
 validated as an explicit verifier stage.  The public tensors hold
-`Fraction`s, but the arithmetic runs on the algebra's scaled form: each
+`Fraction`s, but every tensor contraction runs on scaled integers: each
 leaf vector of a structure tensor is kept as integer numerators over the
 lcm of its own denominators, built once per algebra or handed over by the
 code that built the algebra.  One kernel, ``_isum``, sums signed
 contractions of scaled tensors with scaled vectors (a basis argument is an
-index into the tensor).  The verifiers check each equation as such a sum,
-and the pipeline (``classify``, ``morphisms``, ``builders``) builds new
-algebras and morphisms with it, so `Fraction`s appear only at the API
-boundary: in the public tensors and in the discrepancy of a reported
-failure.  ``contract`` evaluates the same maps on `Fraction` vectors for
-small `Fraction`-in, `Fraction`-out callers.  Because all structure maps
-are multilinear, checking the five defining equations on basis tuples is
+index into the tensor).  The Jacobi, mixed-Jacobi (representation) and
+bracket-defect laws are written once here as such signed parts, shared by
+the verifiers and by the Lie algebra, representation and Lie-morphism
+checks of ``cohomology``; the pipeline (``classify``, ``morphisms``,
+``builders``) builds new algebras and morphisms with the same kernel, so
+`Fraction`s appear only at the API boundary: in the public tensors and in
+the discrepancy of a reported failure.  Because all structure maps are
+multilinear, checking the five defining equations on basis tuples is
 sufficient; the verifier walks tuples in lexicographic order and reports
 the first failure per equation, so reports are deterministic.
 """
@@ -39,7 +40,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import ZERO, Matrix, _dot, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
+from .linalg import ZERO, Matrix, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -221,31 +222,6 @@ class Element:
         return is_zero_vec(self.deg0) and is_zero_vec(self.deg1)
 
 
-# -- the contraction primitive ---------------------------------------------
-
-
-def contract(tensor, *vectors, n: int) -> Vec:
-    """Evaluate the multilinear map stored in a nested tensor.
-
-    ``tensor[i1]...[ik][t]`` is coordinate t of the value on the basis
-    arguments (e_i1, ..., e_ik); given k coordinate vectors, the result is
-    the sum of v1[i1] * ... * vk[ik] * tensor[i1]...[ik] as a length-``n``
-    tuple.  Zero coordinates and zero tensor entries are skipped; the
-    coefficients v1[i1] * ... * vk[ik] are kept as unreduced integer
-    numerator/denominator pairs, and each output coordinate is one ``_dot``,
-    so it is normalized to a `Fraction` once.  ``n`` is explicit because a
-    zero-length axis leaves nothing to read it from.
-    """
-    terms = [(c.numerator, c.denominator, tensor[p]) for p, c in enumerate(vectors[0]) if c]
-    for v in vectors[1:]:
-        v = [(q, c.numerator, c.denominator) for q, c in enumerate(v) if c]
-        terms = [(an * bn, ad * bd, node[q]) for an, ad, node in terms for q, bn, bd in v]
-    return tuple(
-        _dot((an, ad, x.numerator, x.denominator) for an, ad, row in terms if (x := row[t]))
-        for t in range(n)
-    )
-
-
 # -- the scaled-integer form -------------------------------------------------
 #
 # A vector x is stored as (items, den): den is the lcm of the denominators of
@@ -357,8 +333,11 @@ def _scale_columns(m: Matrix, rows: range | None = None, offset: int = 0) -> tup
 
 
 def _isum(n: int, parts) -> tuple[list[int], int]:
-    """Sum of sign * contract(tensor, *vectors) over ``parts``, an iterable of
-    (sign, tensor, vectors) on scaled forms, as (numerators, den) of length n.
+    """Sum of sign * (tensor contracted with vectors) over ``parts``, an
+    iterable of (sign, tensor, vectors) on scaled forms, as (numerators, den)
+    of length n.  ``tensor[i1]...[ik]`` is the leaf vector on the basis
+    arguments (e_i1, ..., e_ik), and its contraction with v1..vk is the sum
+    of v1[i1] * ... * vk[ik] * tensor[i1]...[ik].
 
     Coefficients multiply as ints; each nonzero leaf vector of the tensor is
     one term whose denominator (the product of the vectors' denominators and
@@ -397,15 +376,38 @@ def _ivec(n: int, parts):
     return _reduce(_isum(n, parts))
 
 
-def jacobi_defect(b: Tensor3, i: int, j: int, k: int) -> Vec:
-    """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] for an antisymmetric
-    bracket tensor ``b``."""
-    n = len(b)
-    # -[[e_i,e_j],e_k] = [e_k,[e_i,e_j]]
-    return vec_sub(
-        vec_add(contract(b[i], b[j][k], n=n), contract(b[k], b[i][j], n=n)),
-        contract(b[j], b[i][k], n=n),
-    )
+def _scale_arg(v, n: int):
+    """Scaled form of a coordinate vector argument, which must have length ``n``."""
+    v = vec(v)
+    if len(v) != n:
+        raise ValueError(f"expected a coordinate vector of length {n}, got length {len(v)}")
+    return _scale(v)
+
+
+# -- the structure laws, each written once as signed parts for ``_isum`` ------
+
+
+def _jacobi_parts(b, i: int, j: int, k: int) -> list:
+    """[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j] for a scaled
+    antisymmetric bracket tensor ``b``: minus the Jacobi defect
+    [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]."""
+    # -[e_i,[e_j,e_k]] = [[e_j,e_k],e_i];  -[e_k,[e_i,e_j]] = [[e_i,e_j],e_k];
+    # [e_j,[e_i,e_k]] = [[e_k,e_i],e_j]
+    return [(-1, b[i], (b[j][k],)), (-1, b[k], (b[i][j],)), (1, b[j], (b[i][k],))]
+
+
+def _mixed_jacobi_parts(b, r, rt, j: int, k: int, l: int) -> list:
+    """rho([e_j,e_k]) f_l - rho(e_j) rho(e_k) f_l + rho(e_k) rho(e_j) f_l, the
+    defect of the representation law on f_l, for an action given in scaled
+    form by r[i][l] = rho(e_i) f_l (and its transpose ``rt``) of a Lie
+    algebra with bracket tensor ``b``."""
+    return [(-1, r[j], (r[k][l],)), (1, r[k], (r[j][l],)), (1, rt[l], (b[j][k],))]
+
+
+def _bracket_defect_parts(u, b_src, b_tgt, i: int, j: int) -> list:
+    """[u e_i, u e_j]' - u([e_i, e_j]) for a linear map with scaled columns
+    ``u`` between algebras with bracket tensors ``b_src`` and ``b_tgt``."""
+    return [(-1, u, (b_src[i][j],)), (1, b_tgt, (u[i], u[j]))]
 
 
 def bracket(L: TwoTermAlgebra, x: Element, y: Element) -> Element:
@@ -414,10 +416,12 @@ def bracket(L: TwoTermAlgebra, x: Element, y: Element) -> Element:
     Degree-0 output comes from the two degree-0 parts; mixed parts use
     [v, x] = -[x, v]; two degree-1 parts bracket to zero.
     """
-    out0 = contract(L.b00, x.deg0, y.deg0, n=L.n0)
-    out1 = vec_sub(contract(L.b01, x.deg0, y.deg1, n=L.n1),
-                   contract(L.b01, y.deg0, x.deg1, n=L.n1))
-    return Element(out0, out1)
+    S = L._scaled
+    x0, y0 = _scale_arg(x.deg0, L.n0), _scale_arg(y.deg0, L.n0)
+    x1, y1 = _scale_arg(x.deg1, L.n1), _scale_arg(y.deg1, L.n1)
+    out0 = _ivec(L.n0, ((1, S.b00, (x0, y0)),))
+    out1 = _ivec(L.n1, ((1, S.b01, (x0, y1)), (-1, S.b01, (y0, x1))))
+    return Element(_unscale(out0, L.n0), _unscale(out1, L.n1))
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +521,12 @@ def structure_violations(L: TwoTermAlgebra) -> tuple[str, ...]:
 
 
 def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:
-    for i in range(n0):
-        for j in range(n0):
-            for k in range(n0):
-                key = (i, j, k)
-                if len({i, j, k}) < 3:
-                    if jac[i][j][k][0]:
-                        yield key
-                    continue
-                srt = tuple(sorted(key))
-                leaf, ref = jac[i][j][k], jac[srt[0]][srt[1]][srt[2]]
-                same = leaf == (ref if perm_sign(_rank_pattern(key)) == 1 else _neg(ref))
-                if not same:
-                    yield key
-
-
-def _rank_pattern(key: tuple[int, ...]) -> tuple[int, ...]:
-    order = sorted(key)
-    return tuple(order.index(k) for k in key)
+    """Index triples, in lexicographic order, where the scaled ``jac`` differs
+    from the alternating tensor of its values on increasing triples."""
+    ref = _alternating(n0, 3, {(i, j, k): jac[i][j][k] for i, j, k in combinations(range(n0), 3)})
+    for i, j, k in product(range(n0), repeat=3):
+        if jac[i][j][k] != ref[i][j][k]:
+            yield i, j, k
 
 
 def _first_failure(equation, n, checks) -> EquationFailure | None:
@@ -574,19 +566,17 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
         EQ_D_SYMMETRY: (n1, (
             ((i, j), ((1, b01t[j], (d[i],)), (1, b01t[i], (d[j],))))
             for i in range(n1) for j in range(n1))),
-        # d(J(e_i,e_j,e_k)) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]],
-        # where -[[e_i,e_j],e_k] = [e_k,[e_i,e_j]]
+        # d(J(e_i,e_j,e_k)) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]
         EQ_JACOBI_DEFECT: (n0, (
-            ((i, j, k), ((1, d, (jac[i][j][k],)), (-1, b00[i], (b00[j][k],)),
-                         (-1, b00[k], (b00[i][j],)), (1, b00[j], (b00[i][k],))))
+            ((i, j, k), ((1, d, (jac[i][j][k],)), *_jacobi_parts(b00, i, j, k)))
             for (i, j, k) in combinations(range(n0), 3))),
         # J(d(f_l),e_j,e_k) = [f_l,[e_j,e_k]] - [[f_l,e_j],e_k] - [e_j,[f_l,e_k]];
-        # the left side is J(e_j, e_k, d(f_l)), a cyclic permutation, and
-        # [f_l,[e_j,e_k]] = -[[e_j,e_k],f_l];  -[[f_l,e_j],e_k] = -[e_k,[e_j,f_l]];
-        # -[e_j,[f_l,e_k]] = [e_j,[e_k,f_l]]
+        # the left side is J(e_j, e_k, d(f_l)), a cyclic permutation, and the
+        # right side is minus the defect of the representation law of
+        # rho(e_i) = [e_i, .] on f_l
         EQ_JACOBI_DEFECT_DEG1: (n1, (
-            ((l, j, k), ((1, jac[j][k], (d[l],)), (-1, b01[j], (b01[k][l],)),
-                         (1, b01[k], (b01[j][l],)), (1, b01t[l], (b00[j][k],))))
+            ((l, j, k), ((1, jac[j][k], (d[l],)),
+                         *_mixed_jacobi_parts(b00, b01, b01t, j, k, l)))
             for l in range(n1) for (j, k) in combinations(range(n0), 2))),
         # coherence of the Jacobiator in four arguments
         EQ_COHERENCE: (n1, (

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .linalg import Matrix
-from .core import TwoTermAlgebra
+from .core import TwoTermAlgebra, structure_violations
 from .morphisms import Morphism
 
 FORMAT_VERSION = "1"
@@ -156,8 +156,6 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
     b01 = _parse_tensor3(doc["b01"], (n0, n1, n1), "b01")
     jac = _parse_tensor4(doc["jac"], (n0, n0, n0, n1), "jac")
     L = TwoTermAlgebra(n0, n1, d, b00, b01, jac)
-    from .core import structure_violations
-
     violations = structure_violations(L)
     if violations:
         raise DocumentError(violations[0])

@@ -4,10 +4,12 @@ All entries are `fractions.Fraction`, so ranks, kernels and solutions are
 computed exactly and every operation is deterministic: identical inputs give
 identical outputs, bit for bit.  Dimensions here are desk scale, so the
 implementation favours clarity over asymptotics (dense storage, plain
-Gauss-Jordan elimination, no pivot-size heuristics).  Dot products
-(``Matrix.apply``, ``Matrix.__matmul__`` and ``core.contract``) skip zero
-entries and accumulate over integer numerator/denominator pairs, normalizing
-to a reduced `Fraction` once per output entry.
+Gauss-Jordan elimination, no pivot-size heuristics).  Matrix products
+(``Matrix.apply`` and ``Matrix.__matmul__``) compute each output entry as
+one ``_dot``: it skips zero entries and accumulates over integer
+numerator/denominator pairs, normalizing to a reduced `Fraction` once per
+entry.  Tensor contractions do not come here: they run on the scaled
+integers of ``core``.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from .core import (
     Tensor3,
     TwoTermAlgebra,
     VerificationReport,
+    _bracket_defect_parts,
     _column_matrix,
     _first_failure,
     _ivec,
@@ -121,8 +122,7 @@ def verify_morphism(m: Morphism) -> VerificationReport:
             for j in range(src.n1))),
         # d'(Phi(e_i,e_j)) = phi([e_i,e_j]) - [phi e_i, phi e_j]'
         EQ_BRACKET_DEFECT: (tgt.n0, (
-            ((i, j), ((1, T.d, (Phi[i][j],)), (-1, u0, (S.b00[i][j],)),
-                      (1, T.b00, (u0[i], u0[j]))))
+            ((i, j), ((1, T.d, (Phi[i][j],)), *_bracket_defect_parts(u0, S.b00, T.b00, i, j)))
             for (i, j) in combinations(range(src.n0), 2))),
         # Phi(d(f_l), e_i) = phi([f_l,e_i]) - [phi f_l, phi e_i]', where
         # Phi(d(f_l), e_i) = -Phi(e_i, d(f_l)), [f_l, e_i] = -[e_i, f_l] and

@@ -1,7 +1,8 @@
-"""Reference tests for the exact accumulation kernel.
+"""Reference tests for the exact accumulation kernels.
 
-``core.contract``, ``Matrix.apply`` and ``Matrix.__matmul__`` sum products
-over integer numerator/denominator pairs; here every result is checked
+``Matrix.apply`` and ``Matrix.__matmul__`` sum products over integer
+numerator/denominator pairs (``linalg._dot``), and tensor contractions sum
+scaled integer vectors (``core._isum``); here every result is checked
 against a naive sum of `Fraction` products on seeded inputs with large
 coprime denominators, denominators with shared factors, negative entries,
 sums that cancel exactly, and empty axes.
@@ -13,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from lie2alg.core import contract
 from lie2alg.linalg import Matrix
+from test_core import isum_contract
 
 F = Fraction
 
@@ -103,7 +104,7 @@ class TestAgainstNaiveSums:
             shape = tuple(rng.randint(0, 3) for _ in range(order))
             tensor = random_tensor(rng, dens, shape)
             vectors = [entries(rng, dens, k) for k in shape[:-1]]
-            assert_exact(contract(tensor, *vectors, n=shape[-1]),
+            assert_exact(isum_contract(tensor, vectors, shape[-1]),
                          naive_contract(tensor, vectors, shape[-1]))
 
     def test_exact_cancellation(self, kind):
@@ -121,7 +122,7 @@ class TestAgainstNaiveSums:
             assert_exact((m @ Matrix.from_columns([v, v])).entries, zero * 2)
             # the same sums as a contraction of the rows (as a tensor) with v
             tensor = tuple(tuple(col) for col in zip(*rows))
-            assert_exact(contract(tensor, v, n=len(rows)), zero)
+            assert_exact(isum_contract(tensor, [v], len(rows)), zero)
 
 
 class TestEmptyAxes:
@@ -136,9 +137,9 @@ class TestEmptyAxes:
             assert_exact(c.apply(()), (F(0),) * 3)
 
     def test_zero_length_contraction_axes(self):
-        assert_exact(contract((), (), n=2), (F(0),) * 2)
-        assert_exact(contract(((), ()), (F(1, 3), F(-2, 5)), (), n=4), (F(0),) * 4)
-        assert contract(((F(1, 2),),), (F(3),), (F(5, 7),), n=0) == ()
+        assert_exact(isum_contract((), [()], 2), (F(0),) * 2)
+        assert_exact(isum_contract(((), ()), [(F(1, 3), F(-2, 5)), ()], 4), (F(0),) * 4)
+        assert isum_contract((((),),), [(F(3),), (F(5, 7),)], 0) == ()
 
     def test_all_zero_operands(self):
         m = Matrix.from_rows([[F(1, 999_983), F(-1, 1_000_003)]])

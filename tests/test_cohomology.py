@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from lie2alg import (
     Cochain,
     IntertwinerError,
+    LieAlgebra,
     LieMorphismError,
     Matrix,
     Representation,
@@ -23,9 +25,16 @@ from lie2alg import (
     sl2,
     trivial_rep,
 )
-from lie2alg.builders import catalog_pairs, representation
-from lie2alg.cohomology import _elimination, cochain_to_vec, increasing_tuples, vec_to_cochain
-from lie2alg.linalg import image_basis, kernel_basis
+from lie2alg.builders import abelian, catalog_pairs, representation
+from lie2alg.cohomology import (
+    _elimination,
+    cochain_to_vec,
+    increasing_tuples,
+    is_lie_morphism,
+    vec_to_cochain,
+)
+from lie2alg.core import perm_sign
+from lie2alg.linalg import basis_vec, image_basis, invert, kernel_basis
 from lie2alg.linalg import vec_add, vec_scale, vec_sub, vec_zero
 
 F = Fraction
@@ -74,6 +83,15 @@ def oracle_delta_matrix(n: int, rep: Representation) -> Matrix:
     return Matrix.from_columns(cols, rows=n_rows) if cols else Matrix.zero(n_rows, 0)
 
 
+def small_entry(rng):
+    return F(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.7 else F(0)
+
+
+def random_cochain(rng, n, g, dim_v):
+    return Cochain(n, g, dim_v, {key: tuple(small_entry(rng) for _ in range(dim_v))
+                                 for key in increasing_tuples(g.dim, n)})
+
+
 class TestDeltaAgainstOracle:
     def test_matrices_agree_across_catalog(self):
         for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=4):
@@ -108,6 +126,14 @@ class TestDeltaAgainstOracle:
         assert df.n == 4
         assert df.values == {}
         assert df.is_zero()
+
+    def test_seeded_cochains_across_catalog(self):
+        rng = random.Random(5)
+        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=4):
+            for n in range(0, g.dim + 1):
+                for _ in range(2):
+                    f = random_cochain(rng, n, g, rep.dimV)
+                    assert delta(f, rep) == oracle_delta(f, rep), (g_name, rep_name, n)
 
 
 class TestSquareZero:
@@ -353,3 +379,212 @@ class TestCohomologous:
             for key in increasing_tuples(3, 3)
         }
         assert delta(phi, pulled) == Cochain(3, g, 3, lhs)
+
+
+# ---------------------------------------------------------------------------
+# evaluation and the structure laws against plain Fraction loops
+# ---------------------------------------------------------------------------
+
+
+def oracle_minor_det(vectors, rows):
+    """det of the square minor picking the given coordinates of each vector."""
+    total = F(0)
+    for perm in permutations(range(len(vectors))):
+        prod = F(perm_sign(perm))
+        for col, r in enumerate(perm):
+            prod *= vectors[col][rows[r]]
+        total += prod
+    return total
+
+
+def oracle_evaluate(f, vectors):
+    out = vec_zero(f.dimV)
+    for key in increasing_tuples(f.g.dim, f.n):
+        out = vec_add(out, vec_scale(oracle_minor_det(vectors, key), f.values[key]))
+    return out
+
+
+class TestEvaluateAgainstMinorDeterminants:
+    @pytest.mark.parametrize("g", [so3(), abelian(4)], ids=["so3", "abelian4"])
+    def test_degrees_zero_to_three(self, g):
+        rng = random.Random(f"evaluate-{g.dim}")
+        for n in range(4):
+            for _ in range(15):
+                f = random_cochain(rng, n, g, 2)
+                vectors = [tuple(small_entry(rng) for _ in range(g.dim)) for _ in range(n)]
+                cases = [vectors]
+                if n >= 1:
+                    cases.append(vectors[:-1] + [vec_zero(g.dim)])
+                if n >= 2:
+                    cases.append(vectors[:-1] + [vectors[0]])
+                for args in cases:
+                    assert f.evaluate(args) == oracle_evaluate(f, args), (n, args)
+
+    def test_wrong_vector_lengths_rejected(self):
+        f = Cochain(1, so3(), 1, {(0,): (1,), (1,): (2,), (2,): (3,)})
+        assert f.evaluate([(1, 0, 0)]) == (F(1),)
+        for bad in ((1, 0, 0, 5), (1, 0)):
+            with pytest.raises(ValueError, match="length 3"):
+                f.evaluate([bad])
+
+    def test_rho_vec_wrong_lengths_rejected(self):
+        rep = adjoint_rep(so3())
+        assert rep.rho_vec((1, 0, 0)) == rep.rho[0]
+        for bad in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(ValueError, match="length 3"):
+                rep.rho_vec(bad)
+
+
+LARGE_PRIMES = (999_953, 999_959, 999_961, 1_000_003, 1_000_033)
+
+
+def large_entry(rng):
+    return F(rng.randint(-10**6, 10**6) or 1, rng.choice(LARGE_PRIMES))
+
+
+def naive_apply(m, v):
+    return tuple(sum((m[i, k] * v[k] for k in range(m.cols)), F(0)) for i in range(m.rows))
+
+
+def naive_mul(a, b):
+    cols = [naive_apply(a, b.column(j)) for j in range(b.cols)]
+    return Matrix.from_columns(cols, rows=a.rows)
+
+
+def naive_bracket(sc, x, y):
+    n = len(sc)
+    return tuple(sum((x[i] * y[j] * sc[i][j][t]
+                      for i in range(n) for j in range(n) if x[i] and y[j]), F(0))
+                 for t in range(n))
+
+
+def oracle_lie_error(dim, sc):
+    """The message ``LieAlgebra(dim, sc)`` raises, or None."""
+    for i in range(dim):
+        for j in range(i, dim):
+            if any(vec_add(sc[i][j], sc[j][i])):
+                return f"structure constants not antisymmetric at ({i}, {j})"
+    e = [basis_vec(dim, i) for i in range(dim)]
+    for i, j, k in combinations(range(dim), 3):
+        defect = vec_sub(vec_sub(naive_bracket(sc, e[i], sc[j][k]),
+                                 naive_bracket(sc, sc[i][j], e[k])),
+                         naive_bracket(sc, e[j], sc[i][k]))
+        if any(defect):
+            return f"Jacobi identity fails at ({i}, {j}, {k})"
+    return None
+
+
+def oracle_rep_error(g, mats):
+    """The message ``Representation(g, dimV, mats)`` raises, or None."""
+    for i, j in combinations(range(g.dim), 2):
+        x = g.sc[i][j]
+        lhs = Matrix.zero(mats[0].rows, mats[0].rows)
+        for k in range(g.dim):
+            lhs = lhs + x[k] * mats[k]
+        if lhs != naive_mul(mats[i], mats[j]) - naive_mul(mats[j], mats[i]):
+            return f"representation law fails at ({i}, {j})"
+    return None
+
+
+def oracle_is_lie_morphism(psi, g, h):
+    cols = [psi.column(i) for i in range(g.dim)]
+    return all(naive_apply(psi, g.sc[i][j]) == naive_bracket(h.sc, cols[i], cols[j])
+               for i, j in combinations(range(g.dim), 2))
+
+
+def so3_plus_sl2():
+    """Structure constants of so3 + sl2, so3 on the first three indices."""
+    sc = [[[F(0)] * 6 for _ in range(6)] for _ in range(6)]
+    for offset, part in ((0, so3()), (3, sl2())):
+        for i in range(3):
+            for j in range(3):
+                for t in range(3):
+                    sc[offset + i][offset + j][offset + t] = part.sc[i][j][t]
+    return sc
+
+
+def rational_basis(rng, n):
+    """An invertible matrix with entries over large primes; its columns are a basis."""
+    while True:
+        p = Matrix.from_rows([[large_entry(rng) if rng.random() < 0.5 else F(int(r == c))
+                               for c in range(n)] for r in range(n)])
+        if invert(p) is not None:
+            return p
+
+
+def change_basis(sc, p):
+    """Structure constants on the basis of the columns of ``p``."""
+    n, inv = len(sc), invert(p)
+    cols = [p.column(i) for i in range(n)]
+    return [[list(naive_apply(inv, naive_bracket(sc, cols[i], cols[j]))) for j in range(n)]
+            for i in range(n)]
+
+
+def perturbed(m, rng):
+    """``m`` with a large-denominator amount added to one random entry."""
+    rows = [list(row) for row in m.to_rows()]
+    rows[rng.randrange(m.rows)][rng.randrange(m.cols)] += large_entry(rng)
+    return Matrix.from_rows(rows)
+
+
+def raises_message(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestLawsAgainstOracle:
+    """The Lie algebra, representation and Lie-morphism checks report the
+    same first failing tuple as plain `Fraction` loops, on so3 + sl2 and its
+    representations under basis changes with large prime denominators."""
+
+    def test_lie_algebra_first_failure(self):
+        rng = random.Random(71)
+        seen = set()
+        for trial in range(24):
+            sc = change_basis(so3_plus_sl2(), rational_basis(rng, 6))
+            assert raises_message(lambda: LieAlgebra(6, sc)) is None
+            i, j = sorted(rng.sample(range(6), 2))
+            t, c = rng.randrange(6), large_entry(rng)
+            sc[i][j][t] += c
+            if trial % 4:
+                sc[j][i][t] -= c
+            want = oracle_lie_error(6, sc)
+            assert raises_message(lambda: LieAlgebra(6, sc)) == want
+            seen.add(want)
+        assert len(seen) > 3
+
+    def test_representation_first_failure(self):
+        rng = random.Random(72)
+        g = LieAlgebra(6, so3_plus_sl2())
+        seen = set()
+        for trial in range(12):
+            q = rational_basis(rng, 6)
+            q_inv = invert(q)
+            mats = [q_inv @ g.ad(i) @ q for i in range(6)]
+            assert raises_message(lambda: Representation(g, 6, tuple(mats))) is None
+            k = rng.randrange(6)
+            mats[k] = perturbed(mats[k], rng)
+            want = oracle_rep_error(g, mats)
+            assert raises_message(lambda: Representation(g, 6, tuple(mats))) == want
+            seen.add(want)
+        assert len(seen) > 2
+
+    def test_lie_morphism_against_oracle(self):
+        rng = random.Random(73)
+        h = LieAlgebra(6, so3_plus_sl2())
+        project = Matrix.from_rows([basis_vec(6, i) for i in range(3)])   # onto so3
+        seen = set()
+        for trial in range(16):
+            p = rational_basis(rng, 6)
+            g = LieAlgebra(6, change_basis(h.sc, p))
+            for psi, source, target in ((p, g, h), (project @ p, g, so3()),
+                                        (Matrix.identity(6), h, h)):
+                if trial % 2:
+                    psi = perturbed(psi, rng)
+                want = oracle_is_lie_morphism(psi, source, target)
+                assert is_lie_morphism(psi, source, target) == want
+                seen.add(want)
+        assert seen == {True, False}

@@ -12,13 +12,23 @@ from lie2alg import (
     coherence_lhs,
     homology_dims,
     quaternion_example,
+    random_algebra,
     shuffles,
     skeletal_string,
     so3,
     structure_violations,
     verify,
 )
-from lie2alg.core import EQ_JACOBI_DEFECT, _rational_text, contract, perm_sign
+from lie2alg.core import (
+    EQ_JACOBI_DEFECT,
+    _isum,
+    _rational_text,
+    _reduce,
+    _scale,
+    _scale_tensor,
+    _unscale,
+    perm_sign,
+)
 
 F = Fraction
 
@@ -157,6 +167,28 @@ class TestBracket:
         yx = bracket(L, v, x)
         assert xy.deg1 == tuple(-c for c in yx.deg1)
 
+    def test_against_brute_force(self):
+        rng = random.Random(23)
+        L = random_algebra(4)
+        n0, n1 = L.n0, L.n1
+        for _ in range(20):
+            x = Element(random_tensor(rng, (n0,)), random_tensor(rng, (n1,)))
+            y = Element(random_tensor(rng, (n0,)), random_tensor(rng, (n1,)))
+            out = bracket(L, x, y)
+            assert out.deg0 == brute_force_contract(L.b00, [x.deg0, y.deg0], n0)
+            mixed = (brute_force_contract(L.b01, [x.deg0, y.deg1], n1),
+                     brute_force_contract(L.b01, [y.deg0, x.deg1], n1))
+            assert out.deg1 == tuple(a - b for a, b in zip(*mixed))
+
+    def test_wrong_lengths_rejected(self):
+        L = quaternion_example("0")
+        x = Element.basis0(L, 1)
+        for bad in (Element((1, 0, 0, 0, 5), (0,) * 4), Element((1, 0, 0), (0,) * 4)):
+            with pytest.raises(ValueError, match="length 4"):
+                bracket(L, bad, x)
+        with pytest.raises(ValueError, match="length 4"):
+            bracket(L, x, Element((0,) * 4, (1, 2)))
+
 
 def random_tensor(rng, shape):
     if len(shape) == 1:
@@ -168,16 +200,25 @@ def random_tensor(rng, shape):
 
 
 def brute_force_contract(tensor, vectors, n):
-    """Independent oracle: sum over every index tuple, zeros included."""
+    """Independent oracle: a `Fraction` sum over every index tuple of nonzero
+    coordinates (the other tuples add zero)."""
     out = [F(0)] * n
-    for idx in product(*(range(len(v)) for v in vectors)):
+    for idx in product(*([i for i, x in enumerate(v) if x] for v in vectors)):
         coeff, node = F(1), tensor
         for v, i in zip(vectors, idx):
             coeff *= v[i]
             node = node[i]
         for t in range(n):
-            out[t] += coeff * node[t]
+            if node[t]:
+                out[t] += coeff * node[t]
     return tuple(out)
+
+
+def isum_contract(tensor, vectors, n):
+    """The contraction of ``tensor`` with ``vectors`` as one ``core._isum`` on
+    their scaled forms, converted back to `Fraction`s."""
+    scaled = _scale_tensor(tensor, len(vectors))
+    return _unscale(_reduce(_isum(n, ((1, scaled, [_scale(v) for v in vectors]),))), n)
 
 
 class TestContract:
@@ -188,20 +229,20 @@ class TestContract:
             shape = tuple(rng.randint(0, 3) for _ in range(order))
             tensor = random_tensor(rng, shape)
             vectors = [random_tensor(rng, (k,)) for k in shape[:-1]]
-            got = contract(tensor, *vectors, n=shape[-1])
+            got = isum_contract(tensor, vectors, shape[-1])
             assert got == brute_force_contract(tensor, vectors, shape[-1]), shape
             assert len(got) == shape[-1]
 
     def test_zero_length_axis_keeps_output_length(self):
-        assert contract((), (), n=3) == (F(0),) * 3
-        assert contract(((), ()), (F(1), F(2)), (), n=2) == (F(0),) * 2
+        assert isum_contract((), [()], 3) == (F(0),) * 3
+        assert isum_contract(((), ()), [(F(1), F(2)), ()], 2) == (F(0),) * 2
 
     def test_bracket_of_basis_vectors_is_table_lookup(self):
         L = quaternion_example("1+2i+3j+5k")
         e = [tuple(F(int(k == i)) for k in range(L.n0)) for i in range(L.n0)]
         for i in range(L.n0):
             for j in range(L.n0):
-                assert contract(L.b00, e[i], e[j], n=L.n0) == L.b00[i][j]
+                assert isum_contract(L.b00, [e[i], e[j]], L.n0) == L.b00[i][j]
 
 
 class TestCoherenceSmoke:

@@ -5,11 +5,12 @@
 ``morphisms.inverse`` build their tensors on integer numerators with one
 denominator per vector (``core._isum``) and return algebras and morphisms
 whose scaled form is already filled in.  This module keeps the `Fraction`
-loops they replace (``contract``, ``Matrix.apply`` and the vector helpers,
-one reduced entry at a time) as an independent oracle, and asserts equal
-algebras, morphisms, quadruples and verification reports on seeded random
-algebras, on maps with large prime, shared-factor and mixed denominators,
-on morphisms that are not valid, and on algebras with an empty degree.
+loops they replace (a naive contraction over index tuples, ``Matrix.apply``
+and the vector helpers, one reduced entry at a time) as an independent
+oracle, and asserts equal algebras, morphisms, quadruples and verification
+reports on seeded random algebras, on maps with large prime, shared-factor
+and mixed denominators, on morphisms that are not valid, and on algebras
+with an empty degree.
 Every filled-in scaled form must equal the one computed from the public
 `Fraction` tensors, and the canonical reduction behind it is property-tested
 against ``core._scale``.
@@ -46,8 +47,9 @@ from lie2alg import (
     verify_morphism,
 )
 from lie2alg.builders import random_antisymmetric_correction, random_invertible
-from lie2alg.core import _reduce, _scale, contract, perm_sign, shuffles, tensor3
+from lie2alg.core import _reduce, _scale, perm_sign, shuffles, tensor3
 from lie2alg.linalg import ZERO, invert, vec_add, vec_sub, vec_zero
+from test_core import brute_force_contract
 
 F = Fraction
 
@@ -59,6 +61,11 @@ DENOMINATORS = {"primes": PRIMES, "shared": SHARED, "mixed": PRIMES + SHARED}
 # ---------------------------------------------------------------------------
 # the oracle: the pipeline's tensor loops on Fraction entries
 # ---------------------------------------------------------------------------
+
+
+def contract(tensor, *vectors, n):
+    """The oracle's contraction: a naive `Fraction` sum over every index tuple."""
+    return brute_force_contract(tensor, vectors, n)
 
 
 def oracle_transport(L, phi0, phi1, corr):

@@ -2,14 +2,15 @@
 
 ``core.verify`` and ``morphisms.verify_morphism`` check their equations on
 integer numerators with one denominator per vector.  This module keeps the
-equation loops as plain `Fraction` arithmetic (``contract``, ``Matrix.apply``
-and the vector helpers, one reduced entry at a time) as an independent
-oracle, and asserts that both verifiers return the same `VerificationReport`
--- the same structure errors, failing tuples and discrepancies, and the same
-``lines()`` -- on seeded random algebras and morphisms, on single-entry
-perturbations with large prime, shared-factor and mixed denominators, on
-antisymmetry violations, on zero-dimensional degrees, and on an algebra
-whose entries have distinct 400-digit denominators.
+equation loops as plain `Fraction` arithmetic (a naive contraction over
+index tuples, ``Matrix.apply`` and the vector helpers, one reduced entry
+at a time) as an independent oracle, and asserts that both verifiers
+return the same `VerificationReport` -- the same structure errors, failing
+tuples and discrepancies, and the same ``lines()`` -- on seeded random
+algebras and morphisms, on single-entry perturbations with large prime,
+shared-factor and mixed denominators, on antisymmetry violations, on
+zero-dimensional degrees, and on an algebra whose entries have distinct
+400-digit denominators.
 """
 
 import random
@@ -29,8 +30,6 @@ from lie2alg.core import (
     EQ_JACOBI_DEFECT_DEG1,
     EquationFailure,
     VerificationReport,
-    contract,
-    jacobi_defect,
     perm_sign,
     shuffles,
 )
@@ -43,6 +42,7 @@ from lie2alg.morphisms import (
     MORPHISM_EQUATIONS,
     verify_morphism,
 )
+from test_core import brute_force_contract
 
 F = Fraction
 
@@ -54,6 +54,20 @@ DENOMINATORS = {"primes": PRIMES, "shared": SHARED, "mixed": PRIMES + SHARED}
 # ---------------------------------------------------------------------------
 # the oracle: the equation loops on Fraction entries
 # ---------------------------------------------------------------------------
+
+
+def contract(tensor, *vectors, n):
+    """The oracle's contraction: a naive `Fraction` sum over every index tuple."""
+    return brute_force_contract(tensor, vectors, n)
+
+
+def jacobi_defect(b, i, j, k):
+    """[e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]] for an antisymmetric
+    bracket tensor ``b``."""
+    n = len(b)
+    # -[[e_i,e_j],e_k] = [e_k,[e_i,e_j]]
+    return vec_sub(vec_add(contract(b[i], b[j][k], n=n), contract(b[k], b[i][j], n=n)),
+                   contract(b[j], b[i][k], n=n))
 
 
 def oracle_structure(L):
