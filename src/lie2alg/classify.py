@@ -29,13 +29,16 @@ from typing import NamedTuple
 
 from .linalg import (
     Matrix,
+    Subspace,
     ZERO,
+    _kernel_vectors,
+    as_matrix,
     basis_vec,
     block_diag,
-    complement,
     image_basis,
     invert,
     kernel_basis,
+    rref,
 )
 from .core import (
     TwoTermAlgebra,
@@ -90,11 +93,12 @@ class InvertibilityError(ValueError):
 @dataclass(frozen=True)
 class Decomposition:
     """A choice of complements: degree 0 splits into a Lie-algebra part and
-    the image of d, degree 1 into the kernel of d and a transported copy U.
+    the image of d, degree 1 into the kernel of d and a transported copy U,
+    spanned by the standard basis vectors at the pivot columns of d.
 
     ``coords0``/``coords1`` change standard coordinates into decomposition
-    coordinates (g then image; kernel then U).  ``f`` maps degree 1 to
-    (kernel, image-of-d) coordinates: the identity on the kernel and d on U.
+    coordinates (g then image; kernel then U).  ``f == coords1`` maps degree 1
+    to (kernel, image-of-d) coordinates: the identity on the kernel and d on U.
     ``h`` sends x in degree 0 to the unique element of U whose image under d
     is the image-part of x; it vanishes on the g part.
     """
@@ -121,35 +125,32 @@ class Decomposition:
 
 
 def decompose(L: TwoTermAlgebra) -> Decomposition:
-    """Deterministic decomposition via greedy standard-basis complements.
+    """Deterministic decomposition via greedy standard-basis complements,
+    read off two row reductions: of d, and of [im d | I].
 
     Precondition: ``verify(L)`` passes.
     """
-    imd = image_basis(L.d)
-    g_b = complement(imd)
-    kerd = kernel_basis(L.d)
-    u_b = complement(kerd)
-    gdim, r, kdim = g_b.dim, imd.dim, kerd.dim
-
-    p0 = Matrix.from_columns(g_b.basis + imd.basis, rows=L.n0)
-    p1 = Matrix.from_columns(kerd.basis + u_b.basis, rows=L.n1)
-    coords0 = invert(p0)
-    coords1 = invert(p1)
-    if coords0 is None or coords1 is None:
-        raise RuntimeError("complements failed to complete a basis")
-
-    # image-of-d coordinates of d restricted to U; invertible r x r block
-    du_coords = coords0 @ (L.d @ u_b.matrix())
-    m_block = du_coords.submatrix(range(gdim, L.n0), range(r))
-    m_inv = invert(m_block)
-    if m_inv is None:
-        raise RuntimeError("d restricted to U is not invertible")
-
-    f = block_diag(Matrix.identity(kdim), m_block) @ coords1
-    imd_rows = coords0.submatrix(range(gdim, L.n0), range(L.n0))
-    h = (u_b.matrix() @ m_inv) @ imd_rows
-
-    return Decomposition(L, g_b, imd, kerd, u_b, f, h, coords0, coords1)
+    n0, n1 = L.n0, L.n1
+    red, pivots = rref(L.d)
+    r = len(pivots)
+    imd = Subspace._trusted(n0, (L.d.column(p) for p in pivots))
+    kerd = Subspace._trusted(n1, _kernel_vectors(red, pivots))
+    # U is the greedy complement of ker d: a free e_f is its kernel vector
+    # plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}), on
+    # which the row of red with pivot p vanishes.
+    u_b = Subspace._trusted(n1, (basis_vec(n1, p) for p in pivots))
+    # rref([im d | I]) = E @ [im d | I], E its identity block, has pivots
+    # 0..r-1 first, so E sends im d's basis to e_0..e_{r-1}, g's to the rest
+    red0, pivots0 = rref(imd.matrix().hstack(Matrix.identity(n0)))
+    g_b = Subspace._trusted(n0, (basis_vec(n0, p - r) for p in pivots0 if p >= r))
+    coords0 = red0.submatrix([*range(r, n0), *range(r)], range(r, r + n0))
+    # the kernel coordinates of x are its free entries, its U ones red @ x
+    free = [c for c in range(n1) if c not in pivots]
+    coords1 = Matrix.identity(n1).submatrix(free, range(n1)).vstack(
+        red.submatrix(range(r), range(n1)))
+    # d maps U's basis onto im d's: h is U's basis times E's first r rows
+    h = u_b.matrix() @ red0.submatrix(range(r), range(r, r + n0))
+    return Decomposition(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
 
 
 def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
@@ -212,10 +213,7 @@ def transport(
 
     Precondition: ``verify(L)`` passes and ``correction`` is antisymmetric.
     """
-    if not isinstance(phi0, Matrix):
-        phi0 = Matrix.from_rows([tuple(r) for r in phi0], cols=L.n0)
-    if not isinstance(phi1, Matrix):
-        phi1 = Matrix.from_rows([tuple(r) for r in phi1], cols=L.n1)
+    phi0, phi1 = as_matrix(phi0, L.n0), as_matrix(phi1, L.n1)
     if phi0.rows != phi0.cols or phi0.rows != L.n0:
         raise InvertibilityError("phi0 must be square of size n0")
     if phi1.rows != phi1.cols or phi1.rows != L.n1:
@@ -532,12 +530,8 @@ def certify_isomorphism(
     nf_m = normal_form(M)
     q_l, q_m = nf_l.quadruple, nf_m.quadruple
 
-    if not isinstance(chi, Matrix):
-        chi = Matrix.from_rows([tuple(r) for r in chi], cols=q_l.g.dim)
-    if not isinstance(f_u, Matrix):
-        f_u = Matrix.from_rows([tuple(r) for r in f_u], cols=q_l.dim_u)
-    if not isinstance(t_v, Matrix):
-        t_v = Matrix.from_rows([tuple(r) for r in t_v], cols=q_l.rep.dimV)
+    chi, f_u, t_v = (as_matrix(chi, q_l.g.dim), as_matrix(f_u, q_l.dim_u),
+                     as_matrix(t_v, q_l.rep.dimV))
 
     if chi.rows != q_m.g.dim or chi.cols != q_l.g.dim or invert_or_none(chi) is None:
         raise InvertibilityError("chi is not an invertible map between the Lie algebra parts")

@@ -15,7 +15,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from .core import TwoTermAlgebra, verify
+from .core import TwoTermAlgebra, _rational_text, verify
 from .cohomology import (
     IntertwinerError,
     LieAlgebra,
@@ -131,7 +131,7 @@ def cmd_cohomology(args) -> int:
     if args.basis:
         for idx, cocycle in enumerate(cohomology_basis(n, rep)):
             entries = ", ".join(
-                f"{key}->({', '.join(str(c) for c in value)})"
+                f"{key}->({', '.join(_rational_text(c) for c in value)})"
                 for key, value in cocycle.values.items()
             )
             print(f"cocycle {idx}: {entries}")

@@ -39,6 +39,7 @@ from .linalg import (
     Matrix,
     ZERO,
     _kernel_vectors,
+    as_matrix,
     is_zero_vec,
     rref,
     solve,
@@ -119,13 +120,9 @@ class Representation:
     rho: tuple[Matrix, ...]
 
     def __post_init__(self):
-        mats = []
-        for m in self.rho:
-            if not isinstance(m, Matrix):
-                m = Matrix.from_rows([tuple(r) for r in m], cols=self.dimV)
-            if m.rows != self.dimV or m.cols != self.dimV:
-                raise ValueError(f"rho matrices must be {self.dimV}x{self.dimV}")
-            mats.append(m)
+        mats = [as_matrix(m, self.dimV) for m in self.rho]
+        if any(m.rows != self.dimV or m.cols != self.dimV for m in mats):
+            raise ValueError(f"rho matrices must be {self.dimV}x{self.dimV}")
         if len(mats) != self.g.dim:
             raise ValueError("need one rho matrix per basis element")
         object.__setattr__(self, "rho", tuple(mats))

@@ -40,7 +40,7 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import ZERO, Matrix, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
+from .linalg import ZERO, Matrix, as_matrix, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -147,9 +147,7 @@ class TwoTermAlgebra:
     jac: Tensor4
 
     def __post_init__(self):
-        d = self.d
-        if not isinstance(d, Matrix):
-            d = Matrix.from_rows([tuple(r) for r in d], cols=self.n1)
+        d = as_matrix(self.d, self.n1)
         if d.rows != self.n0 or d.cols != self.n1:
             raise ValueError(f"d must be {self.n0}x{self.n1}")
         object.__setattr__(self, "d", d)
@@ -499,6 +497,17 @@ def _digits(n: int) -> str:
     k = n.bit_length() * 3 // 20       # log10(2) is about 3/10
     high, low = divmod(abs(n), 10 ** k)
     return "-" * (n < 0) + _digits(high) + _digits(low).zfill(k)
+
+
+def _int_text(text: str) -> int:
+    """``int(text)`` for a signed decimal string of any length: the inverse
+    of ``_digits``, splitting strings past 600 digits in two."""
+    digits = text.lstrip("+-")
+    if len(digits) <= 600:
+        return int(text)
+    k = len(digits) // 2
+    value = _int_text(digits[:-k]) * 10 ** k + _int_text(digits[-k:])
+    return -value if text.startswith("-") else value
 
 
 def _rational_text(x: Fraction) -> str:

@@ -4,7 +4,8 @@ Rationals travel as strings "p" or "p/q" with q > 0 and gcd(|p|, q) = 1;
 negative values carry a leading '-' and there is never a '+'.  Parsing
 accepts any valid integer ratio (e.g. "2/4") and canonicalizes on write, so
 serialize(parse(doc)) is the canonical form and round-trips bit-exactly on
-already canonical documents.
+already canonical documents.  Numbers of any length are written and read,
+also past Python's int-to-str digit limit.
 
 Document kinds:
 
@@ -22,7 +23,7 @@ import re
 from fractions import Fraction
 
 from .linalg import Matrix
-from .core import TwoTermAlgebra, structure_violations
+from .core import TwoTermAlgebra, _int_text, _rational_text, structure_violations
 from .morphisms import Morphism
 
 FORMAT_VERSION = "1"
@@ -34,8 +35,7 @@ class DocumentError(ValueError):
     """Malformed document; the message names the offending location."""
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
+format_rational = _rational_text
 
 
 def parse_rational(text, where: str) -> Fraction:
@@ -44,12 +44,10 @@ def parse_rational(text, where: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise DocumentError(f"{where}: invalid rational {text!r}")
     num, _, den = text.strip().partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise DocumentError(f"{where}: zero denominator in {text!r}")
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    d = _int_text(den) if den else 1
+    if d == 0:
+        raise DocumentError(f"{where}: zero denominator in {text!r}")
+    return Fraction(_int_text(num), d)
 
 
 def _matrix_to_lists(m: Matrix) -> list:
@@ -167,8 +165,7 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
 # ---------------------------------------------------------------------------
 
 
-def morphism_to_document(m: Morphism, inline: bool = True,
-                         source_path: str | None = None,
+def morphism_to_document(m: Morphism, source_path: str | None = None,
                          target_path: str | None = None) -> dict:
     doc = {"format_version": FORMAT_VERSION, "kind": "morphism"}
     doc["source"] = algebra_to_document(m.source) if source_path is None else source_path

@@ -237,6 +237,12 @@ class Matrix:
             raise ValueError("shape mismatch")
 
 
+def as_matrix(value, cols: int) -> Matrix:
+    """``value`` itself when it is a Matrix, else the matrix on its rows
+    (with ``cols`` columns when it has none)."""
+    return value if isinstance(value, Matrix) else Matrix.from_rows(value, cols=cols)
+
+
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     top = a.hstack(Matrix.zero(a.rows, b.cols))
     bottom = Matrix.zero(b.rows, a.cols).hstack(b)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import Matrix, invert
+from .linalg import Matrix, as_matrix, invert
 from .core import (
     Tensor3,
     TwoTermAlgebra,
@@ -62,11 +62,7 @@ class Morphism:
     Phi: Tensor3
 
     def __post_init__(self):
-        phi0, phi1 = self.phi0, self.phi1
-        if not isinstance(phi0, Matrix):
-            phi0 = Matrix.from_rows([tuple(r) for r in phi0], cols=self.source.n0)
-        if not isinstance(phi1, Matrix):
-            phi1 = Matrix.from_rows([tuple(r) for r in phi1], cols=self.source.n1)
+        phi0, phi1 = as_matrix(self.phi0, self.source.n0), as_matrix(self.phi1, self.source.n1)
         if phi0.rows != self.target.n0 or phi0.cols != self.source.n0:
             raise ValueError(f"phi0 must be {self.target.n0}x{self.source.n0}")
         if phi1.rows != self.target.n1 or phi1.cols != self.source.n1:

@@ -427,3 +427,19 @@ class TestDecompositionIndependence:
             assert verify_morphism(bridge).passed
             assert is_isomorphism(bridge)
             assert invariants(L) == invariants(permuted)
+
+
+def test_type_hints_of_exported_records_resolve():
+    # annotations are strings (postponed evaluation): each name in them must
+    # be bound in its module
+    import dataclasses
+    import typing
+
+    import lie2alg
+
+    records = [obj for name, obj in vars(lie2alg).items()
+               if not name.startswith("_") and isinstance(obj, type)
+               and (dataclasses.is_dataclass(obj) or hasattr(obj, "_fields"))]
+    assert lie2alg.Decomposition in records and lie2alg.NormalFormResult in records
+    for record in records:
+        assert typing.get_type_hints(record), record.__name__

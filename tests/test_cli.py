@@ -376,6 +376,27 @@ class TestComposeTransport:
         assert code == 0
         assert load_algebra(str(out_path)) == L
 
+    def test_transport_past_int_str_digit_limit(self, capsys, tmp_path):
+        # d = [[1]] scaled by p and q, two 2500-digit numbers: the transported
+        # differential p*q has about 5000 digits
+        from lie2alg import Matrix, transport
+        from lie2alg.core import zero_tensor3, zero_tensor4
+        from lie2alg.documents import transport_to_document
+
+        rng = random.Random(8)
+        p, q = (rng.randrange(10**2499, 10**2500) for _ in range(2))
+        A = TwoTermAlgebra(1, 1, Matrix.identity(1), zero_tensor3((1, 1, 1)),
+                           zero_tensor3((1, 1, 1)), zero_tensor4((1, 1, 1, 1)))
+        a_path, t_path, out_path = (tmp_path / name for name in ("A.json", "T.json", "out.json"))
+        save_document(str(a_path), algebra_to_document(A))
+        save_document(str(t_path), transport_to_document(
+            Matrix.from_rows([[p]]), Matrix.from_rows([[Fraction(1, q)]]), zero_tensor3((1, 1, 1))))
+        code, _, err = run(capsys, "transport", str(a_path), str(t_path), "--out", str(out_path))
+        assert (code, err) == (0, "")
+        written = load_algebra(str(out_path))
+        assert written.d == Matrix.from_rows([[p * q]])
+        assert written == transport(A, [[p]], [[Fraction(1, q)]], zero_tensor3((1, 1, 1)))[0]
+
     def test_transport_automorphism_returns_same_algebra(self, capsys, tmp_path):
         from lie2alg import example27_automorphism
         from lie2alg.documents import transport_to_document

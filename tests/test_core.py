@@ -21,6 +21,7 @@ from lie2alg import (
 )
 from lie2alg.core import (
     EQ_JACOBI_DEFECT,
+    _int_text,
     _isum,
     _rational_text,
     _reduce,
@@ -307,3 +308,15 @@ class TestRationalText:
                     num, _, den = text.partition("/")
                     assert chunked_value(num) == x.numerator
                     assert chunked_value(den or "1") == x.denominator
+                    assert _int_text(num) == x.numerator
+                    assert _int_text(den or "1") == x.denominator
+
+    def test_int_text_reads_signed_strings_of_any_length(self):
+        rng = random.Random(12)
+        for length in (1, 600, 601, 4301, 18_000):
+            digits = str(rng.randrange(1, 10)) + "".join(
+                rng.choice("0123456789") for _ in range(length - 1))
+            value = chunked_value(digits)
+            assert _int_text(digits) == _int_text("+" + digits) == value
+            assert _int_text("-" + digits) == -value
+            assert _int_text("000" + digits) == value
