@@ -15,6 +15,16 @@ vector, summed by ``core._isum``); `Fraction`s appear only at the API
 boundary, and the algebras and morphisms they return carry their scaled form
 already, so verifying them converts nothing.
 
+Results that are functions of an algebra are kept per algebra object, in
+its private ``_store``: ``verify`` keeps its report, the quadruple (one
+``decompose`` and one ``extract_triple``) is shared by ``normal_form``,
+``invariants`` and ``skeleton``, and ``normal_form`` keeps its target
+algebra and the maps of its isomorphism, verified once.  A value is stored
+only on the argument of the call that computed it and never refers back to
+that algebra, so an algebra built by the pipeline (a normal form, say) is
+classified afresh, and a stored algebra is still freed by reference
+counting.  The public ``decompose`` and ``extract_triple`` are not cached.
+
 A full search for a Lie algebra isomorphism is deliberately out of scope:
 the module certifies user-supplied maps and refutes via invariants.
 """
@@ -37,6 +47,7 @@ from .linalg import (
     block_diag,
     image_basis,
     invert,
+    invert_or_none,
     kernel_basis,
     rref,
 )
@@ -256,7 +267,7 @@ def transport(
     out = TwoTermAlgebra._from_scaled(n0, n1, d_new, b00_new, b01_new,
                                       _alternating(n0, 3, jac_new))
     mor = _keep_scaled(Morphism(L, out, phi0, phi1, corr), (P0, P1, C))
-    report = verify_algebra_or_raise(out, "transported algebra")
+    verify_algebra_or_raise(out, "transported algebra")
     mreport = verify_morphism(mor)
     if not mreport.passed:
         raise ValueError(f"transport produced an invalid morphism: {mreport.lines()}")
@@ -286,10 +297,23 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     isomorphism from L onto it.
 
     Precondition: ``verify(L)`` passes.  Deterministic via ``decompose``;
-    idempotent on its own output up to structural equality.
+    idempotent on its own output up to structural equality.  The target
+    algebra, the quadruple and the maps of the isomorphism are computed and
+    verified once per algebra object and kept on it; each call returns a
+    new `Morphism` from L around them.
     """
+    store = L._store
+    if "normal_form" not in store:
+        store["normal_form"] = _normal_form(L)
+    target, q, phi0, phi1, Phi, scaled = store["normal_form"]
+    return NormalFormResult(target, _keep_scaled(Morphism(L, target, phi0, phi1, Phi), scaled), q)
+
+
+def _normal_form(L: TwoTermAlgebra) -> tuple:
+    """(target, quadruple, phi0, phi1, Phi, their scaled form) of the normal
+    form of L: nothing that refers back to L, so that it can be kept on L."""
     dec = decompose(L)
-    q = extract_triple(L, dec)
+    q = _quadruple(L, dec)
     target = normal_form_algebra(q)
 
     gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
@@ -312,12 +336,21 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     report = verify_morphism(mor)
     if not report.passed or not is_isomorphism(mor):
         raise RuntimeError(f"normalizing morphism failed verification: {report.lines()}")
-    return NormalFormResult(target, mor, q)
+    return target, q, mor.phi0, mor.phi1, mor.Phi, mor._scaled
+
+
+def _quadruple(L: TwoTermAlgebra, dec: Decomposition | None = None) -> Quadruple:
+    """The quadruple of L, extracted once per algebra object (from ``dec``
+    when given) and kept on it."""
+    store = L._store
+    if "quadruple" not in store:
+        store["quadruple"] = extract_triple(L, dec or decompose(L))
+    return store["quadruple"]
 
 
 def skeleton(L: TwoTermAlgebra) -> TwoTermAlgebra:
     """The standard shape with the transported space removed (U = 0)."""
-    q = extract_triple(L, decompose(L))
+    q = _quadruple(L)
     return normal_form_algebra(Quadruple(q.g, 0, q.rep, q.jtilde))
 
 
@@ -468,11 +501,13 @@ def center_dim(g: LieAlgebra) -> int:
 
 
 def invariants(L: TwoTermAlgebra) -> InvariantVector:
-    """Compute the full fingerprint from the extracted quadruple.
+    """Compute the full fingerprint from the extracted quadruple, which is
+    extracted once per algebra object and kept on it (as ``normal_form``
+    does).
 
     Precondition: ``verify(L)`` passes.
     """
-    q = extract_triple(L, decompose(L))
+    q = _quadruple(L)
     rank_d = q.dim_u
     h_dims = tuple(cohomology_dim(n, q.rep) for n in range(4))
     return InvariantVector(
@@ -566,12 +601,6 @@ def certify_isomorphism(
     if not final.passed or not is_isomorphism(result):
         raise RuntimeError(f"assembled isomorphism failed verification: {final.lines()}")
     return result
-
-
-def invert_or_none(m: Matrix):
-    if m.rows != m.cols:
-        return None
-    return invert(m)
 
 
 class QuadrupleMaps(NamedTuple):

@@ -32,6 +32,7 @@ the first failure per equation, so reports are deterministic.
 
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -160,6 +161,13 @@ class TwoTermAlgebra:
         """The structure in scaled-integer form, built on first use."""
         return _scaled_algebra(_scale_columns(self.d), _scale_tensor(self.b00, 2),
                                _scale_tensor(self.b01, 2), _scale_tensor(self.jac, 3))
+
+    @cached_property
+    def _store(self) -> dict:  # "verify", "quadruple", "normal_form" -> result
+        """Results computed from this algebra, kept for later calls on the
+        same object.  No value refers back to the algebra, so it is still
+        freed by reference counting."""
+        return {}
 
     @classmethod
     def _from_scaled(cls, n0: int, n1: int, d, b00, b01, jac) -> "TwoTermAlgebra":
@@ -489,14 +497,34 @@ class VerificationReport:
 
 
 def _digits(n: int) -> str:
-    """``str(n)``, also past Python's int-to-str digit limit: numbers longer
-    than 2000 bits (below the smallest allowed limit) are split in two near
-    half of their decimal digits."""
+    """``str(n)``, also past Python's int-to-str digit limit and in
+    subquadratic time.  A number longer than 2000 bits (below the smallest
+    allowed limit) is built as an exact `decimal.Decimal` from its binary
+    halves, hi * 2**w + lo, as CPython 3.12's ``_pylong`` does; libmpdec
+    multiplies long numbers in subquadratic time, where splitting by a power
+    of ten costs a quadratic ``divmod``.  The arithmetic runs in a local
+    exact `decimal.Context`, so the interpreter's own context is untouched."""
     if n.bit_length() <= 2000:
         return str(n)
-    k = n.bit_length() * 3 // 20       # log10(2) is about 3/10
-    high, low = divmod(abs(n), 10 ** k)
-    return "-" * (n < 0) + _digits(high) + _digits(low).zfill(k)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact])
+    powers = {}
+
+    def power(w: int) -> decimal.Decimal:     # 2**w, each width built once
+        if w not in powers:
+            powers[w] = (ctx.power(2, w) if w <= 2000
+                         else ctx.multiply(power(w >> 1), power(w - (w >> 1))))
+        return powers[w]
+
+    def build(m: int, w: int) -> decimal.Decimal:    # 0 <= m < 2**w
+        if w <= 2000:
+            return decimal.Decimal(m)
+        half = w >> 1
+        high = m >> half
+        return ctx.add(ctx.multiply(build(high, w - half), power(half)),
+                       build(m - (high << half), half))
+
+    return "-" * (n < 0) + str(build(abs(n), n.bit_length()))
 
 
 def _int_text(text: str) -> int:
@@ -557,8 +585,16 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     n1 x increasing pairs, and strictly increasing 4-tuples.  Each equation
     is written as lhs - rhs, a signed sum of contractions, and evaluated on
     the algebra's scaled-integer form; a `Fraction` is built only for the
-    discrepancy of a reported failure.
+    discrepancy of a reported failure.  The report is kept on the algebra
+    object, so a repeated call on the same object returns it unchecked.
     """
+    store = L._store
+    if "verify" not in store:
+        store["verify"] = _verify(L)
+    return store["verify"]
+
+
+def _verify(L: TwoTermAlgebra) -> VerificationReport:
     structure = structure_violations(L)
     if structure:
         return VerificationReport(ALGEBRA_EQUATIONS, structure, ())

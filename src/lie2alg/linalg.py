@@ -385,3 +385,8 @@ def invert(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     return solve(m, Matrix.identity(m.rows))
+
+
+def invert_or_none(m: Matrix) -> Matrix | None:
+    """Exact inverse of ``m``, or None when it is singular or not square."""
+    return invert(m) if m.rows == m.cols else None

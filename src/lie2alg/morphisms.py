@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import Matrix, as_matrix, invert
+from .linalg import Matrix, as_matrix, invert_or_none
 from .core import (
     Tensor3,
     TwoTermAlgebra,
@@ -168,8 +168,7 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
 
 def inverse(m: Morphism) -> Morphism | None:
     """Inverse morphism, or None when the linear part is not invertible."""
-    inv0 = invert(m.phi0) if m.phi0.rows == m.phi0.cols else None
-    inv1 = invert(m.phi1) if m.phi1.rows == m.phi1.cols else None
+    inv0, inv1 = invert_or_none(m.phi0), invert_or_none(m.phi1)
     if inv0 is None or inv1 is None:
         return None
     x, v = _scale_columns(inv0), _scale_columns(inv1)

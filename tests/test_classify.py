@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -36,6 +38,7 @@ from lie2alg import (
     verify,
     verify_morphism,
 )
+from lie2alg import classify, core
 from lie2alg.builders import random_antisymmetric_correction, random_invertible
 from lie2alg.core import zero_tensor3
 from lie2alg.linalg import is_zero_vec
@@ -427,6 +430,111 @@ class TestDecompositionIndependence:
             assert verify_morphism(bridge).passed
             assert is_isomorphism(bridge)
             assert invariants(L) == invariants(permuted)
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def stored(L):
+    """The entries kept on an algebra object, without creating its store."""
+    return dict(vars(L).get("_store", {}))
+
+
+class TestPerAlgebraStore:
+    def test_repeat_calls_return_kept_results(self, monkeypatch):
+        L = random_algebra(7)
+        L = TwoTermAlgebra(L.n0, L.n1, L.d, L.b00, L.b01, L.jac)   # nothing kept yet
+        checks = counting(monkeypatch, core, "_verify")
+        decs = counting(monkeypatch, classify, "decompose")
+        triples = counting(monkeypatch, classify, "extract_triple")
+        targets = counting(monkeypatch, classify, "normal_form_algebra")
+        morphism_checks = counting(monkeypatch, classify, "verify_morphism")
+
+        report = verify(L)
+        assert verify(L) is report and len(checks) == 1
+        first = normal_form(L)
+        second = normal_form(L)
+        assert second.algebra is first.algebra and second.quadruple is first.quadruple
+        assert second.morphism == first.morphism and second.morphism is not first.morphism
+        assert second.morphism.source is L and second.morphism.target is first.algebra
+        assert verify_morphism(second.morphism).passed
+        assert len(targets) == 1 and len(morphism_checks) == 1
+        assert invariants(L) == invariants(L)
+        skeleton(L)
+        # one quadruple per algebra, shared by normal_form, invariants and skeleton
+        assert len(decs) == 1 and len(triples) == 1
+        assert set(stored(L)) == {"verify", "quadruple", "normal_form"}
+
+    def test_invariants_first_then_normal_form(self, monkeypatch):
+        L = random_algebra(12)
+        triples = counting(monkeypatch, classify, "extract_triple")
+        inv = invariants(L)
+        res = normal_form(L)
+        assert len(triples) == 1
+        assert res.quadruple is stored(L)["quadruple"]
+        assert inv == invariants(res.algebra)
+
+    def test_equal_but_distinct_algebra_shares_no_store(self, monkeypatch):
+        L = random_algebra(3)
+        res = normal_form(L)
+        inv = invariants(L)
+        twin = TwoTermAlgebra(L.n0, L.n1, L.d, L.b00, L.b01, L.jac)
+        assert twin == L and twin is not L
+        assert stored(twin) == {}
+        targets = counting(monkeypatch, classify, "normal_form_algebra")
+        again = normal_form(twin)
+        assert len(targets) == 1 and again.algebra is not res.algebra
+        assert again.algebra == res.algebra and again.quadruple == res.quadruple
+        assert again.morphism.source is twin and again.morphism == res.morphism
+        assert invariants(twin) == inv
+        assert verify(twin) == verify(L) and verify(twin) is not verify(L)
+        assert twin._store is not L._store
+
+    def test_kept_values_do_not_keep_the_algebra_alive(self):
+        # reference counting alone must free it: no stored value refers back
+        gc.disable()
+        try:
+            for seed in (0, 5):
+                L = random_algebra(seed)
+                assert verify(L).passed
+                normal_form(L)
+                invariants(L)
+                skeleton(L)
+                assert set(stored(L)) == {"verify", "quadruple", "normal_form"}
+                ref = weakref.ref(L)
+                del L
+                assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_normal_form_of_a_normal_form_is_classified_afresh(self, monkeypatch):
+        L = random_algebra(9)
+        first = normal_form(L)
+        A = first.algebra
+        kept_on_l = stored(L)
+        # the produced algebra holds only the report of verify on itself
+        assert set(stored(A)) == {"verify"}
+        decs = counting(monkeypatch, classify, "decompose")
+        triples = counting(monkeypatch, classify, "extract_triple")
+        again = normal_form(A)
+        assert len(decs) == 1 and len(triples) == 1
+        assert again.algebra == A and again.algebra is not A
+        assert set(stored(A)) == {"verify", "quadruple", "normal_form"}
+        # entries are written on the argument alone: L keeps what it had, and
+        # the new target holds only the report verify kept on it
+        assert stored(L) == kept_on_l
+        assert set(stored(again.algebra)) == {"verify"}
+        assert split_normal_form(A) == again.quadruple
 
 
 def test_type_hints_of_exported_records_resolve():

@@ -1,3 +1,4 @@
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from lie2alg import (
 )
 from lie2alg.core import (
     EQ_JACOBI_DEFECT,
+    _digits,
     _int_text,
     _isum,
     _rational_text,
@@ -290,6 +292,40 @@ def chunked_value(text):
         piece = digits[k:k + 1000]
         total = total * 10 ** len(piece) + int(piece)
     return -total if text.startswith("-") else total
+
+
+def split_digits(n):
+    """Reference for ``_digits``: split in two near half of the decimal
+    digits with ``divmod`` (quadratic, but plainly correct)."""
+    if n.bit_length() <= 2000:
+        return str(n)
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(abs(n), 10 ** k)
+    return "-" * (n < 0) + split_digits(high) + split_digits(low).zfill(k)
+
+
+class TestDigits:
+    def test_matches_reference_splitter(self):
+        rng = random.Random(21)
+        values = [2 ** 2000 - 1, 2 ** 2000, 2 ** 2000 + 1, 2 ** 2001 - 1]
+        for digits in (602, 603, 604, 1000, 4300, 4301, 20_000, 60_000):
+            values += [10 ** digits, 10 ** digits - 1, 10 ** digits + 1,
+                       rng.randrange(10 ** (digits - 1), 10 ** digits)]
+        for bits in (1999, 2000, 2001, 2047, 2048, 2049, 4001, 4096, 65_537, 199_999):
+            values += [rng.getrandbits(bits) | 1 << (bits - 1), 1 << bits]
+        before = decimal.getcontext().copy()
+        for n in values:
+            for signed in (n, -n):
+                text = _digits(signed)
+                assert text == split_digits(signed)
+                assert _int_text(text) == signed
+        after = decimal.getcontext()
+        assert (after.prec, after.Emax, after.flags, after.traps) == (
+            before.prec, before.Emax, before.flags, before.traps)
+
+    def test_short_and_zero(self):
+        for n in (0, 1, -1, 9, -10, 2 ** 64, -(2 ** 1999)):
+            assert _digits(n) == str(n)
 
 
 class TestRationalText:
