@@ -17,11 +17,11 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 
-from .linalg import Matrix, ZERO, invert, rat, vec_zero
-from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, perm_sign, verify,
-                   zero_tensor3)
+from .linalg import Matrix, ZERO, block_diag, invert, rat, vec_zero
+from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, _unscale_tensor, verify,
+                   zero_tensor)
 from .morphisms import Morphism
 from .cohomology import (
     Cochain,
@@ -98,7 +98,7 @@ def parse_quaternion(text: str) -> Quaternion:
 
 
 def abelian(n: int) -> LieAlgebra:
-    return LieAlgebra(n, zero_tensor3((n, n, n)))
+    return LieAlgebra(n, zero_tensor((n, n, n)))
 
 
 def nonabelian2() -> LieAlgebra:
@@ -147,16 +147,7 @@ def adjoint_rep(g: LieAlgebra) -> Representation:
 def direct_sum_rep(a: Representation, b: Representation) -> Representation:
     if a.g != b.g:
         raise ValueError("summands must represent the same Lie algebra")
-    n = a.dimV + b.dimV
-    mats = []
-    for i in range(a.g.dim):
-        rows = []
-        for r in range(a.dimV):
-            rows.append(a.rho[i].row(r) + vec_zero(b.dimV))
-        for r in range(b.dimV):
-            rows.append(vec_zero(a.dimV) + b.rho[i].row(r))
-        mats.append(Matrix.from_rows(rows, cols=n))
-    return Representation(a.g, n, tuple(mats))
+    return Representation(a.g, a.dimV + b.dimV, tuple(map(block_diag, a.rho, b.rho)))
 
 
 _FIXED_ALGEBRAS = {
@@ -251,16 +242,12 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
 
 
 def killing_form(g: LieAlgebra) -> Matrix:
-    """K(x, y) = trace(ad x · ad y) on basis pairs."""
-    ads = [g.ad(i) for i in range(g.dim)]
-    rows = []
-    for i in range(g.dim):
-        row = []
-        for j in range(g.dim):
-            prod = ads[i] @ ads[j]
-            row.append(sum((prod[t, t] for t in range(g.dim)), ZERO))
-        rows.append(row)
-    return Matrix.from_rows(rows, cols=g.dim)
+    """K(x, y) = trace(ad x · ad y) on basis pairs: K(e_i, e_j) is the sum
+    over s, t of sc[i][s][t] * sc[j][t][s]."""
+    n, sc = g.dim, g.sc
+    return Matrix.from_rows([[sum((sc[i][s][t] * sc[j][t][s] for s in range(n) for t in range(n)
+                                   if sc[i][s][t]), ZERO) for j in range(n)] for i in range(n)],
+                            cols=n)
 
 
 def cartan_cocycle(g: LieAlgebra, k=1) -> Cochain:
@@ -305,14 +292,7 @@ def quaternion_example(v) -> TwoTermAlgebra:
     table = [[list(qim(qmul(qim(units[p]), qim(units[q])))) for q in range(4)]
              for p in range(4)]
 
-    jac = [[[list(vec_zero(4)) for _ in range(4)] for _ in range(4)] for _ in range(4)]
-    im_v = list(qim(v))
-    for order in permutations(range(3)):
-        sign = perm_sign(order)
-        idx = (1, 2, 3)
-        a, b, c = idx[order[0]], idx[order[1]], idx[order[2]]
-        jac[a][b][c] = [sign * x for x in im_v]
-
+    jac = _unscale_tensor(_alternating(4, 3, {(1, 2, 3): _scale(qim(v))}), 3, 4)
     return TwoTermAlgebra(4, 4, d, table, table, jac)
 
 

@@ -32,7 +32,6 @@ the module certifies user-supplied maps and refutes via invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
@@ -40,7 +39,6 @@ from typing import NamedTuple
 from .linalg import (
     Matrix,
     Subspace,
-    ZERO,
     _kernel_vectors,
     as_matrix,
     basis_vec,
@@ -57,13 +55,14 @@ from .core import (
     _column_matrix,
     _ivec,
     _keep_scaled,
+    _pair_violations,
     _scale,
     _scale_columns,
     _scale_tensor,
     _unscale,
     _unscale_tensor,
     shuffles,
-    tensor3,
+    tensor,
     verify,
 )
 from .morphisms import (
@@ -222,7 +221,8 @@ def transport(
     Returns the new algebra and the connecting morphism, both carrying their
     scaled form; both are re-verified before returning.
 
-    Precondition: ``verify(L)`` passes and ``correction`` is antisymmetric.
+    Precondition: ``verify(L)`` passes.  A ``correction`` that is not
+    antisymmetric raises ValueError naming its first bad pair.
     """
     phi0, phi1 = as_matrix(phi0, L.n0), as_matrix(phi1, L.n1)
     if phi0.rows != phi0.cols or phi0.rows != L.n0:
@@ -235,13 +235,15 @@ def transport(
         raise InvertibilityError("phi0 is singular")
     if inv1 is None:
         raise InvertibilityError("phi1 is singular")
-    corr = tensor3(correction, (L.n0, L.n0, L.n1))
+    corr = tensor(correction, (L.n0, L.n0, L.n1))
+    C = _scale_tensor(corr, 2)
+    for pair in _pair_violations(C):
+        raise ValueError(f"correction antisymmetry violated at {pair}")
 
     n0, n1 = L.n0, L.n1
     S = L._scaled
     P0, P1 = _scale_columns(phi0), _scale_columns(phi1)
     X, V = _scale_columns(inv0), _scale_columns(inv1)   # preimages of target bases
-    C = _scale_tensor(corr, 2)
 
     dv = [_ivec(n0, ((1, S.d, (v,)),)) for v in V]
     d_new = tuple(_ivec(n0, ((1, P0, (w,)),)) for w in dv)
@@ -364,11 +366,8 @@ def split_normal_form(L: TwoTermAlgebra) -> Quadruple:
     v = L.n1 - u
     if gdim < 0 or v < 0:
         raise ValueError("not a standard-shape algebra")
-    for i in range(L.n0):
-        for j in range(L.n1):
-            expected = Fraction(1) if (i >= gdim and j >= v and i - gdim == j - v) else ZERO
-            if L.d[i, j] != expected:
-                raise ValueError("differential is not the standard embedding")
+    if L.d != block_diag(Matrix.zero(gdim, v), Matrix.identity(u)):
+        raise ValueError("differential is not the standard embedding")
     sc = [[list(L.b00[i][j][:gdim]) for j in range(gdim)] for i in range(gdim)]
     g = LieAlgebra(gdim, sc)
     rho = tuple(
@@ -451,53 +450,27 @@ def _render_value(value) -> str:
     return str(value)
 
 
-def _bracket_span(g: LieAlgebra, pairs) -> tuple:
-    """A basis of the span of [x, y] over ``pairs`` of scaled vectors of g."""
-    brackets = [_ivec(g.dim, ((1, g._scaled, pair),)) for pair in pairs]
-    vectors = [_unscale(v, g.dim) for v in brackets if v[0]]
-    if not vectors:
-        return ()
-    return image_basis(Matrix.from_columns(vectors, rows=g.dim)).basis
-
-
-def derived_series_dims(g: LieAlgebra) -> tuple[int, ...]:
-    """Dimensions along g, [g,g], [[g,g],[g,g]], ... until they stabilize."""
+def _series_dims(g: LieAlgebra, pairs) -> tuple[int, ...]:
+    """Dimensions along g = g_0, g_1, ... until they stabilize, where
+    g_{k+1} is spanned by the [x, y] over ``pairs(basis of g, basis of
+    g_k)``, both bases of scaled vectors."""
     dims = [g.dim]
-    current = [_scale(basis_vec(g.dim, i)) for i in range(g.dim)]
-    while True:
-        nxt = _bracket_span(g, combinations(current, 2))
+    basis = current = [_scale(basis_vec(g.dim, i)) for i in range(g.dim)]
+    while current:
+        brackets = [_ivec(g.dim, ((1, g._scaled, pair),)) for pair in pairs(basis, current)]
+        nxt = image_basis(Matrix.from_columns([_unscale(v, g.dim) for v in brackets if v[0]],
+                                              rows=g.dim)).basis
         if len(nxt) == dims[-1]:
             break
         dims.append(len(nxt))
         current = [_scale(c) for c in nxt]
-        if not nxt:
-            break
-    return tuple(dims)
-
-
-def lower_central_series_dims(g: LieAlgebra) -> tuple[int, ...]:
-    """Dimensions along g, [g,g], [g,[g,g]], ... until they stabilize."""
-    dims = [g.dim]
-    basis_g = [_scale(basis_vec(g.dim, i)) for i in range(g.dim)]
-    current = basis_g
-    while True:
-        nxt = _bracket_span(g, product(basis_g, current))
-        if len(nxt) == dims[-1]:
-            break
-        dims.append(len(nxt))
-        current = [_scale(c) for c in nxt]
-        if not nxt:
-            break
     return tuple(dims)
 
 
 def center_dim(g: LieAlgebra) -> int:
-    if g.dim == 0:
-        return 0
-    stacked = g.ad(0)
-    for i in range(1, g.dim):
-        stacked = stacked.vstack(g.ad(i))
-    return kernel_basis(stacked).dim
+    """The dimension of the kernel of all ad(e_i) at once."""
+    return kernel_basis(Matrix.from_rows([row for i in range(g.dim) for row in g.ad(i).to_rows()],
+                                         cols=g.dim)).dim
 
 
 def invariants(L: TwoTermAlgebra) -> InvariantVector:
@@ -518,8 +491,8 @@ def invariants(L: TwoTermAlgebra) -> InvariantVector:
         n1=L.n1,
         h0=L.n0 - rank_d,
         h1=L.n1 - rank_d,
-        derived_series=derived_series_dims(q.g),
-        lower_central_series=lower_central_series_dims(q.g),
+        derived_series=_series_dims(q.g, lambda _, current: combinations(current, 2)),
+        lower_central_series=_series_dims(q.g, product),
         center_dim=center_dim(q.g),
         killing_rank=killing_form(q.g).rank(),
         cohomology_h0=h_dims[0],
@@ -631,14 +604,10 @@ def extract_quadruple_maps(m: Morphism) -> QuadrupleMaps:
         raise RuntimeError("standard shapes have different dimensions")
 
     # phi0 maps U into U' and phi1 maps V into V' exactly
-    for i in range(g2):
-        for j in range(u):
-            if m.phi0[i, g + j] != 0:
-                raise RuntimeError("phi0 does not map the transported space into itself")
-    for i in range(v2, v2 + u2):
-        for j in range(v):
-            if m.phi1[i, j] != 0:
-                raise RuntimeError("phi1 does not map the coefficient space into itself")
+    if not m.phi0.submatrix(range(g2), range(g, g + u)).is_zero():
+        raise RuntimeError("phi0 does not map the transported space into itself")
+    if not m.phi1.submatrix(range(v2, v2 + u2), range(v)).is_zero():
+        raise RuntimeError("phi1 does not map the coefficient space into itself")
 
     tau = m.phi0.submatrix(range(g2), range(g))
     f_u = m.phi0.submatrix(range(g2, g2 + u2), range(g, g + u))

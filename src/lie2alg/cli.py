@@ -107,7 +107,7 @@ def cmd_normalize(args) -> int:
 def cmd_invariants(args) -> int:
     L = load_algebra(args.path)
     if not verify(L).passed:
-        _say(args, "input algebra fails verification")
+        print("input algebra fails verification")
         return 1
     for line in invariants(L).lines():
         print(line)
@@ -118,8 +118,7 @@ def _load_lie_algebra(path: str) -> LieAlgebra:
     L = load_algebra(path)
     if L.n1 != 0:
         raise DocumentError("a Lie algebra document must have n1 = 0")
-    sc = [[list(L.b00[i][j]) for j in range(L.n0)] for i in range(L.n0)]
-    return LieAlgebra(L.n0, sc)
+    return LieAlgebra(L.n0, L.b00)
 
 
 def cmd_cohomology(args) -> int:
@@ -215,10 +214,10 @@ def cmd_transport(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the primary output document here")
-    common.add_argument("--seed", type=int, default=0, help="seed for random generation")
-    common.add_argument("--quiet", action="store_true", help="suppress progress/report text")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the primary output document here")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress progress/report text")
 
     parser = argparse.ArgumentParser(
         prog="lie2alg",
@@ -226,33 +225,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", parents=[common], help="check the defining equations")
+    p = sub.add_parser("verify", parents=[quiet], help="check the defining equations")
     p.add_argument("path")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("normalize", parents=[common], help="compute the standard shape and its isomorphism")
+    p = sub.add_parser("normalize", parents=[out, quiet],
+                       help="compute the standard shape and its isomorphism")
     p.add_argument("path")
     p.add_argument("--out-morphism", help="write the normalizing morphism here")
     p.set_defaults(func=cmd_normalize)
 
-    p = sub.add_parser("invariants", parents=[common], help="print the invariant fingerprint")
+    p = sub.add_parser("invariants", help="print the invariant fingerprint")
     p.add_argument("path")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("cohomology", parents=[common], help="Lie algebra cohomology dimensions")
+    p = sub.add_parser("cohomology", help="Lie algebra cohomology dimensions")
     p.add_argument("path", help="algebra document with n1 = 0")
     p.add_argument("rep", help="trivial | trivialN | adjoint | sums joined with '+'")
     p.add_argument("degree", type=int)
     p.add_argument("--basis", action="store_true", help="also print representative cocycles")
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("compare", parents=[common], help="distinguish or certify two algebras")
+    p = sub.add_parser("compare", parents=[out, quiet], help="distinguish or certify two algebras")
     p.add_argument("path_a")
     p.add_argument("path_b")
     p.add_argument("--maps", help="maps document (chi, fU, tV) for certification")
     p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser("example", parents=[common], help="write a built-in example algebra")
+    p = sub.add_parser("example", parents=[out], help="write a built-in example algebra")
     p.add_argument("name", choices=["quaternion", "skeletal-string", "zero"])
     p.add_argument("--v", default="0", help="quaternion parameter, e.g. '1+2i+3j+5k'")
     p.add_argument("--lie", default="so3", help="catalog Lie algebra name")
@@ -261,18 +261,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n1", type=int, default=0)
     p.set_defaults(func=cmd_example)
 
-    p = sub.add_parser("random", parents=[common], help="write a seeded random algebra")
+    p = sub.add_parser("random", parents=[out], help="write a seeded random algebra")
+    p.add_argument("--seed", type=int, default=0, help="seed for random generation")
     p.add_argument("--algebras", help="comma-separated catalog names")
     p.add_argument("--reps", help="comma-separated representation names")
     p.add_argument("--max-u", type=int, default=None)
     p.set_defaults(func=cmd_random)
 
-    p = sub.add_parser("compose", parents=[common], help="compose two morphism documents")
+    p = sub.add_parser("compose", parents=[out], help="compose two morphism documents")
     p.add_argument("first")
     p.add_argument("second")
     p.set_defaults(func=cmd_compose)
 
-    p = sub.add_parser("transport", parents=[common], help="push structure through a graded isomorphism")
+    p = sub.add_parser("transport", parents=[out, quiet],
+                       help="push structure through a graded isomorphism")
     p.add_argument("algebra")
     p.add_argument("maps", help="transport document (phi0, phi1, Phi)")
     p.add_argument("--out-morphism", help="write the connecting morphism here")

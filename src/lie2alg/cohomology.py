@@ -56,14 +56,14 @@ from .core import (
     _ivec,
     _jacobi_parts,
     _mixed_jacobi_parts,
-    _neg,
+    _pair_violations,
     _scale,
     _scale_arg,
     _scale_columns,
     _scale_tensor,
     _unscale,
     perm_sign,
-    tensor3,
+    tensor,
 )
 
 
@@ -87,12 +87,10 @@ class LieAlgebra:
     sc: Tensor3
 
     def __post_init__(self):
-        object.__setattr__(self, "sc", tensor3(self.sc, (self.dim, self.dim, self.dim)))
+        object.__setattr__(self, "sc", tensor(self.sc, (self.dim, self.dim, self.dim)))
         sc = self._scaled
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                if sc[i][j] != _neg(sc[j][i]):
-                    raise ValueError(f"structure constants not antisymmetric at ({i}, {j})")
+        for pair in _pair_violations(sc):
+            raise ValueError(f"structure constants not antisymmetric at {pair}")
         for (i, j, k) in combinations(range(self.dim), 3):
             if any(_isum(self.dim, _jacobi_parts(sc, i, j, k))[0]):
                 raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")

@@ -100,37 +100,27 @@ Tensor3 = tuple[tuple[Vec, ...], ...]
 Tensor4 = tuple[tuple[tuple[Vec, ...], ...], ...]
 
 
-def tensor3(data, shape: tuple[int, int, int]) -> Tensor3:
-    a, b, c = shape
-    data = tuple(tuple(vec(row) for row in plane) for plane in data)
-    if len(data) != a or any(len(p) != b for p in data) or any(
-        len(r) != c for p in data for r in p
-    ):
-        raise ValueError(f"tensor shape mismatch, expected {shape}")
-    return data
+def tensor(data, shape: tuple[int, ...]):
+    """``data`` as nested tuples of `Fraction` vectors, ``len(shape)``
+    indices deep; ValueError naming ``shape`` unless it has that shape."""
+    build = vec
+    for _ in shape[1:]:
+        build = lambda node, inner=build: tuple([inner(x) for x in node])
+    out = build(data)
+    nodes = [out]
+    for depth, n in enumerate(shape, 1):
+        if any(len(x) != n for x in nodes):
+            raise ValueError(f"tensor shape mismatch, expected {shape}")
+        if depth < len(shape):
+            nodes = [x for node in nodes for x in node]
+    return out
 
 
-def tensor4(data, shape: tuple[int, int, int, int]) -> Tensor4:
-    a, b, c, dd = shape
-    data = tuple(tuple(tuple(vec(row) for row in plane) for plane in block) for block in data)
-    if (
-        len(data) != a
-        or any(len(bk) != b for bk in data)
-        or any(len(p) != c for bk in data for p in bk)
-        or any(len(r) != dd for bk in data for p in bk for r in p)
-    ):
-        raise ValueError(f"tensor shape mismatch, expected {shape}")
-    return data
-
-
-def zero_tensor3(shape: tuple[int, int, int]) -> Tensor3:
-    a, b, c = shape
-    return tuple(tuple(vec_zero(c) for _ in range(b)) for _ in range(a))
-
-
-def zero_tensor4(shape: tuple[int, int, int, int]) -> Tensor4:
-    a, b, c, dd = shape
-    return tuple(tuple(tuple(vec_zero(dd) for _ in range(c)) for _ in range(b)) for _ in range(a))
+def zero_tensor(shape: tuple[int, ...]):
+    out = vec_zero(shape[-1])
+    for n in reversed(shape[:-1]):
+        out = (out,) * n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,9 +142,9 @@ class TwoTermAlgebra:
         if d.rows != self.n0 or d.cols != self.n1:
             raise ValueError(f"d must be {self.n0}x{self.n1}")
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b00", tensor3(self.b00, (self.n0, self.n0, self.n0)))
-        object.__setattr__(self, "b01", tensor3(self.b01, (self.n0, self.n1, self.n1)))
-        object.__setattr__(self, "jac", tensor4(self.jac, (self.n0, self.n0, self.n0, self.n1)))
+        object.__setattr__(self, "b00", tensor(self.b00, (self.n0, self.n0, self.n0)))
+        object.__setattr__(self, "b01", tensor(self.b01, (self.n0, self.n1, self.n1)))
+        object.__setattr__(self, "jac", tensor(self.jac, (self.n0, self.n0, self.n0, self.n1)))
 
     @cached_property
     def _scaled(self) -> "_Scaled":
@@ -185,9 +175,9 @@ class TwoTermAlgebra:
             n0,
             n1,
             Matrix.zero(n0, n1),
-            zero_tensor3((n0, n0, n0)),
-            zero_tensor3((n0, n1, n1)),
-            zero_tensor4((n0, n0, n0, n1)),
+            zero_tensor((n0, n0, n0)),
+            zero_tensor((n0, n1, n1)),
+            zero_tensor((n0, n0, n0, n1)),
         )
 
 
@@ -547,14 +537,18 @@ def _rational_text(x: Fraction) -> str:
 def structure_violations(L: TwoTermAlgebra) -> tuple[str, ...]:
     """Antisymmetry of b00 in its two slots and of jac in its three slots."""
     S = L._scaled
-    errors = []
-    for i in range(L.n0):
-        for j in range(i, L.n0):
-            if S.b00[i][j] != _neg(S.b00[j][i]):
-                errors.append(f"b00 antisymmetry violated at ({i}, {j})")
-    for idx in _jac_violations(L.n0, S.jac):
-        errors.append(f"jac antisymmetry violated at {idx}")
-    return tuple(errors)
+    return (*(f"b00 antisymmetry violated at {p}" for p in _pair_violations(S.b00)),
+            *(f"jac antisymmetry violated at {idx}" for idx in _jac_violations(L.n0, S.jac)))
+
+
+def _pair_violations(t) -> Iterator[tuple[int, int]]:
+    """The pairs i <= j, in lexicographic order, where the scaled 2-tensor
+    ``t`` has t[i][j] != -t[j][i]: the one antisymmetry scan of b00, of
+    structure constants and of morphism corrections."""
+    for i in range(len(t)):
+        for j in range(i, len(t)):
+            if t[i][j] != _neg(t[j][i]):
+                yield i, j
 
 
 def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:

@@ -13,6 +13,10 @@ Document kinds:
 * ``morphism``  : source/target (inline algebra or file path), phi0/phi1/Phi;
 * ``maps``      : chi/fU/tV matrices for isomorphism certification;
 * ``transport`` : phi0/phi1/Phi for structure transport.
+
+Matrices and tensors travel as nested lists of rational strings.  A shape
+error names the index path of the offending list and the length expected
+there (for example ``jac[0][1][2]: expected length 3``).
 """
 
 from __future__ import annotations
@@ -50,55 +54,26 @@ def parse_rational(text, where: str) -> Fraction:
     return Fraction(_int_text(num), d)
 
 
-def _matrix_to_lists(m: Matrix) -> list:
-    return [[format_rational(e) for e in m.row(i)] for i in range(m.rows)]
+def _to_lists(t, depth: int) -> list:
+    """Nested lists of canonical rational strings for a tensor whose
+    entries sit ``depth`` indices deep (a matrix is its rows, depth 2)."""
+    if depth == 1:
+        return [format_rational(e) for e in t]
+    return [_to_lists(sub, depth - 1) for sub in t]
+
+
+def _parse_tensor(data, shape: tuple[int, ...], where: str):
+    """Nested tuples of the rationals in ``data``, which must be nested lists
+    of lengths ``shape``; an error names the index path below ``where``."""
+    if not isinstance(data, list) or len(data) != shape[0]:
+        raise DocumentError(f"{where}: expected length {shape[0]}")
+    if len(shape) == 1:
+        return tuple([parse_rational(e, f"{where}[{k}]") for k, e in enumerate(data)])
+    return tuple([_parse_tensor(sub, shape[1:], f"{where}[{i}]") for i, sub in enumerate(data)])
 
 
 def _parse_matrix(data, rows: int, cols: int, where: str) -> Matrix:
-    if not isinstance(data, list) or len(data) != rows:
-        raise DocumentError(f"{where}: expected {rows} rows")
-    out = []
-    for i, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
-            raise DocumentError(f"{where}[{i}]: expected {cols} entries")
-        out.append([parse_rational(e, f"{where}[{i}][{j}]") for j, e in enumerate(row)])
-    return Matrix.from_rows(out, cols=cols)
-
-
-def _tensor3_to_lists(t) -> list:
-    return [[[format_rational(e) for e in row] for row in plane] for plane in t]
-
-
-def _parse_tensor3(data, shape, where: str):
-    a, b, c = shape
-    if not isinstance(data, list) or len(data) != a:
-        raise DocumentError(f"{where}: expected outer length {a}")
-    out = []
-    for i, plane in enumerate(data):
-        if not isinstance(plane, list) or len(plane) != b:
-            raise DocumentError(f"{where}[{i}]: expected length {b}")
-        rows = []
-        for j, row in enumerate(plane):
-            if not isinstance(row, list) or len(row) != c:
-                raise DocumentError(f"{where}[{i}][{j}]: expected length {c}")
-            rows.append(tuple(parse_rational(e, f"{where}[{i}][{j}][{k}]")
-                              for k, e in enumerate(row)))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def _tensor4_to_lists(t) -> list:
-    return [[[[format_rational(e) for e in row] for row in plane]
-             for plane in block] for block in t]
-
-
-def _parse_tensor4(data, shape, where: str):
-    a = shape[0]
-    if not isinstance(data, list) or len(data) != a:
-        raise DocumentError(f"{where}: expected outer length {a}")
-    return tuple(
-        _parse_tensor3(block, shape[1:], f"{where}[{i}]") for i, block in enumerate(data)
-    )
+    return Matrix.from_rows(_parse_tensor(data, (rows, cols), where), cols=cols)
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +90,10 @@ def algebra_to_document(L: TwoTermAlgebra, name: str | None = None,
         doc["provenance"] = provenance
     doc["n0"] = L.n0
     doc["n1"] = L.n1
-    doc["d"] = _matrix_to_lists(L.d)
-    doc["b00"] = _tensor3_to_lists(L.b00)
-    doc["b01"] = _tensor3_to_lists(L.b01)
-    doc["jac"] = _tensor4_to_lists(L.jac)
+    doc["d"] = _to_lists(L.d.to_rows(), 2)
+    doc["b00"] = _to_lists(L.b00, 3)
+    doc["b01"] = _to_lists(L.b01, 3)
+    doc["jac"] = _to_lists(L.jac, 4)
     return doc
 
 
@@ -150,9 +125,9 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
     d = _parse_matrix(doc["d"], n0, n1, "d")
-    b00 = _parse_tensor3(doc["b00"], (n0, n0, n0), "b00")
-    b01 = _parse_tensor3(doc["b01"], (n0, n1, n1), "b01")
-    jac = _parse_tensor4(doc["jac"], (n0, n0, n0, n1), "jac")
+    b00 = _parse_tensor(doc["b00"], (n0, n0, n0), "b00")
+    b01 = _parse_tensor(doc["b01"], (n0, n1, n1), "b01")
+    jac = _parse_tensor(doc["jac"], (n0, n0, n0, n1), "jac")
     L = TwoTermAlgebra(n0, n1, d, b00, b01, jac)
     violations = structure_violations(L)
     if violations:
@@ -170,9 +145,9 @@ def morphism_to_document(m: Morphism, source_path: str | None = None,
     doc = {"format_version": FORMAT_VERSION, "kind": "morphism"}
     doc["source"] = algebra_to_document(m.source) if source_path is None else source_path
     doc["target"] = algebra_to_document(m.target) if target_path is None else target_path
-    doc["phi0"] = _matrix_to_lists(m.phi0)
-    doc["phi1"] = _matrix_to_lists(m.phi1)
-    doc["Phi"] = _tensor3_to_lists(m.Phi)
+    doc["phi0"] = _to_lists(m.phi0.to_rows(), 2)
+    doc["phi1"] = _to_lists(m.phi1.to_rows(), 2)
+    doc["Phi"] = _to_lists(m.Phi, 3)
     return doc
 
 
@@ -191,7 +166,7 @@ def morphism_from_document(doc: dict, base_dir: str = ".") -> Morphism:
     target = _resolve_algebra_ref(doc.get("target"), base_dir, "target")
     phi0 = _parse_matrix(doc.get("phi0"), target.n0, source.n0, "phi0")
     phi1 = _parse_matrix(doc.get("phi1"), target.n1, source.n1, "phi1")
-    Phi = _parse_tensor3(doc.get("Phi"), (source.n0, source.n0, target.n1), "Phi")
+    Phi = _parse_tensor(doc.get("Phi"), (source.n0, source.n0, target.n1), "Phi")
     return Morphism(source, target, phi0, phi1, Phi)
 
 
@@ -204,9 +179,9 @@ def maps_to_document(chi: Matrix, f_u: Matrix, t_v: Matrix) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "maps",
-        "chi": _matrix_to_lists(chi),
-        "fU": _matrix_to_lists(f_u),
-        "tV": _matrix_to_lists(t_v),
+        "chi": _to_lists(chi.to_rows(), 2),
+        "fU": _to_lists(f_u.to_rows(), 2),
+        "tV": _to_lists(t_v.to_rows(), 2),
     }
 
 
@@ -229,9 +204,9 @@ def transport_to_document(phi0: Matrix, phi1: Matrix, Phi) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "transport",
-        "phi0": _matrix_to_lists(phi0),
-        "phi1": _matrix_to_lists(phi1),
-        "Phi": _tensor3_to_lists(Phi),
+        "phi0": _to_lists(phi0.to_rows(), 2),
+        "phi1": _to_lists(phi1.to_rows(), 2),
+        "Phi": _to_lists(Phi, 3),
     }
 
 
@@ -239,7 +214,7 @@ def transport_from_document(doc: dict, L: TwoTermAlgebra):
     _check_header(doc, "transport")
     phi0 = _parse_matrix(doc.get("phi0"), L.n0, L.n0, "phi0")
     phi1 = _parse_matrix(doc.get("phi1"), L.n1, L.n1, "phi1")
-    Phi = _parse_tensor3(doc.get("Phi"), (L.n0, L.n0, L.n1), "Phi")
+    Phi = _parse_tensor(doc.get("Phi"), (L.n0, L.n0, L.n1), "Phi")
     return phi0, phi1, Phi
 
 

@@ -31,13 +31,13 @@ from .core import (
     _first_failure,
     _ivec,
     _keep_scaled,
-    _neg,
+    _pair_violations,
     _scale_columns,
     _scale_tensor,
     _unscale_tensor,
     shuffles,
-    tensor3,
-    zero_tensor3,
+    tensor,
+    zero_tensor,
 )
 
 EQ_CHAIN_MAP = "chain-map"                    # phi(d(v)) = d'(phi(v))
@@ -72,7 +72,7 @@ class Morphism:
         object.__setattr__(
             self,
             "Phi",
-            tensor3(self.Phi, (self.source.n0, self.source.n0, self.target.n1)),
+            tensor(self.Phi, (self.source.n0, self.source.n0, self.target.n1)),
         )
 
     @cached_property
@@ -88,7 +88,7 @@ def identity_morphism(L: TwoTermAlgebra) -> Morphism:
         L,
         Matrix.identity(L.n0),
         Matrix.identity(L.n1),
-        zero_tensor3((L.n0, L.n0, L.n1)),
+        zero_tensor((L.n0, L.n0, L.n1)),
     )
 
 
@@ -103,10 +103,7 @@ def verify_morphism(m: Morphism) -> VerificationReport:
     """
     src, tgt = m.source, m.target
     u0, w1, Phi = m._scaled   # phi(e_i), phi(f_j), Phi(e_i, e_j)
-    structure = tuple(
-        f"Phi antisymmetry violated at ({i}, {j})"
-        for i in range(src.n0) for j in range(i, src.n0) if Phi[i][j] != _neg(Phi[j][i])
-    )
+    structure = tuple(f"Phi antisymmetry violated at {p}" for p in _pair_violations(Phi))
     if structure:
         return VerificationReport(MORPHISM_EQUATIONS, structure, ())
 

@@ -52,7 +52,7 @@ from lie2alg.builders import (
     random_invertible,
 )
 from lie2alg.cli import main
-from lie2alg.core import zero_tensor3
+from lie2alg.core import zero_tensor
 from lie2alg.documents import (
     algebra_from_document,
     algebra_to_document,
@@ -260,7 +260,7 @@ def test_criterion_10_decomposition_independence(corpus_100):
             [[int(order1[j] == i) for j in range(L.n1)] for i in range(L.n1)],
             cols=L.n1,
         )
-        permuted, mover = transport(L, p0, p1, zero_tensor3((L.n0, L.n0, L.n1)))
+        permuted, mover = transport(L, p0, p1, zero_tensor((L.n0, L.n0, L.n1)))
         res_a = normal_form(L)
         res_b = normal_form(permuted)
         bridge = compose(compose(inverse(res_a.morphism), mover), res_b.morphism)

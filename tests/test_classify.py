@@ -40,7 +40,7 @@ from lie2alg import (
 )
 from lie2alg import classify, core
 from lie2alg.builders import random_antisymmetric_correction, random_invertible
-from lie2alg.core import zero_tensor3
+from lie2alg.core import zero_tensor
 from lie2alg.linalg import is_zero_vec
 
 F = Fraction
@@ -76,7 +76,7 @@ class TestDecompose:
         # d = identity: everything is transported, nothing is a Lie part
         L = TwoTermAlgebra(
             2, 2, Matrix.identity(2),
-            zero_tensor3((2, 2, 2)), zero_tensor3((2, 2, 2)),
+            zero_tensor((2, 2, 2)), zero_tensor((2, 2, 2)),
             [[[[0, 0]] * 2] * 2] * 2,
         )
         assert verify(L).passed
@@ -148,7 +148,7 @@ class TestExtractTriple:
     def test_abelian_zero(self):
         L = TwoTermAlgebra.zero(3, 2)
         q = extract_triple(L, decompose(L))
-        assert q.g.sc == zero_tensor3((3, 3, 3))
+        assert q.g.sc == zero_tensor((3, 3, 3))
         assert q.dim_u == 0
         assert q.jtilde.is_zero()
 
@@ -165,7 +165,7 @@ class TestTransport:
     def test_identity_is_noop(self):
         L = quaternion_example(V)
         out, mor = transport(
-            L, Matrix.identity(4), Matrix.identity(4), zero_tensor3((4, 4, 4))
+            L, Matrix.identity(4), Matrix.identity(4), zero_tensor((4, 4, 4))
         )
         assert out == L
         assert verify_morphism(mor).passed
@@ -191,7 +191,20 @@ class TestTransport:
     def test_singular_rejected(self):
         L = quaternion_example("0")
         with pytest.raises(InvertibilityError):
-            transport(L, Matrix.zero(4, 4), Matrix.identity(4), zero_tensor3((4, 4, 4)))
+            transport(L, Matrix.zero(4, 4), Matrix.identity(4), zero_tensor((4, 4, 4)))
+
+    @pytest.mark.parametrize("pair, where", [((0, 1), (0, 1)), ((2, 2), (2, 2)),
+                                             ((3, 1), (1, 3))])
+    def test_non_antisymmetric_correction_named(self, pair, where):
+        # the correction is checked before anything is built from it, so the
+        # error names it rather than a failing equation of the output
+        L = quaternion_example(V)
+        corr = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        i, j = pair
+        corr[i][j] = [0, 1, 0, 0]
+        with pytest.raises(ValueError) as info:
+            transport(L, Matrix.identity(4), Matrix.identity(4), corr)
+        assert str(info.value) == f"correction antisymmetry violated at {where}"
 
 
 class TestNormalForm:
@@ -398,7 +411,7 @@ class TestExtractQuadrupleMaps:
 
         L = skeletal_string(so3(), 1)
         squash = Morphism(
-            L, L, Matrix.zero(3, 3), Matrix.zero(1, 1), zero_tensor3((3, 3, 1))
+            L, L, Matrix.zero(3, 3), Matrix.zero(1, 1), zero_tensor((3, 3, 1))
         )
         with pytest.raises(RuntimeError):
             extract_quadruple_maps(squash)
@@ -421,7 +434,7 @@ class TestDecompositionIndependence:
             rng.shuffle(order1)
             p0 = permutation_matrix(tuple(order0))
             p1 = permutation_matrix(tuple(order1))
-            permuted, mover = transport(L, p0, p1, zero_tensor3((L.n0, L.n0, L.n1)))
+            permuted, mover = transport(L, p0, p1, zero_tensor((L.n0, L.n0, L.n1)))
             res_a = normal_form(L)
             res_b = normal_form(permuted)
             bridge = compose(

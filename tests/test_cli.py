@@ -189,12 +189,12 @@ class TestCohomology:
     @pytest.fixture()
     def so3_doc(self, tmp_path):
         from lie2alg import Matrix, so3
-        from lie2alg.core import zero_tensor3, zero_tensor4
+        from lie2alg.core import zero_tensor
 
         g = so3()
         L = TwoTermAlgebra(
             3, 0, Matrix.zero(3, 0), g.sc,
-            zero_tensor3((3, 0, 0)), zero_tensor4((3, 3, 3, 0)),
+            zero_tensor((3, 0, 0)), zero_tensor((3, 3, 3, 0)),
         )
         path = tmp_path / "so3.json"
         save_document(str(path), algebra_to_document(L, name="so3"))
@@ -358,7 +358,7 @@ class TestComposeTransport:
 
     def test_transport_identity_echoes_canonically(self, capsys, tmp_path):
         from lie2alg import Matrix
-        from lie2alg.core import zero_tensor3
+        from lie2alg.core import zero_tensor
         from lie2alg.documents import transport_to_document
 
         L = load_algebra(data("quaternion.json"))
@@ -366,7 +366,7 @@ class TestComposeTransport:
         save_document(
             str(maps),
             transport_to_document(
-                Matrix.identity(4), Matrix.identity(4), zero_tensor3((4, 4, 4))
+                Matrix.identity(4), Matrix.identity(4), zero_tensor((4, 4, 4))
             ),
         )
         out_path = tmp_path / "echo.json"
@@ -380,22 +380,22 @@ class TestComposeTransport:
         # d = [[1]] scaled by p and q, two 2500-digit numbers: the transported
         # differential p*q has about 5000 digits
         from lie2alg import Matrix, transport
-        from lie2alg.core import zero_tensor3, zero_tensor4
+        from lie2alg.core import zero_tensor
         from lie2alg.documents import transport_to_document
 
         rng = random.Random(8)
         p, q = (rng.randrange(10**2499, 10**2500) for _ in range(2))
-        A = TwoTermAlgebra(1, 1, Matrix.identity(1), zero_tensor3((1, 1, 1)),
-                           zero_tensor3((1, 1, 1)), zero_tensor4((1, 1, 1, 1)))
+        A = TwoTermAlgebra(1, 1, Matrix.identity(1), zero_tensor((1, 1, 1)),
+                           zero_tensor((1, 1, 1)), zero_tensor((1, 1, 1, 1)))
         a_path, t_path, out_path = (tmp_path / name for name in ("A.json", "T.json", "out.json"))
         save_document(str(a_path), algebra_to_document(A))
         save_document(str(t_path), transport_to_document(
-            Matrix.from_rows([[p]]), Matrix.from_rows([[Fraction(1, q)]]), zero_tensor3((1, 1, 1))))
+            Matrix.from_rows([[p]]), Matrix.from_rows([[Fraction(1, q)]]), zero_tensor((1, 1, 1))))
         code, _, err = run(capsys, "transport", str(a_path), str(t_path), "--out", str(out_path))
         assert (code, err) == (0, "")
         written = load_algebra(str(out_path))
         assert written.d == Matrix.from_rows([[p * q]])
-        assert written == transport(A, [[p]], [[Fraction(1, q)]], zero_tensor3((1, 1, 1)))[0]
+        assert written == transport(A, [[p]], [[Fraction(1, q)]], zero_tensor((1, 1, 1)))[0]
 
     def test_transport_automorphism_returns_same_algebra(self, capsys, tmp_path):
         from lie2alg import example27_automorphism
@@ -421,3 +421,126 @@ class TestComposeTransport:
         from lie2alg import verify_morphism
 
         assert verify_morphism(load_morphism(str(mor_path))).passed
+
+    def test_transport_names_a_bad_correction(self, capsys, tmp_path):
+        from lie2alg import Matrix
+        from lie2alg.documents import transport_to_document
+
+        Phi = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+        Phi[0][1] = [1, 0, 0, 0]           # Phi[1][0] should be its negative
+        maps = tmp_path / "bad_phi.json"
+        save_document(str(maps), transport_to_document(Matrix.identity(4), Matrix.identity(4),
+                                                       Phi))
+        out_path = tmp_path / "never.json"
+        code, out, err = run(capsys, "transport", data("quaternion.json"), str(maps),
+                             "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: correction antisymmetry violated at (0, 1)\n")
+        assert not out_path.exists()
+
+
+def _shape_cases():
+    """(document kind, field, index path, expected length) for a list cut
+    short at every depth of every field; the algebra is 3 + 2 dimensional."""
+    shapes = {"d": (3, 2), "b00": (3, 3, 3), "b01": (3, 2, 2), "jac": (3, 3, 3, 2),
+              "Phi": (3, 3, 2), "phi0": (3, 3)}
+    for field, shape in shapes.items():
+        kind = "transport" if field in ("Phi", "phi0") else "algebra"
+        for depth, n in enumerate(shape):
+            yield pytest.param(kind, field, (0, 1, 2)[:depth], n, id=f"{field}-depth{depth}")
+    # a maps matrix takes its shape from its first row, so only rows can be short
+    yield pytest.param("maps", "chi", (1,), 3, id="chi-depth1")
+
+
+@pytest.mark.parametrize("kind, field, path, length", _shape_cases())
+def test_shape_error_names_path_and_exits_2(capsys, tmp_path, kind, field, path, length):
+    from lie2alg import Matrix
+    from lie2alg.core import zero_tensor
+    from lie2alg.documents import (DocumentError, algebra_from_document, maps_from_document,
+                                   maps_to_document, transport_from_document,
+                                   transport_to_document)
+
+    A = TwoTermAlgebra.zero(3, 2)
+    a_path = tmp_path / "A.json"
+    save_document(str(a_path), algebra_to_document(A))
+    doc = {"algebra": algebra_to_document(A),
+           "transport": transport_to_document(Matrix.identity(3), Matrix.identity(2),
+                                              zero_tensor((3, 3, 2))),
+           "maps": maps_to_document(Matrix.identity(3), Matrix.zero(0, 0),
+                                    Matrix.identity(2))}[kind]
+    node = doc[field]
+    for i in path:
+        node = node[i]
+    node.pop()
+    where = field + "".join(f"[{i}]" for i in path)
+    message = f"{where}: expected length {length}"
+
+    parse = {"algebra": algebra_from_document,
+             "transport": lambda d: transport_from_document(d, A),
+             "maps": maps_from_document}[kind]
+    with pytest.raises(DocumentError) as info:
+        parse(doc)
+    assert str(info.value) == message
+
+    doc_path = tmp_path / "doc.json"
+    save_document(str(doc_path), doc)
+    argv = {"algebra": ("verify", str(doc_path)),
+            "transport": ("transport", str(a_path), str(doc_path)),
+            "maps": ("compare", str(a_path), str(a_path), "--maps", str(doc_path))}[kind]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+class TestOptions:
+    """Each subcommand takes only the options it reads: --out where it
+    writes a document, --seed on random, --quiet where it prints a report."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "A", "--out", "f.json"),
+        ("verify", "A", "--seed", "1"),
+        ("invariants", "A", "--out", "f.json", "--quiet"),
+        ("invariants", "A", "--quiet"),
+        ("cohomology", "A", "trivial", "1", "--out", "f.json"),
+        ("cohomology", "A", "trivial", "1", "--quiet"),
+        ("normalize", "A", "--seed", "1"),
+        ("compare", "A", "A", "--seed", "1"),
+        ("example", "zero", "--quiet"),
+        ("example", "zero", "--seed", "1"),
+        ("random", "--quiet"),
+        ("compose", "M", "M", "--quiet"),
+        ("transport", "A", "T", "--seed", "1"),
+    ], ids="_".join)
+    def test_dropped_options_exit_2(self, capsys, tmp_path, argv):
+        a_path = tmp_path / "A.json"
+        save_document(str(a_path), algebra_to_document(TwoTermAlgebra.zero(2, 0)))
+        names = {"A": str(a_path), "f.json": str(tmp_path / "f.json")}
+        with pytest.raises(SystemExit) as info:
+            main([names.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert "Traceback" not in captured.err
+        assert not (tmp_path / "f.json").exists()
+
+    @pytest.mark.parametrize("argv, attrs", [
+        (("normalize", "A", "--out", "f", "--quiet"), {"out": "f", "quiet": True}),
+        (("compare", "A", "B", "--out", "f", "--quiet"), {"out": "f", "quiet": True}),
+        (("example", "zero", "--out", "f"), {"out": "f"}),
+        (("random", "--out", "f", "--seed", "5"), {"out": "f", "seed": 5}),
+        (("compose", "M", "N", "--out", "f"), {"out": "f"}),
+        (("transport", "A", "T", "--out", "f", "--quiet"), {"out": "f", "quiet": True}),
+        (("verify", "A", "--quiet"), {"quiet": True}),
+    ])
+    def test_kept_options_parse(self, argv, attrs):
+        from lie2alg.cli import build_parser
+
+        args = vars(build_parser().parse_args(list(argv)))
+        assert {k: args[k] for k in attrs} == attrs
+
+    def test_random_seed_selects_the_algebra(self, capsys):
+        texts = []
+        for seed in ("3", "3", "4"):
+            code, out, _ = run(capsys, "random", "--seed", seed)
+            assert code == 0
+            texts.append(out)
+        assert texts[0] == texts[1] != texts[2]

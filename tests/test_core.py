@@ -31,6 +31,8 @@ from lie2alg.core import (
     _scale_tensor,
     _unscale,
     perm_sign,
+    tensor,
+    zero_tensor,
 )
 
 F = Fraction
@@ -266,6 +268,39 @@ class TestHomology:
 
     def test_zero(self):
         assert homology_dims(TwoTermAlgebra.zero(5, 0)) == (5, 0)
+
+
+class TestTensor:
+    @pytest.mark.parametrize("shape", [(2, 3, 1), (3, 0, 0), (0, 2, 2), (2, 1, 3, 2)])
+    def test_builds_fraction_tuples(self, shape):
+        data = random_tensor(random.Random(len(shape)), shape)
+        t = tensor(as_lists(data), shape)
+        assert t == data and type(t) is tuple
+        assert zero_tensor(shape) == tensor(zero_lists(shape), shape)
+
+    @pytest.mark.parametrize("shape, depth", [
+        ((2, 3, 1), 0), ((2, 3, 1), 1), ((2, 3, 1), 2),
+        ((2, 2, 2, 3), 0), ((2, 2, 2, 3), 1), ((2, 2, 2, 3), 2), ((2, 2, 2, 3), 3),
+    ])
+    def test_shape_mismatch_names_full_shape(self, shape, depth):
+        data = zero_lists(shape)
+        node = data
+        for _ in range(depth):
+            node = node[-1]
+        node.pop()
+        with pytest.raises(ValueError) as info:
+            tensor(data, shape)
+        assert str(info.value) == f"tensor shape mismatch, expected {shape}"
+
+
+def zero_lists(shape):
+    if len(shape) == 1:
+        return [0] * shape[0]
+    return [zero_lists(shape[1:]) for _ in range(shape[0])]
+
+
+def as_lists(t):
+    return [as_lists(x) for x in t] if isinstance(t, tuple) else t
 
 
 class TestPermSign:

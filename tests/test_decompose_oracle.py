@@ -30,7 +30,7 @@ from lie2alg import (
     verify,
 )
 from lie2alg.builders import RandomProfile
-from lie2alg.core import zero_tensor3
+from lie2alg.core import zero_tensor
 
 
 def oracle_decompose(L):
@@ -61,7 +61,7 @@ def assert_same_decomposition(L):
 
 def abelian_with_differential(d: Matrix) -> TwoTermAlgebra:
     n0, n1 = d.rows, d.cols
-    return TwoTermAlgebra(n0, n1, d, zero_tensor3((n0, n0, n0)), zero_tensor3((n0, n1, n1)),
+    return TwoTermAlgebra(n0, n1, d, zero_tensor((n0, n0, n0)), zero_tensor((n0, n1, n1)),
                           [[[[0] * n1] * n0] * n0] * n0)
 
 

@@ -15,7 +15,7 @@ from lie2alg import (
     random_algebra,
     verify_morphism,
 )
-from lie2alg.core import zero_tensor3
+from lie2alg.core import zero_tensor
 from lie2alg.morphisms import EQ_JACOBIATOR_COMPAT
 
 F = Fraction
@@ -38,7 +38,7 @@ class TestVerifyMorphism:
         # in the Jacobiator compatibility equation
         m = example27_automorphism(V)
         stripped = Morphism(
-            m.source, m.target, m.phi0, m.phi1, zero_tensor3((4, 4, 4))
+            m.source, m.target, m.phi0, m.phi1, zero_tensor((4, 4, 4))
         )
         report = verify_morphism(stripped)
         assert not report.passed
@@ -56,7 +56,7 @@ class TestVerifyMorphism:
         L = quaternion_example("0")
         Z = TwoTermAlgebra.zero(2, 2)
         with pytest.raises(ValueError):
-            Morphism(L, Z, Matrix.identity(4), Matrix.identity(4), zero_tensor3((4, 4, 4)))
+            Morphism(L, Z, Matrix.identity(4), Matrix.identity(4), zero_tensor((4, 4, 4)))
 
 
 class TestCompose:
@@ -124,7 +124,7 @@ class TestInverse:
 
     def test_zero_map_not_invertible(self):
         L = quaternion_example("0")
-        m = Morphism(L, L, Matrix.zero(4, 4), Matrix.zero(4, 4), zero_tensor3((4, 4, 4)))
+        m = Morphism(L, L, Matrix.zero(4, 4), Matrix.zero(4, 4), zero_tensor((4, 4, 4)))
         assert inverse(m) is None
         assert not is_isomorphism(m)
 

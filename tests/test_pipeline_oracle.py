@@ -47,7 +47,7 @@ from lie2alg import (
     verify_morphism,
 )
 from lie2alg.builders import random_antisymmetric_correction, random_invertible
-from lie2alg.core import _reduce, _scale, perm_sign, shuffles, tensor3
+from lie2alg.core import _reduce, _scale, perm_sign, shuffles, tensor
 from lie2alg.linalg import ZERO, invert, vec_add, vec_sub, vec_zero
 from test_core import brute_force_contract
 
@@ -71,7 +71,7 @@ def contract(tensor, *vectors, n):
 def oracle_transport(L, phi0, phi1, corr):
     """The transported algebra and morphism, neither verified."""
     n0, n1 = L.n0, L.n1
-    corr = tensor3(corr, (n0, n0, n1))
+    corr = tensor(corr, (n0, n0, n1))
     inv0, inv1 = invert(phi0), invert(phi1)
     x_cols = [inv0.column(a) for a in range(n0)]
     v_cols = [inv1.column(b) for b in range(n1)]
@@ -175,7 +175,7 @@ def oracle_normal_form_correction(L, dec):
         value = dec.coords1.apply(s)[:kdim] + dec.coords0.apply(L.b00[i][j])[gdim:]
         phi[i][j] = list(value)
         phi[j][i] = [-c for c in value]
-    return tensor3(phi, (n0, n0, n1))
+    return tensor(phi, (n0, n0, n1))
 
 
 def oracle_compose(first, second):
