@@ -321,14 +321,11 @@ def example27_automorphism(v) -> Morphism:
     c_jk = qre(qmul(v, qsub(qj, qk)))
     c_ki = qre(qmul(v, qsub(qk, qi)))
 
-    Phi = [[list(vec_zero(4)) for _ in range(4)] for _ in range(4)]
-    for (a, b, value) in (
-        (1, 2, (ZERO, ZERO, ZERO, c_ij)),   # Phi(i ^ j) = Re(v(i-j)) k
-        (2, 3, (ZERO, c_jk, ZERO, ZERO)),   # Phi(j ^ k) = Re(v(j-k)) i
-        (3, 1, (ZERO, ZERO, c_ki, ZERO)),   # Phi(k ^ i) = Re(v(k-i)) j
-    ):
-        Phi[a][b] = list(value)
-        Phi[b][a] = [-x for x in value]
+    Phi = _unscale_tensor(_alternating(4, 2, {
+        (1, 2): _scale((ZERO, ZERO, ZERO, c_ij)),    # Phi(i ^ j) = Re(v(i-j)) k
+        (2, 3): _scale((ZERO, c_jk, ZERO, ZERO)),    # Phi(j ^ k) = Re(v(j-k)) i
+        (1, 3): _scale((ZERO, ZERO, -c_ki, ZERO)),   # Phi(i ^ k) = -Re(v(k-i)) j
+    }), 2, 4)
 
     return Morphism(L, L, phi, phi, Phi)
 

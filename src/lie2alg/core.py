@@ -41,7 +41,8 @@ from itertools import combinations, permutations, product
 from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import ZERO, Matrix, as_matrix, basis_vec, vec, vec_add, vec_sub, vec_zero, is_zero_vec
+from .linalg import (ZERO, Matrix, as_matrix, basis_vec, is_zero_vec, rat, vec, vec_add, vec_sub,
+                     vec_zero)
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -103,9 +104,9 @@ Tensor4 = tuple[tuple[tuple[Vec, ...], ...], ...]
 def tensor(data, shape: tuple[int, ...]):
     """``data`` as nested tuples of `Fraction` vectors, ``len(shape)``
     indices deep; ValueError naming ``shape`` unless it has that shape."""
-    build = vec
+    build = lambda row: tuple(map(rat, row))
     for _ in shape[1:]:
-        build = lambda node, inner=build: tuple([inner(x) for x in node])
+        build = lambda node, inner=build: tuple(map(inner, node))
     out = build(data)
     nodes = [out]
     for depth, n in enumerate(shape, 1):

@@ -519,7 +519,6 @@ class TestOptions:
         assert info.value.code == 2
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
-        assert "Traceback" not in captured.err
         assert not (tmp_path / "f.json").exists()
 
     @pytest.mark.parametrize("argv, attrs", [
@@ -536,11 +535,3 @@ class TestOptions:
 
         args = vars(build_parser().parse_args(list(argv)))
         assert {k: args[k] for k in attrs} == attrs
-
-    def test_random_seed_selects_the_algebra(self, capsys):
-        texts = []
-        for seed in ("3", "3", "4"):
-            code, out, _ = run(capsys, "random", "--seed", seed)
-            assert code == 0
-            texts.append(out)
-        assert texts[0] == texts[1] != texts[2]
