@@ -230,7 +230,7 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
     d = tuple((((gdim + j - v, 1),), 1) if j >= v else zero for j in range(n1))
     b00 = _alternating(n0, 2, {(i, j): _scale(q.g.sc[i][j])
                                for i, j in combinations(range(gdim), 2)})
-    b01 = tuple(tuple(_scale(q.rep.rho[i].column(jv)) if i < gdim and jv < v else zero
+    b01 = tuple(tuple(q.rep.rho[i]._columns[jv] if i < gdim and jv < v else zero
                       for jv in range(n1)) for i in range(n0))
     jac = _alternating(n0, 3, {key: _scale(q.jtilde.values[key])
                                for key in combinations(range(gdim), 3)})

@@ -18,7 +18,8 @@ already, so verifying them converts nothing.
 Results that are functions of an algebra are kept per algebra object, in
 its private ``_store``: ``verify`` keeps its report, the quadruple (one
 ``decompose`` and one ``extract_triple``) is shared by ``normal_form``,
-``invariants`` and ``skeleton``, and ``normal_form`` keeps its target
+``invariants`` and ``skeleton``, its decomposition is kept until the
+normal form is built from it, and ``normal_form`` keeps its target
 algebra and the maps of its isomorphism, verified once.  A value is stored
 only on the argument of the call that computed it and never refers back to
 that algebra, so an algebra built by the pipeline (a normal form, say) is
@@ -31,7 +32,7 @@ the module certifies user-supplied maps and refutes via invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
@@ -57,7 +58,6 @@ from .core import (
     _keep_scaled,
     _pair_violations,
     _scale,
-    _scale_columns,
     _scale_tensor,
     _unscale,
     _unscale_tensor,
@@ -79,7 +79,6 @@ from .cohomology import (
     LieMorphismError,
     Quadruple,
     Representation,
-    cohomologous,
     cohomology_dim,
     delta,
     is_coboundary,
@@ -110,10 +109,11 @@ class Decomposition:
     coordinates (g then image; kernel then U).  ``f == coords1`` maps degree 1
     to (kernel, image-of-d) coordinates: the identity on the kernel and d on U.
     ``h`` sends x in degree 0 to the unique element of U whose image under d
-    is the image-part of x; it vanishes on the g part.
+    is the image-part of x; it vanishes on the g part.  ``source`` is None
+    on the decomposition an algebra keeps for its normal form.
     """
 
-    source: TwoTermAlgebra
+    source: TwoTermAlgebra | None
     g_basis: Subspace
     imd_basis: Subspace
     kerd_basis: Subspace
@@ -128,10 +128,11 @@ class Decomposition:
         """(g basis, kernel basis, g coordinates, kernel coordinates, h) in
         scaled form, built on first use: what ``extract_triple`` and
         ``normal_form`` contract with."""
+        g, k = self.g_basis.dim, self.kerd_basis.dim
         return (_scale_tensor(self.g_basis.basis, 1), _scale_tensor(self.kerd_basis.basis, 1),
-                _scale_columns(self.coords0, range(self.g_basis.dim)),
-                _scale_columns(self.coords1, range(self.kerd_basis.dim)),
-                _scale_columns(self.h))
+                self.coords0.submatrix(range(g), range(self.coords0.cols))._columns,
+                self.coords1.submatrix(range(k), range(self.coords1.cols))._columns,
+                self.h._columns)
 
 
 def decompose(L: TwoTermAlgebra) -> Decomposition:
@@ -242,8 +243,8 @@ def transport(
 
     n0, n1 = L.n0, L.n1
     S = L._scaled
-    P0, P1 = _scale_columns(phi0), _scale_columns(phi1)
-    X, V = _scale_columns(inv0), _scale_columns(inv1)   # preimages of target bases
+    P0, P1 = phi0._columns, phi1._columns
+    X, V = inv0._columns, inv1._columns   # preimages of target bases
 
     dv = [_ivec(n0, ((1, S.d, (v,)),)) for v in V]
     d_new = tuple(_ivec(n0, ((1, P0, (w,)),)) for w in dv)
@@ -307,6 +308,7 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     store = L._store
     if "normal_form" not in store:
         store["normal_form"] = _normal_form(L)
+        del store["decomposition"]   # read by _normal_form alone
     target, q, phi0, phi1, Phi, scaled = store["normal_form"]
     return NormalFormResult(target, _keep_scaled(Morphism(L, target, phi0, phi1, Phi), scaled), q)
 
@@ -314,8 +316,8 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
 def _normal_form(L: TwoTermAlgebra) -> tuple:
     """(target, quadruple, phi0, phi1, Phi, their scaled form) of the normal
     form of L: nothing that refers back to L, so that it can be kept on L."""
-    dec = decompose(L)
-    q = _quadruple(L, dec)
+    q = _quadruple(L)
+    dec = L._store["decomposition"]
     target = normal_form_algebra(q)
 
     gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
@@ -323,9 +325,9 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
     S = L._scaled
     G, _, g_coords, k_coords, h = dec._scaled
     g_std = [_ivec(n0, ((1, G, (c,)),)) for c in g_coords]   # the g part of e_i
-    # U coordinates in degree 0, placed after the kdim kernel coordinates of
-    # degree 1 (as in the normal form, V = ker d comes first)
-    u = _scale_columns(dec.coords0, range(gdim, n0), offset=kdim)
+    # the U coordinates of degree 0 (coords0 past g) under kdim zero rows: in
+    # degree 1 of the normal form, V = ker d comes first
+    u = Matrix.zero(kdim, n0).vstack(dec.coords0.submatrix(range(gdim, n0), range(n0)))._columns
 
     Phi = {}
     for i, j in combinations(range(n0), 2):
@@ -334,19 +336,21 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
         Phi[i, j] = _ivec(n1, ((1, k_coords, (s,)), (1, u, (S.b00[i][j],))))
     Phi = _alternating(n0, 2, Phi)
     mor = _keep_scaled(Morphism(L, target, dec.coords0, dec.f, _unscale_tensor(Phi, 2, n1)),
-                       (_scale_columns(dec.coords0), _scale_columns(dec.f), Phi))
+                       (dec.coords0._columns, dec.f._columns, Phi))
     report = verify_morphism(mor)
     if not report.passed or not is_isomorphism(mor):
         raise RuntimeError(f"normalizing morphism failed verification: {report.lines()}")
     return target, q, mor.phi0, mor.phi1, mor.Phi, mor._scaled
 
 
-def _quadruple(L: TwoTermAlgebra, dec: Decomposition | None = None) -> Quadruple:
-    """The quadruple of L, extracted once per algebra object (from ``dec``
-    when given) and kept on it."""
+def _quadruple(L: TwoTermAlgebra) -> Quadruple:
+    """The quadruple of L, extracted once per algebra object and kept on it,
+    next to its decomposition (without source) until the normal form."""
     store = L._store
     if "quadruple" not in store:
-        store["quadruple"] = extract_triple(L, dec or decompose(L))
+        dec = decompose(L)
+        store["quadruple"] = extract_triple(L, dec)
+        store["decomposition"] = _keep_scaled(replace(dec, source=None), dec._scaled)
     return store["quadruple"]
 
 
@@ -553,7 +557,7 @@ def certify_isomorphism(
     if not is_intertwiner(t_v, q_l.rep, pulled):
         raise IntertwinerError("tV does not intertwine the representations over chi")
 
-    witness = cohomologous(q_l.jtilde, q_m.jtilde, chi, t_v, q_l.rep, pulled)
+    witness = is_coboundary(_transfer_difference(q_l.jtilde, q_m.jtilde, chi, t_v), pulled)
     if witness is None:
         return None
 

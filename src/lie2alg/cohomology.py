@@ -59,7 +59,6 @@ from .core import (
     _pair_violations,
     _scale,
     _scale_arg,
-    _scale_columns,
     _scale_tensor,
     _unscale,
     perm_sign,
@@ -135,7 +134,7 @@ class Representation:
         """(r, rt) in scaled form, built on first use: r[i] holds the columns
         of rho[i] and rt[l][i] is r[i][l], so that rho(x) e_l is the
         contraction of rt[l] with x."""
-        r = tuple(_scale_columns(m) for m in self.rho)
+        r = tuple(m._columns for m in self.rho)
         return r, tuple(tuple(c[l] for c in r) for l in range(self.dimV))
 
     def rho_vec(self, x) -> Matrix:
@@ -347,7 +346,7 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
 def is_lie_morphism(psi: Matrix, g: LieAlgebra, h: LieAlgebra) -> bool:
     if psi.rows != h.dim or psi.cols != g.dim:
         return False
-    u = _scale_columns(psi)
+    u = psi._columns
     return not any(any(_isum(h.dim, _bracket_defect_parts(u, g._scaled, h._scaled, i, j))[0])
                    for i, j in combinations(range(g.dim), 2))
 

@@ -13,10 +13,12 @@ stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
 validated as an explicit verifier stage.  The public tensors hold
-`Fraction`s, but every tensor contraction runs on scaled integers: each
-leaf vector of a structure tensor is kept as integer numerators over the
-lcm of its own denominators, built once per algebra or handed over by the
-code that built the algebra.  One kernel, ``_isum``, sums signed
+`Fraction`s, but every tensor contraction runs on scaled integers, the
+one exact vector form of the package (``linalg._scale``): each leaf vector
+of a structure tensor is kept as integer numerators over the lcm of its own
+denominators, built once per algebra or handed over by the code that built
+the algebra, and a `Matrix` keeps its columns in the same form, so the
+columns of ``d`` are ``d._columns``.  One kernel, ``_isum``, sums signed
 contractions of scaled tensors with scaled vectors (a basis argument is an
 index into the tensor).  The Jacobi, mixed-Jacobi (representation) and
 bracket-defect laws are written once here as such signed parts, shared by
@@ -38,11 +40,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
-from math import gcd, lcm
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import (ZERO, Matrix, as_matrix, basis_vec, is_zero_vec, rat, vec, vec_add, vec_sub,
-                     vec_zero)
+from .linalg import (Matrix, _reduce, _scale, _unscale, as_matrix, basis_vec, is_zero_vec, rat,
+                     vec, vec_add, vec_sub, vec_zero)
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -150,7 +151,7 @@ class TwoTermAlgebra:
     @cached_property
     def _scaled(self) -> "_Scaled":
         """The structure in scaled-integer form, built on first use."""
-        return _scaled_algebra(_scale_columns(self.d), _scale_tensor(self.b00, 2),
+        return _scaled_algebra(self.d._columns, _scale_tensor(self.b00, 2),
                                _scale_tensor(self.b01, 2), _scale_tensor(self.jac, 3))
 
     @cached_property
@@ -219,13 +220,7 @@ class Element:
         return is_zero_vec(self.deg0) and is_zero_vec(self.deg1)
 
 
-# -- the scaled-integer form -------------------------------------------------
-#
-# A vector x is stored as (items, den): den is the lcm of the denominators of
-# its entries and items lists (t, x[t] * den) for every nonzero x[t], in
-# increasing t.  The form is canonical, so x == y exactly when the forms are
-# equal.  A tensor in scaled form nests these pairs where its leaf vectors
-# were.
+# -- the scaled-integer form of ``linalg`` ------------------------------------
 
 
 class _Scaled(NamedTuple):
@@ -245,27 +240,6 @@ def _scaled_algebra(d, b00, b01, jac) -> _Scaled:
 
 
 _ZERO_SCALED = ((), 1)
-
-
-def _scale(v: Vec) -> tuple[tuple[tuple[int, int], ...], int]:
-    ratios = [x.as_integer_ratio() for x in v]
-    den = lcm(*[q for _, q in ratios])
-    return tuple([(t, p * (den // q)) for t, (p, q) in enumerate(ratios) if p]), den
-
-
-def _reduce(total: tuple[list[int], int]):
-    """The scaled form of an unreduced (numerators, den) pair: both divided by
-    g = gcd(den, *numerators), since the lcm over t of den / gcd(den, n_t)
-    is den / gcd(den, n_1, ..., n_k).  The zero vector comes out ((), 1)."""
-    nums, den = total
-    g = gcd(den, *nums)
-    return tuple([(t, x // g) for t, x in enumerate(nums) if x]), den // g
-
-
-def _unscale(v, n: int) -> Vec:
-    """The length-``n`` `Fraction` vector of a scaled vector."""
-    entries = dict(v[0])
-    return tuple(Fraction(entries[t], v[1]) if t in entries else ZERO for t in range(n))
 
 
 def _neg(v):
@@ -307,26 +281,19 @@ def _alternating(n: int, slots: int, values: dict):
 
 
 def _keep_scaled(obj, scaled):
-    """``obj`` (an algebra or a morphism) with ``scaled`` as its cached
-    scaled form, which must equal the one its public tensors give."""
+    """``obj`` (an algebra, a morphism or a decomposition) with ``scaled``
+    as its cached scaled form, which must equal the one its data give."""
     obj.__dict__["_scaled"] = scaled
     return obj
 
 
 def _column_matrix(columns, rows: int) -> Matrix:
-    """The `Matrix` whose columns are the scaled vectors ``columns``."""
+    """The `Matrix` whose columns are the scaled vectors ``columns``, which it
+    keeps as its scaled columns."""
     cols = [_unscale(c, rows) for c in columns]
-    return Matrix._trusted(rows, len(cols), (c[i] for i in range(rows) for c in cols))
-
-
-def _scale_columns(m: Matrix, rows: range | None = None, offset: int = 0) -> tuple:
-    """Columns of ``m`` in scaled form, a depth-1 tensor whose contraction
-    with a vector is ``m.apply``; with ``rows``, of those rows alone, their
-    coordinates counted from ``offset``."""
-    rows, c = range(m.rows) if rows is None else rows, m.cols
-    cols = [_scale(m.entries[rows.start * c + j:rows.stop * c:c]) for j in range(c)]
-    return tuple([(tuple([(t + offset, x) for t, x in v]), den) for v, den in cols]
-                 if offset else cols)
+    out = Matrix._trusted(rows, len(cols), (c[i] for i in range(rows) for c in cols))
+    out.__dict__["_columns"] = tuple(columns)
+    return out
 
 
 def _isum(n: int, parts) -> tuple[list[int], int]:
@@ -357,7 +324,7 @@ def _isum(n: int, parts) -> tuple[list[int], int]:
                 if r:
                     # gcd(acc_den, term_den) == gcd(term_den, r): a gcd of
                     # short numbers when the running denominator is long
-                    g = gcd(term_den, r)
+                    g = math.gcd(term_den, r)
                     up = term_den // g
                     acc = [x * up for x in acc]
                     q = acc_den // g

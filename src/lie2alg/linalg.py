@@ -2,21 +2,22 @@
 
 All entries are `fractions.Fraction`, so ranks, kernels and solutions are
 computed exactly and every operation is deterministic: identical inputs give
-identical outputs, bit for bit.  Dimensions here are desk scale, so the
-implementation favours clarity over asymptotics (dense storage, plain
-Gauss-Jordan elimination, no pivot-size heuristics).  Matrix products
-(``Matrix.apply`` and ``Matrix.__matmul__``) compute each output entry as
-one ``_dot``: it skips zero entries and accumulates over integer
-numerator/denominator pairs, normalizing to a reduced `Fraction` once per
-entry.  Tensor contractions do not come here: they run on the scaled
-integers of ``core``.
+identical outputs, bit for bit.  Elimination favours clarity over
+asymptotics (dense storage, plain Gauss-Jordan, no pivot-size heuristics).
+The one exact accumulation form of the package lives here too: the scaled
+vector, integer numerators over one denominator (``_scale``).  A `Matrix`
+keeps its rows and columns in that form, built on first use; ``apply`` and
+``@`` take one integer dot product per scaled row, in time proportional to
+the nonzeros, and reduce each output entry once.  Tensor contractions sum
+the same form with ``core._isum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 Rational = Fraction
@@ -70,23 +71,32 @@ def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
 
-def _dot(terms) -> Fraction:
-    """Exact sum of the products (an/ad) * (bn/bd) over ``terms``, an iterable
-    of (an, ad, bn, bd) int quadruples with positive denominators.
+# -- the scaled form: a vector x as (items, den), where den is the lcm of the
+# denominators of its entries and items lists (t, x[t] * den) for every
+# nonzero x[t], in increasing t.  The form is canonical, so x == y exactly
+# when the forms are equal.  A tensor in scaled form nests these pairs where
+# its leaf vectors were.
 
-    The sum is kept as one unreduced numerator over a common denominator and
-    turned into a `Fraction` once, at the end.
-    """
-    num, den = 0, 1
-    for an, ad, bn, bd in terms:
-        d = ad * bd
-        if d == den:
-            num += an * bn
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + an * bn * (den // g)
-            den = den // g * d
-    return Fraction(num, den) if num else ZERO
+
+def _scale(v) -> tuple[tuple[tuple[int, int], ...], int]:
+    ratios = [x.as_integer_ratio() for x in v]
+    den = lcm(*[q for _, q in ratios])
+    return tuple([(t, p * (den // q)) for t, (p, q) in enumerate(ratios) if p]), den
+
+
+def _reduce(total: tuple[list[int], int]):
+    """The scaled form of an unreduced (numerators, den) pair: both divided by
+    g = gcd(den, *numerators), since the lcm over t of den / gcd(den, n_t)
+    is den / gcd(den, n_1, ..., n_k).  The zero vector comes out ((), 1)."""
+    nums, den = total
+    g = gcd(den, *nums)
+    return tuple([(t, x // g) for t, x in enumerate(nums) if x]), den // g
+
+
+def _unscale(v, n: int) -> tuple[Fraction, ...]:
+    """The length-``n`` `Fraction` vector of a scaled vector."""
+    entries = dict(v[0])
+    return tuple(Fraction(entries[t], v[1]) if t in entries else ZERO for t in range(n))
 
 
 @dataclass(frozen=True)
@@ -191,22 +201,40 @@ class Matrix:
         return Matrix._trusted(self.rows, self.cols, (c * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [self.apply(other.column(j)) for j in range(other.cols)]
+        cols = [self._times(c) for c in other._columns]
         return Matrix._trusted(self.rows, other.cols,
                                (c[i] for i in range(self.rows) for c in cols))
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix times coordinate vector."""
-        if len(vector) != self.cols:
+        v = vec(vector)
+        if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [(k, x.numerator, x.denominator) for k, x in enumerate(vector) if x]
-        return tuple(
-            _dot((a.numerator, a.denominator, bn, bd)
-                 for k, bn, bd in v if (a := self.entries[i * self.cols + k]))
-            for i in range(self.rows)
-        )
+        return self._times(_scale(v))
+
+    def _times(self, v) -> tuple[Fraction, ...]:
+        """Matrix times the scaled vector ``v``: one integer dot product per
+        scaled row, over the product of the two denominators."""
+        x, den = [0] * self.cols, v[1]
+        for k, c in v[0]:
+            x[k] = c
+        return tuple([Fraction(s, d * den) if (s := sum([a * x[k] for k, a in items])) else ZERO
+                      for items, d in self._rows])
+
+    @cached_property
+    def _rows(self) -> tuple:
+        """The rows in scaled form, built on first use."""
+        return tuple(map(_scale, self.to_rows()))
+
+    @cached_property
+    def _columns(self) -> tuple:
+        """The columns in scaled form, built on first use: a depth-1 tensor
+        whose contraction with a vector (``core._isum``) is ``apply``."""
+        return tuple([_scale(self.entries[j::self.cols]) for j in range(self.cols)])
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.cols, self.rows,

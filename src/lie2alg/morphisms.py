@@ -32,7 +32,6 @@ from .core import (
     _ivec,
     _keep_scaled,
     _pair_violations,
-    _scale_columns,
     _scale_tensor,
     _unscale_tensor,
     shuffles,
@@ -79,7 +78,7 @@ class Morphism:
     def _scaled(self) -> tuple:
         """(columns of phi0, columns of phi1, Phi) in scaled form, built on
         first use."""
-        return _scale_columns(self.phi0), _scale_columns(self.phi1), _scale_tensor(self.Phi, 2)
+        return self.phi0._columns, self.phi1._columns, _scale_tensor(self.Phi, 2)
 
 
 def identity_morphism(L: TwoTermAlgebra) -> Morphism:
@@ -168,7 +167,7 @@ def inverse(m: Morphism) -> Morphism | None:
     inv0, inv1 = invert_or_none(m.phi0), invert_or_none(m.phi1)
     if inv0 is None or inv1 is None:
         return None
-    x, v = _scale_columns(inv0), _scale_columns(inv1)
+    x, v = inv0._columns, inv1._columns
     Phi, n0, n1 = m._scaled[2], m.target.n0, m.target.n1
     # Phi^-1(x, y) = -phi1^-1(Phi(phi0^-1 x, phi0^-1 y))
     Psi = tuple(tuple(_ivec(n1, ((-1, v, (_ivec(n1, ((1, Phi, (x[i], x[j])),)),)),))

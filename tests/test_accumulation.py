@@ -1,11 +1,13 @@
 """Reference tests for the exact accumulation kernels.
 
-``Matrix.apply`` and ``Matrix.__matmul__`` sum products over integer
-numerator/denominator pairs (``linalg._dot``), and tensor contractions sum
-scaled integer vectors (``core._isum``); here every result is checked
-against a naive sum of `Fraction` products on seeded inputs with large
-coprime denominators, denominators with shared factors, negative entries,
-sums that cancel exactly, and empty axes.
+Both run on the one scaled vector form of ``linalg`` (integer numerators
+over one denominator): ``Matrix.apply`` and ``Matrix.__matmul__`` take one
+integer dot product per scaled row of the matrix, and tensor contractions
+sum scaled vectors (``core._isum``).  Here every result is checked against
+a naive sum of `Fraction` products on seeded inputs with large coprime
+denominators, denominators with shared factors, negative entries, sums
+that cancel exactly, sparse matrices, all-zero rows and columns, and empty
+axes.
 """
 
 import itertools
@@ -34,6 +36,20 @@ def entry(rng, dens, zero_share=0.3):
 
 def entries(rng, dens, k):
     return tuple(entry(rng, dens) for _ in range(k))
+
+
+def matrices(rng, dens, rows, cols):
+    """A random rows x cols matrix, then sparse copies of it: with all-zero
+    rows, with all-zero columns, and with one nonzero entry per row."""
+    m = Matrix(rows, cols, entries(rng, dens, rows * cols))
+    zero_rows = set(rng.sample(range(rows), rows // 2))
+    zero_cols = set(rng.sample(range(cols), cols // 2))
+    keep = {i: rng.randrange(cols) for i in range(rows)} if cols else {}
+    for zero in (lambda i, j: i in zero_rows, lambda i, j: j in zero_cols,
+                 lambda i, j: keep[i] != j):
+        yield Matrix(rows, cols, (F(0) if zero(i, j) else m[i, j]
+                                  for i in range(rows) for j in range(cols)))
+    yield m
 
 
 def naive_dot(xs, ys):
@@ -78,23 +94,22 @@ class TestAgainstNaiveSums:
     def test_apply(self, kind):
         rng = random.Random(f"apply-{kind}")
         dens = DENOMINATORS[kind]
-        for _ in range(150):
-            rows, cols = rng.randint(0, 5), rng.randint(0, 5)
-            m = Matrix(rows, cols, entries(rng, dens, rows * cols))
+        shapes = [(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(150)]
+        for rows, cols in [(0, 4), (4, 0), *shapes]:
             v = entries(rng, dens, cols)
-            assert_exact(m.apply(v), tuple(naive_dot(m.row(i), v) for i in range(rows)))
+            for m in matrices(rng, dens, rows, cols):
+                assert_exact(m.apply(v), tuple(naive_dot(m.row(i), v) for i in range(rows)))
 
     def test_matmul(self, kind):
         rng = random.Random(f"matmul-{kind}")
         dens = DENOMINATORS[kind]
-        for _ in range(100):
-            r, k, c = (rng.randint(0, 4) for _ in range(3))
-            a = Matrix(r, k, entries(rng, dens, r * k))
-            b = Matrix(k, c, entries(rng, dens, k * c))
-            got = a @ b
-            want = tuple(naive_dot(a.row(i), b.column(j)) for i in range(r) for j in range(c))
-            assert (got.rows, got.cols) == (r, c)
-            assert_exact(got.entries, want)
+        shapes = [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(100)]
+        for r, k, c in [(0, 3, 2), (2, 0, 3), (2, 3, 0), *shapes]:
+            for a, b in zip(matrices(rng, dens, r, k), matrices(rng, dens, k, c)):
+                got = a @ b
+                want = tuple(naive_dot(a.row(i), b.column(j)) for i in range(r) for j in range(c))
+                assert (got.rows, got.cols) == (r, c)
+                assert_exact(got.entries, want)
 
     def test_contract(self, kind):
         rng = random.Random(f"contract-{kind}")
@@ -145,3 +160,14 @@ class TestEmptyAxes:
         m = Matrix.from_rows([[F(1, 999_983), F(-1, 1_000_003)]])
         assert_exact(m.apply((F(0), F(0))), (F(0),))
         assert_exact((Matrix.zero(2, 3) @ Matrix.zero(3, 2)).entries, (F(0),) * 4)
+
+
+def test_products_reject_floats():
+    # a float has as_integer_ratio too, so apply must coerce through vec
+    m = Matrix.from_rows([[F(1, 3), F(2)], [F(0), F(-1, 7)]])
+    with pytest.raises(TypeError):
+        m.apply((0.5, F(1)))
+    with pytest.raises(TypeError):
+        m @ 0.5
+    with pytest.raises(TypeError):
+        0.5 @ m

@@ -490,10 +490,14 @@ class TestPerAlgebraStore:
 
     def test_invariants_first_then_normal_form(self, monkeypatch):
         L = random_algebra(12)
+        decs = counting(monkeypatch, classify, "decompose")
         triples = counting(monkeypatch, classify, "extract_triple")
         inv = invariants(L)
+        # the decomposition is kept for the normal form, without its source
+        assert stored(L)["decomposition"].source is None
         res = normal_form(L)
-        assert len(triples) == 1
+        assert len(decs) == 1 and len(triples) == 1
+        assert "decomposition" not in stored(L)
         assert res.quadruple is stored(L)["quadruple"]
         assert inv == invariants(res.algebra)
 

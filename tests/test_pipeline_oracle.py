@@ -201,16 +201,29 @@ def oracle_inverse(m):
 # ---------------------------------------------------------------------------
 
 
+def fresh_matrix(m):
+    """A copy of ``m`` that keeps nothing: its scaled views come from its entries."""
+    return Matrix(m.rows, m.cols, m.entries)
+
+
 def assert_scaled_filled(obj):
     """``obj`` carries a scaled form from its construction, and it equals
-    the one computed from the public `Fraction` tensors of a fresh copy."""
+    the one computed from the public `Fraction` tensors and matrices of a
+    fresh copy; its matrices carry scaled columns (kept by
+    ``core._column_matrix`` when the pipeline built them from scaled
+    columns), equal to those rescaled from their entries."""
     assert "_scaled" in vars(obj)
     if isinstance(obj, TwoTermAlgebra):
-        fresh = TwoTermAlgebra(obj.n0, obj.n1, obj.d, obj.b00, obj.b01, obj.jac)
+        mats = (obj.d,)
+        fresh = TwoTermAlgebra(obj.n0, obj.n1, fresh_matrix(obj.d), obj.b00, obj.b01, obj.jac)
     else:
-        fresh = Morphism(obj.source, obj.target, obj.phi0, obj.phi1, obj.Phi)
+        mats = (obj.phi0, obj.phi1)
+        fresh = Morphism(obj.source, obj.target, *map(fresh_matrix, mats), obj.Phi)
     assert "_scaled" not in vars(fresh)
     assert obj._scaled == fresh._scaled
+    for m in mats:
+        assert "_columns" in vars(m)
+        assert m._columns == fresh_matrix(m)._columns
 
 
 def assert_same_morphism(got, want):
