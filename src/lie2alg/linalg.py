@@ -7,9 +7,9 @@ asymptotics (dense storage, plain Gauss-Jordan, no pivot-size heuristics).
 The one exact accumulation form of the package lives here too: the scaled
 vector, integer numerators over one denominator (``_scale``).  A `Matrix`
 keeps its rows and columns in that form, built on first use; ``apply`` and
-``@`` take one integer dot product per scaled row, in time proportional to
-the nonzeros, and reduce each output entry once.  Tensor contractions sum
-the same form with ``core._isum``.
+``@`` then take one integer dot product per scaled row, in time
+proportional to the nonzeros, and reduce each output entry once.  Tensor
+contractions sum the same form with ``core._isum``.
 """
 
 from __future__ import annotations
