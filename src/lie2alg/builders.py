@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .linalg import Matrix, ZERO, block_diag, invert, rat, vec_zero
+from .linalg import Matrix, ZERO, _invertible, block_diag, rat, vec_zero
 from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, _unscale_tensor, verify,
                    zero_tensor)
 from .morphisms import Morphism
@@ -357,7 +357,7 @@ def random_invertible(rng: random.Random, n: int, bound: int) -> Matrix:
             [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)],
             cols=n,
         )
-        if invert(m) is not None:
+        if _invertible(m):
             return m
 
 

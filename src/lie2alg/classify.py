@@ -18,13 +18,13 @@ already, so verifying them converts nothing.
 Results that are functions of an algebra are kept per algebra object, in
 its private ``_store``: ``verify`` keeps its report, the quadruple (one
 ``decompose`` and one ``extract_triple``) is shared by ``normal_form``,
-``invariants`` and ``skeleton``, its decomposition is kept until the
-normal form is built from it, and ``normal_form`` keeps its target
-algebra and the maps of its isomorphism, verified once.  A value is stored
-only on the argument of the call that computed it and never refers back to
-that algebra, so an algebra built by the pipeline (a normal form, say) is
-classified afresh, and a stored algebra is still freed by reference
-counting.  The public ``decompose`` and ``extract_triple`` are not cached.
+``invariants``, ``skeleton`` and ``split_normal_form``, its decomposition
+is kept until the normal form is built from it, and ``normal_form`` keeps
+its target algebra and the maps of its isomorphism, verified once.  A value
+is stored only on the argument of the call that computed it and never
+refers back to that algebra, so an algebra built by the pipeline (a normal
+form, say) is classified afresh, and a stored algebra is still freed by
+reference counting.  The public ``decompose`` and ``extract_triple`` are not cached.
 
 A full search for a Lie algebra isomorphism is deliberately out of scope:
 the module certifies user-supplied maps and refutes via invariants.
@@ -40,14 +40,13 @@ from typing import NamedTuple
 from .linalg import (
     Matrix,
     Subspace,
+    _invertible,
     _kernel_vectors,
     as_matrix,
     basis_vec,
     block_diag,
     image_basis,
     invert,
-    invert_or_none,
-    kernel_basis,
     rref,
 )
 from .core import (
@@ -270,18 +269,13 @@ def transport(
     out = TwoTermAlgebra._from_scaled(n0, n1, d_new, b00_new, b01_new,
                                       _alternating(n0, 3, jac_new))
     mor = _keep_scaled(Morphism(L, out, phi0, phi1, corr), (P0, P1, C))
-    verify_algebra_or_raise(out, "transported algebra")
+    report = verify(out)
+    if not report.passed:
+        raise ValueError(f"transported algebra failed verification: {report.lines()}")
     mreport = verify_morphism(mor)
     if not mreport.passed:
         raise ValueError(f"transport produced an invalid morphism: {mreport.lines()}")
     return out, mor
-
-
-def verify_algebra_or_raise(L: TwoTermAlgebra, what: str):
-    report = verify(L)
-    if not report.passed:
-        raise ValueError(f"{what} failed verification: {report.lines()}")
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -361,31 +355,14 @@ def skeleton(L: TwoTermAlgebra) -> TwoTermAlgebra:
 
 
 def split_normal_form(L: TwoTermAlgebra) -> Quadruple:
-    """Recover the quadruple of an algebra already in standard shape.
-
-    Raises ValueError when L is not bit-for-bit a standard-shape algebra.
+    """The quadruple of an algebra already in standard shape: the one L
+    keeps (``_quadruple``), read off a standard shape in identity
+    coordinates.  Raises ValueError unless L is bit-for-bit
+    ``normal_form_algebra`` of it.
     """
-    u = L.d.rank()
-    gdim = L.n0 - u
-    v = L.n1 - u
-    if gdim < 0 or v < 0:
-        raise ValueError("not a standard-shape algebra")
-    if L.d != block_diag(Matrix.zero(gdim, v), Matrix.identity(u)):
-        raise ValueError("differential is not the standard embedding")
-    sc = [[list(L.b00[i][j][:gdim]) for j in range(gdim)] for i in range(gdim)]
-    g = LieAlgebra(gdim, sc)
-    rho = tuple(
-        Matrix.from_rows([[L.b01[i][jv][t] for jv in range(v)] for t in range(v)], cols=v)
-        for i in range(gdim)
-    )
-    rep = Representation(g, v, rho)
-    values = {
-        key: L.jac[key[0]][key[1]][key[2]][:v]
-        for key in combinations(range(gdim), 3)
-    }
-    q = Quadruple(g, u, rep, Cochain(3, g, v, values))
+    q = _quadruple(L)
     if normal_form_algebra(q) != L:
-        raise ValueError("algebra carries structure outside the standard shape")
+        raise ValueError("not a standard-shape algebra")
     return q
 
 
@@ -472,9 +449,10 @@ def _series_dims(g: LieAlgebra, pairs) -> tuple[int, ...]:
 
 
 def center_dim(g: LieAlgebra) -> int:
-    """The dimension of the kernel of all ad(e_i) at once."""
-    return kernel_basis(Matrix.from_rows([row for i in range(g.dim) for row in g.ad(i).to_rows()],
-                                         cols=g.dim)).dim
+    """The dimension of the kernel of all ad(e_i) at once: dim g minus the
+    rank of their stacked rows."""
+    return g.dim - Matrix.from_rows([row for i in range(g.dim) for row in g.ad(i).to_rows()],
+                                    cols=g.dim).rank()
 
 
 def invariants(L: TwoTermAlgebra) -> InvariantVector:
@@ -545,14 +523,14 @@ def certify_isomorphism(
     chi, f_u, t_v = (as_matrix(chi, q_l.g.dim), as_matrix(f_u, q_l.dim_u),
                      as_matrix(t_v, q_l.rep.dimV))
 
-    if chi.rows != q_m.g.dim or chi.cols != q_l.g.dim or invert_or_none(chi) is None:
+    if chi.rows != q_m.g.dim or chi.cols != q_l.g.dim or not _invertible(chi):
         raise InvertibilityError("chi is not an invertible map between the Lie algebra parts")
     if not is_lie_morphism(chi, q_l.g, q_m.g):
         raise LieMorphismError("chi is not a Lie algebra morphism")
-    if f_u.rows != q_m.dim_u or f_u.cols != q_l.dim_u or invert_or_none(f_u) is None:
+    if f_u.rows != q_m.dim_u or f_u.cols != q_l.dim_u or not _invertible(f_u):
         raise InvertibilityError("fU is not an invertible map between the transported spaces")
     pulled = pullback_representation(q_m.rep, chi, q_l.g)
-    if t_v.rows != q_m.rep.dimV or t_v.cols != q_l.rep.dimV or invert_or_none(t_v) is None:
+    if t_v.rows != q_m.rep.dimV or t_v.cols != q_l.rep.dimV or not _invertible(t_v):
         raise InvertibilityError("tV is not invertible")
     if not is_intertwiner(t_v, q_l.rep, pulled):
         raise IntertwinerError("tV does not intertwine the representations over chi")
@@ -593,9 +571,11 @@ def extract_quadruple_maps(m: Morphism) -> QuadrupleMaps:
     Returns the induced Lie algebra isomorphism (projection of phi0 on the
     Lie part), the restriction of phi0 to the transported space, the
     restriction of phi1 to the coefficient space, and the projected
-    correction witnessing that the two cocycles are cohomologous.  Every
-    consistency condition is re-checked and failure raises RuntimeError:
-    for a verified isomorphism of standard shapes these checks cannot fail.
+    correction witnessing that the two cocycles are cohomologous.  Both
+    quadruples are read by ``split_normal_form`` (ValueError off the shape).
+    A non-isomorphism, a map off the blocks of the shapes or a failed check
+    on the blocks raises RuntimeError; for a verified isomorphism of
+    standard shapes these checks cannot fail.
     """
     q_src = split_normal_form(m.source)
     q_tgt = split_normal_form(m.target)
@@ -613,16 +593,17 @@ def extract_quadruple_maps(m: Morphism) -> QuadrupleMaps:
     if not m.phi1.submatrix(range(v2, v2 + u2), range(v)).is_zero():
         raise RuntimeError("phi1 does not map the coefficient space into itself")
 
+    # so phi0 is block lower-triangular with diagonal blocks tau and f_u and
+    # phi1 block upper-triangular with t_v on its diagonal: as phi0 and phi1
+    # are invertible, so are tau, f_u and t_v
     tau = m.phi0.submatrix(range(g2), range(g))
     f_u = m.phi0.submatrix(range(g2, g2 + u2), range(g, g + u))
     t_v = m.phi1.submatrix(range(v2), range(v))
 
-    if invert_or_none(tau) is None or not is_lie_morphism(tau, q_src.g, q_tgt.g):
+    if not is_lie_morphism(tau, q_src.g, q_tgt.g):
         raise RuntimeError("projected map is not a Lie algebra isomorphism")
-    if invert_or_none(f_u) is None:
-        raise RuntimeError("restriction to the transported space is not invertible")
     pulled = pullback_representation(q_tgt.rep, tau, q_src.g)
-    if invert_or_none(t_v) is None or not is_intertwiner(t_v, q_src.rep, pulled):
+    if not is_intertwiner(t_v, q_src.rep, pulled):
         raise RuntimeError("restriction to the coefficient space is not an intertwiner")
 
     witness = Cochain(

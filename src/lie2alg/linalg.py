@@ -415,6 +415,7 @@ def invert(m: Matrix) -> Matrix | None:
     return solve(m, Matrix.identity(m.rows))
 
 
-def invert_or_none(m: Matrix) -> Matrix | None:
-    """Exact inverse of ``m``, or None when it is singular or not square."""
-    return invert(m) if m.rows == m.cols else None
+def _invertible(m: Matrix) -> bool:
+    """Whether ``m`` is square and of full rank: one elimination of ``m``
+    alone, where ``invert`` eliminates ``[m | I]``."""
+    return m.rows == m.cols == m.rank()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import Matrix, as_matrix, invert_or_none
+from .linalg import Matrix, _invertible, as_matrix, invert
 from .core import (
     Tensor3,
     TwoTermAlgebra,
@@ -164,7 +164,9 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
 
 def inverse(m: Morphism) -> Morphism | None:
     """Inverse morphism, or None when the linear part is not invertible."""
-    inv0, inv1 = invert_or_none(m.phi0), invert_or_none(m.phi1)
+    if m.phi0.rows != m.phi0.cols or m.phi1.rows != m.phi1.cols:
+        return None
+    inv0, inv1 = invert(m.phi0), invert(m.phi1)
     if inv0 is None or inv1 is None:
         return None
     x, v = inv0._columns, inv1._columns
@@ -178,6 +180,4 @@ def inverse(m: Morphism) -> Morphism | None:
 
 def is_isomorphism(m: Morphism) -> bool:
     """True iff both graded components of the linear part are invertible."""
-    if m.phi0.rows != m.phi0.cols or m.phi1.rows != m.phi1.cols:
-        return False
-    return m.phi0.rank() == m.phi0.rows and m.phi1.rank() == m.phi1.rows
+    return _invertible(m.phi0) and _invertible(m.phi1)

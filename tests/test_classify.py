@@ -39,7 +39,8 @@ from lie2alg import (
     verify_morphism,
 )
 from lie2alg import classify, core
-from lie2alg.builders import random_antisymmetric_correction, random_invertible
+from lie2alg.builders import (catalog_pairs, random_antisymmetric_correction, random_cocycle,
+                               random_invertible)
 from lie2alg.core import zero_tensor
 from lie2alg.linalg import is_zero_vec
 
@@ -403,8 +404,25 @@ class TestExtractQuadrupleMaps:
         assert maps.tau == permutation_matrix((1, 2, 0))
 
     def test_split_normal_form_rejects_non_standard(self):
-        with pytest.raises(ValueError):
-            split_normal_form(quaternion_example(V))
+        # a standard shape moved by identity maps and a correction with U
+        # components keeps its differential, but its bracket leaves the shape
+        nf = normal_form_algebra(Quadruple(so3(), 1, adjoint_rep(so3()), Cochain.zero(3, so3(), 3)))
+        # degree 1 is V (indices 0-2) then U (index 3)
+        corr = [[[F(0)] * nf.n1 for _ in range(nf.n0)] for _ in range(nf.n0)]
+        corr[0][1][3], corr[1][0][3] = F(1), F(-1)
+        moved, _ = transport(nf, Matrix.identity(nf.n0), Matrix.identity(nf.n1), corr)
+        assert moved.d == nf.d and moved != nf
+        for L in (quaternion_example(V), moved):
+            with pytest.raises(ValueError):
+                split_normal_form(L)
+
+    def test_split_normal_form_inverts_normal_form_algebra(self):
+        rng = random.Random(12)
+        for _, g, _, rep in catalog_pairs(max_dim_g=3, max_dim_v=3):
+            jt = random_cocycle(rng, rep, 2)
+            for dim_u in (0, 2):
+                q = Quadruple(g, dim_u, rep, jt)
+                assert split_normal_form(normal_form_algebra(q)) == q
 
     def test_non_isomorphism_is_hard_error(self):
         from lie2alg import Morphism
@@ -568,3 +586,13 @@ def test_type_hints_of_exported_records_resolve():
     assert lie2alg.Decomposition in records and lie2alg.NormalFormResult in records
     for record in records:
         assert typing.get_type_hints(record), record.__name__
+
+
+def test_readme_quick_tour_runs():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [tour] = [block.split("\n```", 1)[0] for block in readme.split("```python\n")[1:]]
+    namespace = {}
+    exec(compile(tour, "README.md", "exec"), namespace)
+    assert namespace["iso"] is not None

@@ -6,6 +6,7 @@ import pytest
 from lie2alg.linalg import (
     Matrix,
     Subspace,
+    _invertible,
     block_diag,
     complement,
     image_basis,
@@ -262,6 +263,18 @@ class TestInvert:
     def test_requires_square(self):
         with pytest.raises(ValueError):
             invert(Matrix.zero(2, 3))
+
+    def test_invertible_agrees_with_invert(self):
+        rng = random.Random(5)
+        square = [random_matrix(rng, n, n, bound=1) for n in range(1, 5) for _ in range(15)]
+        # rank-one products: singular from size 2 on
+        square += [random_matrix(rng, n, 1) @ random_matrix(rng, 1, n) for n in (2, 3, 4)]
+        other = [Matrix.zero(0, 0), Matrix.zero(0, 2), Matrix.zero(2, 0), random_matrix(rng, 2, 3),
+                 random_matrix(rng, 3, 2)]
+        assert any(invert(m) is None for m in square)
+        assert any(invert(m) is not None for m in square)
+        for m in square + other:
+            assert _invertible(m) == (m.rows == m.cols and invert(m) is not None)
 
 
 class TestMatrixBasics:
