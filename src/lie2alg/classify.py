@@ -40,12 +40,13 @@ from typing import NamedTuple
 from .linalg import (
     Matrix,
     Subspace,
+    _eliminate,
     _invertible,
     _kernel_vectors,
+    _row_matrix,
     as_matrix,
     basis_vec,
     block_diag,
-    image_basis,
     invert,
     rref,
 )
@@ -141,13 +142,14 @@ def decompose(L: TwoTermAlgebra) -> Decomposition:
     Precondition: ``verify(L)`` passes.
     """
     n0, n1 = L.n0, L.n1
-    red, pivots = rref(L.d)
+    reduced = _eliminate(L.d._rows, n1)
+    pivots = reduced[1]
     r = len(pivots)
     imd = Subspace._trusted(n0, (L.d.column(p) for p in pivots))
-    kerd = Subspace._trusted(n1, _kernel_vectors(red, pivots))
+    kerd = Subspace._trusted(n1, _kernel_vectors(reduced, n1))
     # U is the greedy complement of ker d: a free e_f is its kernel vector
     # plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}), on
-    # which the row of red with pivot p vanishes.
+    # which the row of red (the nonzero rows of rref(d)) with pivot p vanishes.
     u_b = Subspace._trusted(n1, (basis_vec(n1, p) for p in pivots))
     # rref([im d | I]) = E @ [im d | I], E its identity block, has pivots
     # 0..r-1 first, so E sends im d's basis to e_0..e_{r-1}, g's to the rest
@@ -156,8 +158,7 @@ def decompose(L: TwoTermAlgebra) -> Decomposition:
     coords0 = red0.submatrix([*range(r, n0), *range(r)], range(r, r + n0))
     # the kernel coordinates of x are its free entries, its U ones red @ x
     free = [c for c in range(n1) if c not in pivots]
-    coords1 = Matrix.identity(n1).submatrix(free, range(n1)).vstack(
-        red.submatrix(range(r), range(n1)))
+    coords1 = Matrix.identity(n1).submatrix(free, range(n1)).vstack(_row_matrix(reduced[0], n1))
     # d maps U's basis onto im d's: h is U's basis times E's first r rows
     h = u_b.matrix() @ red0.submatrix(range(r), range(r, r + n0))
     return Decomposition(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
@@ -434,17 +435,16 @@ def _render_value(value) -> str:
 def _series_dims(g: LieAlgebra, pairs) -> tuple[int, ...]:
     """Dimensions along g = g_0, g_1, ... until they stabilize, where
     g_{k+1} is spanned by the [x, y] over ``pairs(basis of g, basis of
-    g_k)``, both bases of scaled vectors."""
+    g_k)``, both bases of scaled vectors; the basis of g_{k+1} is the
+    reduced rows of the brackets."""
     dims = [g.dim]
     basis = current = [_scale(basis_vec(g.dim, i)) for i in range(g.dim)]
     while current:
         brackets = [_ivec(g.dim, ((1, g._scaled, pair),)) for pair in pairs(basis, current)]
-        nxt = image_basis(Matrix.from_columns([_unscale(v, g.dim) for v in brackets if v[0]],
-                                              rows=g.dim)).basis
-        if len(nxt) == dims[-1]:
+        current = _eliminate(brackets, g.dim)[0]
+        if len(current) == dims[-1]:
             break
-        dims.append(len(nxt))
-        current = [_scale(c) for c in nxt]
+        dims.append(len(current))
     return tuple(dims)
 
 

@@ -14,9 +14,10 @@ the size of a shuffle table.  Degree 0 is included with C_0 = V and
 (delta f)(x) = rho(x) f, so square-zero and dimension formulas hold
 uniformly.
 
-Each differential is assembled once per representation, straight from sc and
-rho, and eliminated once; the ``Representation`` keeps both for its lifetime.
-``delta`` applies that cached matrix, so the differential is written once.
+Each differential is assembled once per representation from the nonzero
+terms of sc and rho into sparse scaled rows, and eliminated once; the
+``Representation`` keeps both.  ``delta`` takes one integer dot product per
+row, and no query builds a dense matrix but ``delta_matrix``, their view.
 
 Tensor contractions run on the scaled integers of ``core``: a Lie algebra,
 a representation and a cochain each keep their structure in scaled form,
@@ -37,12 +38,15 @@ from itertools import combinations
 
 from .linalg import (
     Matrix,
-    ZERO,
+    _column_matrix,
+    _eliminate,
     _kernel_vectors,
+    _row_matrix,
+    _scale_items,
+    _solve,
+    _times,
     as_matrix,
     is_zero_vec,
-    rref,
-    solve,
     vec,
     vec_sub,
     vec_zero,
@@ -51,7 +55,6 @@ from .core import (
     Tensor3,
     _alternating,
     _bracket_defect_parts,
-    _column_matrix,
     _isum,
     _ivec,
     _jacobi_parts,
@@ -144,7 +147,7 @@ class Representation:
                               self.dimV)
 
     @cached_property
-    def _complex(self) -> dict:  # ("delta", n) -> delta_n, ("rref", n) -> its rref
+    def _complex(self) -> dict:  # ("delta", n) -> (rows, cols) of delta_n, ("rref", n) -> rref
         return {}
 
 
@@ -240,11 +243,12 @@ def _delta_terms(g: LieAlgebra, n: int):
 
 def delta(f: Cochain, rep: Representation) -> Cochain:
     """Cochain differential: action sum over (1,n)-shuffles minus bracket sum
-    over (2,n-1)-shuffles, ordinary permutation signs; the cached
-    ``delta_matrix`` applied to the coordinates of f."""
+    over (2,n-1)-shuffles, ordinary permutation signs; the cached rows of
+    delta_n, each dotted once with the coordinates of f."""
     if f.g != rep.g or f.dimV != rep.dimV:
         raise ValueError("cochain and representation live on different data")
-    return vec_to_cochain(f.n + 1, f.g, f.dimV, delta_matrix(f.n, rep).apply(cochain_to_vec(f)))
+    flat = _times(*_delta_rows(f.n, rep), _scale(cochain_to_vec(f)))
+    return vec_to_cochain(f.n + 1, f.g, f.dimV, flat)
 
 
 def cochain_to_vec(f: Cochain) -> tuple[Fraction, ...]:
@@ -261,37 +265,45 @@ def vec_to_cochain(n: int, g: LieAlgebra, dimV: int, flat) -> Cochain:
     return Cochain(n, g, dimV, values)
 
 
-def delta_matrix(n: int, rep: Representation) -> Matrix:
-    """Matrix of the degree-n differential on the increasing-tuple (x) V basis,
-    assembled once per representation from the blocks of ``_delta_terms``."""
+def _delta_rows(n: int, rep: Representation) -> tuple[tuple, int]:
+    """The rows of delta_n in scaled form on the increasing-tuple (x) V basis,
+    and its number of columns, assembled once per representation from the
+    terms of ``_delta_terms``: each adds coeff times the nonzero entries of
+    rho(e_x), or of the identity, to its block."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     cache = rep._complex
     if ("delta", n) not in cache:
         d = rep.dimV
-        rows = {key: i * d for i, key in enumerate(increasing_tuples(rep.g.dim, n + 1))}
         cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
-        width = len(cols) * d
-        entries = [ZERO] * (len(rows) * d * width)
-        identity = Matrix.identity(d).entries
+        rows = {key: [{} for _ in range(d)] for key in increasing_tuples(rep.g.dim, n + 1)}
+        identity = Matrix.identity(d)._rows
         for key, x, coeff, src in _delta_terms(rep.g, n):
-            for k, e in enumerate(identity if x is None else rep.rho[x].entries):
-                if e:
-                    entries[(rows[key] + k // d) * width + cols[src] + k % d] += coeff * e
-        cache["delta", n] = Matrix._trusted(len(rows) * d, width, entries)
+            s = cols[src]
+            for row, (items, den) in zip(rows[key], identity if x is None else rep.rho[x]._rows):
+                for k, e in items:
+                    row[s + k] = row.get(s + k, 0) + Fraction(coeff * e, den)
+        cache["delta", n] = (tuple([_scale_items(sorted(row.items()))
+                                    for block in rows.values() for row in block]), len(cols) * d)
     return cache["delta", n]
 
 
-def _elimination(n: int, rep: Representation) -> tuple[Matrix, tuple[int, ...]]:
-    """rref of delta_n and its pivot columns, computed once per representation."""
+def delta_matrix(n: int, rep: Representation) -> Matrix:
+    """Matrix of the degree-n differential on the increasing-tuple (x) V basis:
+    the dense view of the cached rows of delta_n, which it keeps."""
+    return _row_matrix(*_delta_rows(n, rep))
+
+
+def _elimination(n: int, rep: Representation) -> tuple[tuple, tuple[int, ...]]:
+    """``_eliminate`` of the rows of delta_n, once per representation."""
     if ("rref", n) not in rep._complex:
-        rep._complex["rref", n] = rref(delta_matrix(n, rep))
+        rep._complex["rref", n] = _eliminate(*_delta_rows(n, rep))
     return rep._complex["rref", n]
 
 
 def cocycle_basis(n: int, rep: Representation) -> tuple[tuple[Fraction, ...], ...]:
     """Flattened kernel basis of delta_n, from its rref's free columns in order."""
-    return _kernel_vectors(*_elimination(n, rep))
+    return _kernel_vectors(_elimination(n, rep), _delta_rows(n, rep)[1])
 
 
 def is_cocycle(f: Cochain, rep: Representation) -> bool:
@@ -302,40 +314,43 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
     """A primitive g with delta(g) = f, or None.
 
     Deterministic: the primitive is the solve() solution with free
-    coefficients zeroed.  Degree must be at least 1 (there is no complex
-    below degree 0).
+    coefficients zeroed, of the rows of delta_{n-1} with f as a column.
+    Degree must be at least 1 (there is no complex below degree 0).
     """
     if f.n < 1:
         raise ValueError("is_coboundary needs degree >= 1")
-    a = delta_matrix(f.n - 1, rep)
-    b = Matrix.from_columns([cochain_to_vec(f)], rows=a.rows)
-    x = solve(a, b)
-    if x is None:
-        return None
-    return vec_to_cochain(f.n - 1, f.g, f.dimV, x.column(0))
+    rows, cols = _delta_rows(f.n - 1, rep)
+    x = _solve(rows, [_scale((y,)) for y in cochain_to_vec(f)], cols, 1)
+    return None if x is None else vec_to_cochain(f.n - 1, f.g, f.dimV, x[0])
 
 
 def cohomology_dim(n: int, rep: Representation) -> int:
     """dim ker(delta_n) - rank(delta_{n-1})."""
-    red, pivots = _elimination(n, rep)
     image_rank = len(_elimination(n - 1, rep)[1]) if n >= 1 else 0
-    return red.cols - len(pivots) - image_rank
+    return _delta_rows(n, rep)[1] - len(_elimination(n, rep)[1]) - image_rank
 
 
 def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
-    """Cocycle representatives spanning degree-n cohomology."""
-    cocycles = cocycle_basis(n, rep)
-    img = ()
+    """The kernel vectors of delta_n that a greedy left-to-right scan keeps
+    independent of im delta_{n-1} and of those kept before.
+
+    A cocycle is its coordinates at the free columns f of delta_n, its
+    kernel vector there e_f; so f is kept unless an image vector has its
+    last nonzero free coordinate at f: a pivot of the image's spanning
+    columns eliminated on the free rows of delta_{n-1}, reversed (a row's
+    denominator moves no last nonzero)."""
+    pivots = set(_elimination(n, rep)[1])
+    free = [c for c in range(_delta_rows(n, rep)[1]) if c not in pivots]
+    bounded = set()
     if n >= 1:
-        prev = delta_matrix(n - 1, rep)
-        img = tuple(prev.column(p) for p in _elimination(n - 1, rep)[1])
-    # the pivot columns of rref([image | cocycles]) past the image block are
-    # the cocycles a greedy left-to-right scan keeps
-    _, pivots = rref(Matrix.from_columns(img + cocycles, rows=delta_matrix(n, rep).cols))
-    return tuple(
-        vec_to_cochain(n, rep.g, rep.dimV, cocycles[p - len(img)])
-        for p in pivots if p >= len(img)
-    )
+        rows, image = _delta_rows(n - 1, rep)[0], {p: [] for p in _elimination(n - 1, rep)[1]}
+        for i, c in enumerate(reversed(free)):
+            for k, x in rows[c][0]:
+                if k in image:
+                    image[k].append((i, x))
+        bounded = {free[-1 - i] for i in _eliminate([(v, 1) for v in image.values()], len(free))[1]}
+    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v)
+                 for c, v in zip(free, cocycle_basis(n, rep)) if c not in bounded)
 
 
 # ---------------------------------------------------------------------------

@@ -42,8 +42,8 @@ from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import (Matrix, _reduce, _scale, _unscale, as_matrix, basis_vec, is_zero_vec, rat,
-                     vec, vec_add, vec_sub, vec_zero)
+from .linalg import (Matrix, _column_matrix, _reduce, _scale, _unscale, as_matrix, basis_vec,
+                     is_zero_vec, rat, vec, vec_add, vec_sub, vec_zero)
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -162,13 +162,20 @@ class TwoTermAlgebra:
         return {}
 
     @classmethod
+    def _trusted(cls, n0: int, n1: int, d: Matrix, b00, b01, jac) -> "TwoTermAlgebra":
+        """The algebra on a `Matrix` d and nested `Fraction` tuples, all of the
+        right shapes: skips the constructor's coercions and shape checks."""
+        out = object.__new__(cls)
+        out.__dict__.update(n0=n0, n1=n1, d=d, b00=b00, b01=b01, jac=jac)
+        return out
+
+    @classmethod
     def _from_scaled(cls, n0: int, n1: int, d, b00, b01, jac) -> "TwoTermAlgebra":
         """The algebra whose structure is given in scaled form (``d`` as its
         columns, every tensor nested in tuples).  The public tensors are
         built from it, and it is kept as ``_scaled``."""
-        out = object.__new__(cls)
-        out.__dict__.update(n0=n0, n1=n1, d=_column_matrix(d, n0), b00=_unscale_tensor(b00, 2, n0),
-                            b01=_unscale_tensor(b01, 2, n1), jac=_unscale_tensor(jac, 3, n1))
+        out = cls._trusted(n0, n1, _column_matrix(d, n0), _unscale_tensor(b00, 2, n0),
+                           _unscale_tensor(b01, 2, n1), _unscale_tensor(jac, 3, n1))
         return _keep_scaled(out, _scaled_algebra(d, b00, b01, jac))
 
     @classmethod
@@ -285,15 +292,6 @@ def _keep_scaled(obj, scaled):
     as its cached scaled form, which must equal the one its data give."""
     obj.__dict__["_scaled"] = scaled
     return obj
-
-
-def _column_matrix(columns, rows: int) -> Matrix:
-    """The `Matrix` whose columns are the scaled vectors ``columns``, which it
-    keeps as its scaled columns."""
-    cols = [_unscale(c, rows) for c in columns]
-    out = Matrix._trusted(rows, len(cols), (c[i] for i in range(rows) for c in cols))
-    out.__dict__["_columns"] = tuple(columns)
-    return out
 
 
 def _isum(n: int, parts) -> tuple[list[int], int]:

@@ -73,7 +73,8 @@ def _parse_tensor(data, shape: tuple[int, ...], where: str):
 
 
 def _parse_matrix(data, rows: int, cols: int, where: str) -> Matrix:
-    return Matrix.from_rows(_parse_tensor(data, (rows, cols), where), cols=cols)
+    entries = _parse_tensor(data, (rows, cols), where)
+    return Matrix._trusted(rows, cols, (x for row in entries for x in row))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +129,7 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
     b00 = _parse_tensor(doc["b00"], (n0, n0, n0), "b00")
     b01 = _parse_tensor(doc["b01"], (n0, n1, n1), "b01")
     jac = _parse_tensor(doc["jac"], (n0, n0, n0, n1), "jac")
-    L = TwoTermAlgebra(n0, n1, d, b00, b01, jac)
+    L = TwoTermAlgebra._trusted(n0, n1, d, b00, b01, jac)
     violations = structure_violations(L)
     if violations:
         raise DocumentError(violations[0])

@@ -1,15 +1,16 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 All entries are `fractions.Fraction`, so ranks, kernels and solutions are
 computed exactly and every operation is deterministic: identical inputs give
-identical outputs, bit for bit.  Elimination favours clarity over
-asymptotics (dense storage, plain Gauss-Jordan, no pivot-size heuristics).
-The one exact accumulation form of the package lives here too: the scaled
-vector, integer numerators over one denominator (``_scale``).  A `Matrix`
-keeps its rows and columns in that form, built on first use; ``apply`` and
-``@`` then take one integer dot product per scaled row, in time
-proportional to the nonzeros, and reduce each output entry once.  Tensor
-contractions sum the same form with ``core._isum``.
+identical outputs, bit for bit.  The one exact accumulation form of the
+package lives here too: the scaled vector, integer numerators over one
+denominator (``_scale``).  A `Matrix` stores its entries densely and keeps
+its rows and columns in that form, built on first use or handed over by
+``_row_matrix`` and ``_column_matrix``; ``apply`` and ``@`` then take one
+integer dot product per scaled row (``_times``), in time proportional to
+the nonzeros.  Tensor contractions sum the same form with ``core._isum``.
+All elimination is one routine on scaled rows, ``_eliminate``:
+fraction-free sparse Gauss-Jordan, whose work follows the nonzeros.
 """
 
 from __future__ import annotations
@@ -79,9 +80,14 @@ def is_zero_vec(u) -> bool:
 
 
 def _scale(v) -> tuple[tuple[tuple[int, int], ...], int]:
-    ratios = [x.as_integer_ratio() for x in v]
-    den = lcm(*[q for _, q in ratios])
-    return tuple([(t, p * (den // q)) for t, (p, q) in enumerate(ratios) if p]), den
+    return _scale_items(enumerate(v))
+
+
+def _scale_items(pairs) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The scaled form of the vector with entries x at t, (t, x) in ``pairs`` by increasing t."""
+    ratios = [(t, x.as_integer_ratio()) for t, x in pairs if x]
+    den = lcm(*[q for _, (_, q) in ratios])
+    return tuple([(t, p * (den // q)) for t, (p, q) in ratios]), den
 
 
 def _reduce(total: tuple[list[int], int]):
@@ -205,7 +211,7 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [self._times(c) for c in other._columns]
+        cols = [_times(self._rows, self.cols, c) for c in other._columns]
         return Matrix._trusted(self.rows, other.cols,
                                (c[i] for i in range(self.rows) for c in cols))
 
@@ -214,16 +220,7 @@ class Matrix:
         v = vec(vector)
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return self._times(_scale(v))
-
-    def _times(self, v) -> tuple[Fraction, ...]:
-        """Matrix times the scaled vector ``v``: one integer dot product per
-        scaled row, over the product of the two denominators."""
-        x, den = [0] * self.cols, v[1]
-        for k, c in v[0]:
-            x[k] = c
-        return tuple([Fraction(s, d * den) if (s := sum([a * x[k] for k, a in items])) else ZERO
-                      for items, d in self._rows])
+        return _times(self._rows, self.cols, _scale(v))
 
     @cached_property
     def _rows(self) -> tuple:
@@ -253,7 +250,7 @@ class Matrix:
         return Matrix._trusted(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def rank(self) -> int:
-        return len(rref(self)[1])
+        return len(_eliminate(self._rows, self.cols)[1])
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
         return Matrix._trusted(len(row_indices), len(col_indices),
@@ -263,6 +260,33 @@ class Matrix:
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+
+
+def _times(rows, cols: int, v) -> tuple[Fraction, ...]:
+    """The matrix of scaled rows ``rows`` (``cols`` columns) times the scaled vector
+    ``v``: one integer dot product per row, over the product of the denominators."""
+    x, den = [0] * cols, v[1]
+    for k, c in v[0]:
+        x[k] = c
+    return tuple([Fraction(s, d * den) if (s := sum([a * x[k] for k, a in items])) else ZERO
+                  for items, d in rows])
+
+
+def _row_matrix(rows, cols: int) -> Matrix:
+    """The `Matrix` whose rows are the scaled vectors ``rows``, which it keeps
+    as its scaled rows."""
+    out = Matrix._trusted(len(rows), cols, (x for r in rows for x in _unscale(r, cols)))
+    out.__dict__["_rows"] = tuple(rows)
+    return out
+
+
+def _column_matrix(columns, rows: int) -> Matrix:
+    """The `Matrix` whose columns are the scaled vectors ``columns``, which it
+    keeps as its scaled columns."""
+    cols = [_unscale(c, rows) for c in columns]
+    out = Matrix._trusted(rows, len(cols), (c[i] for i in range(rows) for c in cols))
+    out.__dict__["_columns"] = tuple(columns)
+    return out
 
 
 def as_matrix(value, cols: int) -> Matrix:
@@ -319,63 +343,88 @@ class Subspace:
 # elimination and everything built on it
 # ---------------------------------------------------------------------------
 
-def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """Reduced row echelon form and the sorted pivot-column list.
+def _combine(r: dict, p: dict, c: int) -> dict:
+    """a*r - b*p for a = p[c], b = r[c] over their gcd: the integer row ``r``
+    with column c cleared by ``p``, divided by the gcd of its entries."""
+    g = gcd(p[c], r[c])
+    a, b = p[c] // g, r[c] // g
+    out = {k: y for k in r.keys() | p.keys() if (y := a * r.get(k, 0) - b * p.get(k, 0))}
+    g = gcd(*out.values())
+    return {k: x // g for k, x in out.items()} if g > 1 else out
 
-    Pivoting picks the first nonzero entry in each column, so the result is
-    deterministic.
+
+def _eliminate(rows, cols: int) -> tuple[tuple, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
+
+    ``rows`` are scaled rows of ``cols`` columns, read without their
+    denominators, which do not change the row space.  Returns the nonzero
+    rows of the rref in scaled form and the pivot columns.  In each column,
+    of the rows starting there the sparsest is the pivot and is subtracted
+    from the others (``_combine``); a second pass, last pivot first, clears
+    the columns above the pivots.  The rref is unique, so the pivot choice
+    does not show, and a primitive row with pivot x_p > 0 is the scaled form
+    of its rref row: its denominator is x_p / gcd(x_p, x_1, ..., x_m) = x_p.
     """
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        if pv != 1:
-            rows[r] = [x / pv if x else x for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Matrix._trusted(m.rows, m.cols, (x for r in rows for x in r)), tuple(pivots)
+    lead = {}   # first nonzero column -> the rows that start there
+    for items, _ in rows:
+        if r := dict(items):
+            g = gcd(*r.values())
+            lead.setdefault(min(r), []).append({k: x // g for k, x in r.items()})
+    done = {}   # pivot column -> its row
+    for c in range(cols):
+        if c in lead:
+            cands = lead.pop(c)
+            done[c] = p = min(cands, key=len)
+            for r in cands:
+                if r is not p and (r := _combine(r, p, c)):
+                    lead.setdefault(min(r), []).append(r)
+    pivots = tuple(done)
+    for c in reversed(pivots):
+        p = done[c]
+        for k in [k for k in p if k > c and k in done]:
+            p = _combine(p, done[k], k)
+        done[c] = p if p[c] > 0 else {k: -x for k, x in p.items()}
+    return tuple([(tuple(sorted(done[c].items())), done[c][c]) for c in pivots]), pivots
 
 
-def _kernel_vectors(red: Matrix, pivots: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
-    """Null-space basis from an rref and its pivots, one vector per free column."""
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(red.cols):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * red.cols
-        v[free] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r, free]
-        basis.append(tuple(v))
-    return tuple(basis)
+def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """Reduced row echelon form and the sorted pivot-column list: the rows of
+    ``_eliminate``, then the zero rows."""
+    reduced, pivots = _eliminate(m._rows, m.cols)
+    return _row_matrix(reduced + (((), 1),) * (m.rows - len(pivots)), m.cols), pivots
+
+
+def _solutions(reduced, columns, n: int) -> list[list[Fraction]]:
+    """For each column c of ``columns``, the rref entries at c of the reduced
+    rows of ``_eliminate`` placed at their pivots: the solution of a @ x =
+    (column c), a the first ``n`` columns, with the free unknowns zero."""
+    rows, pivots = reduced
+    out = {c: [ZERO] * n for c in columns}
+    for p, (items, den) in zip(pivots, rows):
+        for k, x in items:
+            if k in out:
+                out[k][p] = Fraction(x, den)
+    return list(out.values())
+
+
+def _kernel_vectors(reduced, cols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Null-space basis from the reduced rows and pivots of ``_eliminate``,
+    one vector per free column f in increasing order: e_f less the solution
+    for column f."""
+    pivots = set(reduced[1])
+    free = [f for f in range(cols) if f not in pivots]
+    return tuple(tuple(ONE if k == f else -x if x else x for k, x in enumerate(v))
+                 for f, v in zip(free, _solutions(reduced, free, cols)))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null-space basis built from the rref free columns, in increasing order."""
-    return Subspace._trusted(m.cols, _kernel_vectors(*rref(m)))
+    return Subspace._trusted(m.cols, _kernel_vectors(_eliminate(m._rows, m.cols), m.cols))
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column-space basis: the original columns at the pivot positions."""
-    _, pivots = rref(m)
-    return Subspace._trusted(m.rows, (m.column(p) for p in pivots))
+    return Subspace._trusted(m.rows, (m.column(p) for p in _eliminate(m._rows, m.cols)[1]))
 
 
 def complement(s: Subspace) -> Subspace:
@@ -386,8 +435,19 @@ def complement(s: Subspace) -> Subspace:
     index order adds to the basis of S.
     """
     n, k = s.ambient_dim, s.dim
-    _, pivots = rref(s.matrix().hstack(Matrix.identity(n)))
+    pivots = _eliminate(s.matrix().hstack(Matrix.identity(n))._rows, n + k)[1]
     return Subspace._trusted(n, (basis_vec(n, p - k) for p in pivots if p >= k))
+
+
+def _solve(a_rows, b_rows, cols: int, width: int) -> list[list[Fraction]] | None:
+    """The columns of the solution x of a @ x = b with free unknowns zero, or
+    None, for ``a`` (``cols`` columns) and ``b`` (``width``) given by scaled
+    rows: [a | b] eliminated with row i over the product of its denominators."""
+    reduced = _eliminate([([(k, x * db) for k, x in ai] + [(cols + j, y * da) for j, y in bi], 1)
+                          for (ai, da), (bi, db) in zip(a_rows, b_rows)], cols + width)
+    if reduced[1] and reduced[1][-1] >= cols:
+        return None
+    return _solutions(reduced, range(cols, cols + width), cols)
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -398,14 +458,9 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ValueError("a and b must have the same number of rows")
-    red, pivots = rref(a.hstack(b))
-    if any(p >= a.cols for p in pivots):
-        return None
-    x = [[ZERO] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x[pc][j] = red[r, a.cols + j]
-    return Matrix._trusted(a.cols, b.cols, (e for r in x for e in r))
+    x = _solve(a._rows, b._rows, a.cols, b.cols)
+    return None if x is None else Matrix._trusted(a.cols, b.cols,
+                                                  (c[i] for i in range(a.cols) for c in x))
 
 
 def invert(m: Matrix) -> Matrix | None:

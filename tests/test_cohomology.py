@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -25,7 +25,7 @@ from lie2alg import (
     sl2,
     trivial_rep,
 )
-from lie2alg.builders import abelian, catalog_pairs, representation
+from lie2alg.builders import abelian, catalog_pairs, lie_algebra, representation
 from lie2alg.cohomology import (
     _elimination,
     cochain_to_vec,
@@ -34,7 +34,7 @@ from lie2alg.cohomology import (
     vec_to_cochain,
 )
 from lie2alg.core import perm_sign
-from lie2alg.linalg import basis_vec, image_basis, invert, kernel_basis
+from lie2alg.linalg import _scale, basis_vec, image_basis, invert, kernel_basis, solve
 from lie2alg.linalg import vec_add, vec_scale, vec_sub, vec_zero
 
 F = Fraction
@@ -300,6 +300,77 @@ class TestCohomologyBasisAgainstGreedy:
                 assert cohomology_basis(n, rep) == greedy_cohomology_basis(n, rep), (
                     g_name, rep_name, n,
                 )
+
+
+def scaled_direct_sum(names, rng):
+    """The direct sum of catalog algebras with basis vector i scaled by a
+    seeded d_i in {-2, -1, 1, 2}, as in the benchmark's cohomology items:
+    [e_i, e_j] = sum_t d_i d_j / d_t sc[i][j][t] e_t."""
+    parts = [lie_algebra(name) for name in names]
+    n = sum(p.dim for p in parts)
+    sc = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    off = 0
+    for p in parts:
+        for i, j, t in product(range(p.dim), repeat=3):
+            sc[off + i][off + j][off + t] = p.sc[i][j][t]
+        off += p.dim
+    d = [rng.choice((-2, -1, 1, 2)) for _ in range(n)]
+    return LieAlgebra(n, [[[F(d[i] * d[j], d[t]) * sc[i][j][t] for t in range(n)]
+                           for j in range(n)] for i in range(n)])
+
+
+def benchmark_size_pairs():
+    """4- and 5-dimensional direct sums with adjoint and trivial
+    coefficients, the sizes the cohomology benchmark eliminates."""
+    rng = random.Random(2024)
+    for names, rep_names in ((("so3", "nonabelian2"), ("adjoint", "trivial1")),
+                             (("heisenberg3", "nonabelian2"), ("adjoint+trivial1",)),
+                             (("nonabelian2", "nonabelian2"), ("adjoint",))):
+        g = scaled_direct_sum(names, rng)
+        for rep_name in rep_names:
+            yield f"{'+'.join(names)}/{rep_name}", g, representation(g, rep_name)
+
+
+class TestOraclesAtBenchmarkSize:
+    """The catalog oracles above, on the direct sums of the benchmark."""
+
+    def test_delta_matrix_and_cohomology_basis(self):
+        for name, g, rep in benchmark_size_pairs():
+            for n in range(0, g.dim + 1):
+                m = delta_matrix(n, rep)
+                assert m == oracle_delta_matrix(n, rep), (name, n)
+                assert m._rows == tuple(map(_scale, m.to_rows())), (name, n)
+                assert cohomology_basis(n, rep) == greedy_cohomology_basis(n, rep), (name, n)
+
+    def test_delta_is_the_matrix_applied(self):
+        rng = random.Random(8)
+        for name, g, rep in benchmark_size_pairs():
+            for n in range(0, g.dim + 1):
+                f = random_cochain(rng, n, g, rep.dimV)
+                assert cochain_to_vec(delta(f, rep)) == delta_matrix(n, rep).apply(
+                    cochain_to_vec(f)), (name, n)
+
+    def test_is_coboundary_is_solve(self):
+        rng = random.Random(13)
+        decided = set()
+        for name, g, rep in benchmark_size_pairs():
+            for n in range(1, g.dim + 1):
+                exact = delta(random_cochain(rng, n - 1, g, rep.dimV), rep)
+                # a seeded cocycle off the image whenever H^n is nonzero
+                values = dict(exact.values)
+                for b in cohomology_basis(n, rep):
+                    c = rng.choice((-2, -1, 1, 2))
+                    values = {key: vec_add(v, vec_scale(c, b.values[key]))
+                              for key, v in values.items()}
+                cocycle = Cochain(n, g, rep.dimV, values)
+                for f in (exact, cocycle, random_cochain(rng, n, g, rep.dimV)):
+                    a = delta_matrix(n - 1, rep)
+                    x = solve(a, Matrix.from_columns([cochain_to_vec(f)], rows=a.rows))
+                    expected = (None if x is None
+                                else vec_to_cochain(n - 1, g, rep.dimV, x.column(0)))
+                    assert is_coboundary(f, rep) == expected, (name, n)
+                    decided.add(expected is None)
+        assert decided == {True, False}
 
 
 class TestCohomologous:

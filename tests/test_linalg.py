@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from lie2alg.linalg import (
     Matrix,
     Subspace,
     _invertible,
+    _scale,
     block_diag,
     complement,
     image_basis,
@@ -275,6 +277,137 @@ class TestInvert:
         assert any(invert(m) is not None for m in square)
         for m in square + other:
             assert _invertible(m) == (m.rows == m.cols and invert(m) is not None)
+
+
+def dense_rref(m):
+    """Reference: dense `Fraction` Gauss-Jordan, the first nonzero entry of
+    each column as pivot."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)
+
+
+def dense_kernel_basis(m):
+    """Reference: one null-space vector per free column of ``dense_rref``."""
+    red, pivots = dense_rref(m)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [F(0)] * m.cols
+        v[free] = F(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r, free]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def dense_solve(a, b):
+    """Reference: rref of [a | b], free unknowns zero, None if inconsistent."""
+    red, pivots = dense_rref(a.hstack(b))
+    if any(p >= a.cols for p in pivots):
+        return None
+    x = [[F(0)] * b.cols for _ in range(a.cols)]
+    for r, pc in enumerate(pivots):
+        for j in range(b.cols):
+            x[pc][j] = red[r, a.cols + j]
+    return Matrix.from_rows(x, cols=b.cols)
+
+
+def primes_of_50_digits(rng, count):
+    """Distinct random 50-digit primes (Miller-Rabin on 20 random bases)."""
+    def is_prime(n):
+        d, s = n - 1, 0
+        while d % 2 == 0:
+            d, s = d // 2, s + 1
+        for _ in range(20):
+            x = pow(rng.randrange(2, n - 1), d, n)
+            if x not in (1, n - 1) and all((x := x * x % n) != n - 1 for _ in range(s - 1)):
+                return False
+        return True
+    found = set()
+    while len(found) < count:
+        n = rng.randrange(10 ** 49, 10 ** 50) | 1
+        if is_prime(n):
+            found.add(n)
+    return sorted(found)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_matrices():
+    """Seeded matrices: sparse (10% nonzero), dense, rank-deficient
+    products, 0xN and Nx0, and entries over distinct 50-digit primes."""
+    rng = random.Random(1)
+    out = [Matrix.zero(0, 4), Matrix.zero(4, 0), Matrix.zero(0, 0)]
+    for _ in range(15):
+        rows, cols = rng.randint(1, 12), rng.randint(1, 12)
+        out.append(Matrix.from_rows([[rng.randint(-9, 9) if rng.random() < 0.1 else 0
+                                      for _ in range(cols)] for _ in range(rows)], cols=cols))
+        out.append(random_matrix(rng, rows, cols, bound=5))
+        inner = rng.randint(1, max(1, min(rows, cols) - 1))
+        out.append(random_matrix(rng, rows, inner, bound=2)
+                   @ random_matrix(rng, inner, cols, bound=2))
+    primes = primes_of_50_digits(rng, 100)
+    for _ in range(4):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        out.append(Matrix.from_rows([[F(rng.randint(-9, 9), primes.pop()) for _ in range(cols)]
+                                     for _ in range(rows)], cols=cols))
+    return out
+
+
+class TestEliminationAgainstDenseReference:
+    def test_rref(self):
+        for m in oracle_matrices():
+            red, pivots = rref(m)
+            assert (red, pivots) == dense_rref(m)
+            # the scaled rows it keeps are the canonical ones of its entries
+            assert red._rows == tuple(map(_scale, red.to_rows()))
+
+    def test_solve(self):
+        rng = random.Random(2)
+        outcomes = set()
+        for a in oracle_matrices():
+            for b in (a @ random_matrix(rng, a.cols, 2), random_matrix(rng, a.rows, 1)):
+                x = solve(a, b)
+                assert x == dense_solve(a, b)
+                outcomes.add(x is None)
+        assert outcomes == {True, False}
+
+    def test_kernel_basis(self):
+        for m in oracle_matrices():
+            assert kernel_basis(m).basis == dense_kernel_basis(m)
+
+    def test_invert(self):
+        rng = random.Random(5)
+        square = [m for m in oracle_matrices() if m.rows == m.cols]
+        square += [random_matrix(rng, n, n, bound=1) for n in range(1, 7) for _ in range(5)]
+        assert {invert(m) is None for m in square} == {True, False}
+        for m in square:
+            assert invert(m) == dense_solve(m, Matrix.identity(m.rows))
+
+    def test_rref_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for m in oracle_matrices():
+            if not (m.rows and m.cols):
+                continue
+            red, pivots = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                                        for x in m.entries]).rref()
+            assert rref(m) == (Matrix(m.rows, m.cols, [F(int(x.p), int(x.q)) for x in red]),
+                               tuple(pivots))
 
 
 class TestMatrixBasics:
