@@ -277,7 +277,7 @@ def _delta_rows(n: int, rep: Representation) -> tuple[tuple, int]:
         d = rep.dimV
         cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
         rows = {key: [{} for _ in range(d)] for key in increasing_tuples(rep.g.dim, n + 1)}
-        identity = Matrix.identity(d)._rows
+        identity = [(((k, 1),), 1) for k in range(d)]   # the scaled rows of the identity
         for key, x, coeff, src in _delta_terms(rep.g, n):
             s = cols[src]
             for row, (items, den) in zip(rows[key], identity if x is None else rep.rho[x]._rows):
