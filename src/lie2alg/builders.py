@@ -101,39 +101,35 @@ def abelian(n: int) -> LieAlgebra:
     return LieAlgebra(n, zero_tensor((n, n, n)))
 
 
+def _from_brackets(n: int, brackets) -> LieAlgebra:
+    """The n-dimensional Lie algebra whose nonzero brackets are [e_i, e_j] =
+    sum of c e_k over the (i, j, k, c) in ``brackets``, each with i < j;
+    antisymmetry gives [e_j, e_i]."""
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k, c in brackets:
+        sc[i][j][k] += c
+        sc[j][i][k] -= c
+    return LieAlgebra(n, sc)
+
+
 def nonabelian2() -> LieAlgebra:
     """The unique nonabelian 2-dimensional algebra: [e0, e1] = e1."""
-    sc = [[[0, 0], [0, 1]], [[0, -1], [0, 0]]]
-    return LieAlgebra(2, sc)
+    return _from_brackets(2, [(0, 1, 1, 1)])
 
 
 def heisenberg3() -> LieAlgebra:
     """[e0, e1] = e2, e2 central."""
-    sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    sc[0][1][2] = 1
-    sc[1][0][2] = -1
-    return LieAlgebra(3, sc)
+    return _from_brackets(3, [(0, 1, 2, 1)])
 
 
 def so3() -> LieAlgebra:
     """[e0, e1] = e2 cyclically."""
-    sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        sc[a][b][c] = 1
-        sc[b][a][c] = -1
-    return LieAlgebra(3, sc)
+    return _from_brackets(3, [(0, 1, 2, 1), (1, 2, 0, 1), (0, 2, 1, -1)])
 
 
 def sl2() -> LieAlgebra:
     """Basis (h, e, f): [h,e] = 2e, [h,f] = -2f, [e,f] = h."""
-    sc = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-    sc[0][1][1] = 2
-    sc[1][0][1] = -2
-    sc[0][2][2] = -2
-    sc[2][0][2] = 2
-    sc[1][2][0] = 1
-    sc[2][1][0] = -1
-    return LieAlgebra(3, sc)
+    return _from_brackets(3, [(0, 1, 1, 2), (0, 2, 2, -2), (1, 2, 0, 1)])
 
 
 def trivial_rep(g: LieAlgebra, n: int = 1) -> Representation:
@@ -171,8 +167,7 @@ def lie_algebra(name: str) -> LieAlgebra:
 
 def lie_algebra_names(max_dim: int = 4) -> tuple[str, ...]:
     names = [f"abelian{n}" for n in range(1, max_dim + 1)]
-    names += [n for n in ("nonabelian2", "heisenberg3", "so3", "sl2")
-              if lie_algebra(n).dim <= max_dim]
+    names += [n for n, build in _FIXED_ALGEBRAS.items() if build().dim <= max_dim]
     return tuple(names)
 
 

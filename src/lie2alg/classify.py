@@ -32,7 +32,7 @@ the module certifies user-supplied maps and refutes via invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
@@ -381,47 +381,29 @@ class InvariantVector:
     of all fields is necessary but not sufficient.
     """
 
-    dim_g: int
-    dim_u: int
-    dim_v: int
-    n0: int
-    n1: int
-    h0: int
-    h1: int
-    derived_series: tuple[int, ...]
-    lower_central_series: tuple[int, ...]
-    center_dim: int
-    killing_rank: int
-    cohomology_h0: int
-    cohomology_h1: int
-    cohomology_h2: int
-    cohomology_h3: int
-    jtilde_is_coboundary: bool
-
-    FIELDS = (
-        ("dim_g", "dim g"),
-        ("dim_u", "dim U"),
-        ("dim_v", "dim V"),
-        ("n0", "n0"),
-        ("n1", "n1"),
-        ("h0", "h0"),
-        ("h1", "h1"),
-        ("derived_series", "derived series"),
-        ("lower_central_series", "lower central series"),
-        ("center_dim", "center dim"),
-        ("killing_rank", "Killing rank"),
-        ("cohomology_h0", "H0"),
-        ("cohomology_h1", "H1"),
-        ("cohomology_h2", "H2"),
-        ("cohomology_h3", "H3"),
-        ("jtilde_is_coboundary", "Jtilde coboundary flag"),
-    )
+    dim_g: int = field(metadata={"label": "dim g"})
+    dim_u: int = field(metadata={"label": "dim U"})
+    dim_v: int = field(metadata={"label": "dim V"})
+    n0: int = field(metadata={"label": "n0"})
+    n1: int = field(metadata={"label": "n1"})
+    h0: int = field(metadata={"label": "h0"})
+    h1: int = field(metadata={"label": "h1"})
+    derived_series: tuple[int, ...] = field(metadata={"label": "derived series"})
+    lower_central_series: tuple[int, ...] = field(metadata={"label": "lower central series"})
+    center_dim: int = field(metadata={"label": "center dim"})
+    killing_rank: int = field(metadata={"label": "Killing rank"})
+    cohomology_h0: int = field(metadata={"label": "H0"})
+    cohomology_h1: int = field(metadata={"label": "H1"})
+    cohomology_h2: int = field(metadata={"label": "H2"})
+    cohomology_h3: int = field(metadata={"label": "H3"})
+    jtilde_is_coboundary: bool = field(metadata={"label": "Jtilde coboundary flag"})
 
     def lines(self) -> list[str]:
-        out = []
-        for attr, label in self.FIELDS:
-            out.append(f"{label}={_render_value(getattr(self, attr))}")
-        return out
+        return [f"{label}={_render_value(getattr(self, attr))}" for attr, label in self.FIELDS]
+
+
+# (attribute, label) of each field, in order
+InvariantVector.FIELDS = tuple((f.name, f.metadata["label"]) for f in fields(InvariantVector))
 
 
 def _render_value(value) -> str:

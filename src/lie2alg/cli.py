@@ -3,7 +3,8 @@
 Subcommands: verify, normalize, invariants, cohomology, compare, example,
 random, compose, transport.  Exit codes: 0 pass/success, 1 semantic failure
 (equations fail, not isomorphic, bad certification maps), 2 input error
-(unreadable file, malformed document, structural violation).
+(unreadable file, malformed document, structural violation), 3 internal
+error (a self-check of the package failed: a bug, not the input).
 
 Every command that writes an algebra re-verifies it first, so no invalid
 document can be produced through this interface.
@@ -55,6 +56,13 @@ from .documents import (
     transport_from_document,
 )
 from . import morphisms as morphism_ops
+
+
+_EXIT_CODES = """exit codes:
+  0  pass / success
+  1  semantic failure: equations fail, not isomorphic, bad certification maps
+  2  input error: unreadable or malformed document, structural violation, usage
+  3  internal error: a self-check of lie2alg failed (a bug, not the input)"""
 
 
 def _say(args, text: str) -> None:
@@ -222,6 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lie2alg",
         description="Exact verification, cohomology and classification of 2-term L-infinity algebras",
+        epilog=_EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -297,6 +307,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

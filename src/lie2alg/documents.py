@@ -73,8 +73,7 @@ def _parse_tensor(data, shape: tuple[int, ...], where: str):
 
 
 def _parse_matrix(data, rows: int, cols: int, where: str) -> Matrix:
-    entries = _parse_tensor(data, (rows, cols), where)
-    return Matrix._trusted(rows, cols, (x for row in entries for x in row))
+    return Matrix.from_rows(_parse_tensor(data, (rows, cols), where), cols=cols)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ def rat(value) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def vec(values) -> tuple[Fraction, ...]:
-    return tuple(rat(v) for v in values)
+    return tuple(map(rat, values))
 
 
 def vec_zero(n: int) -> tuple[Fraction, ...]:
@@ -116,22 +116,12 @@ class Matrix:
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("negative matrix dimensions")
-        ent = tuple(rat(e) for e in self.entries)
+        ent = tuple(map(rat, self.entries))
         if len(ent) != self.rows * self.cols:
             raise ValueError(
                 f"expected {self.rows * self.cols} entries, got {len(ent)}"
             )
         object.__setattr__(self, "entries", ent)
-
-    @classmethod
-    def _trusted(cls, rows: int, cols: int, entries) -> "Matrix":
-        """A matrix on ``rows * cols`` row-major entries that are already
-        `Fraction`s: skips the constructor's per-entry ``rat`` coercion."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "cols", cols)
-        object.__setattr__(out, "entries", tuple(entries))
-        return out
 
     # -- construction -------------------------------------------------------
 
@@ -191,29 +181,26 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._trusted(self.rows, self.cols,
-                               (a + b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.entries, other.entries)])
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix._trusted(self.rows, self.cols,
-                               (a - b for a, b in zip(self.entries, other.entries)))
+        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.entries, other.entries)])
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.rows, self.cols, (-a for a in self.entries))
+        return Matrix(self.rows, self.cols, [-a for a in self.entries])
 
     def __rmul__(self, scalar) -> "Matrix":
         c = rat(scalar)
-        return Matrix._trusted(self.rows, self.cols, (c * a for a in self.entries))
+        return Matrix(self.rows, self.cols, [c * a for a in self.entries])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        cols = [_times(self._rows, self.cols, c) for c in other._columns]
-        return Matrix._trusted(self.rows, other.cols,
-                               (c[i] for i in range(self.rows) for c in cols))
+        return Matrix.from_columns([_times(self._rows, self.cols, c) for c in other._columns],
+                                   rows=self.rows)
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix times coordinate vector."""
@@ -234,28 +221,25 @@ class Matrix:
         return tuple([_scale(self.entries[j::self.cols]) for j in range(self.cols)])
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.cols, self.rows,
-                               (self.entries[i * self.cols + j]
-                                for j in range(self.cols) for i in range(self.rows)))
+        return Matrix.from_rows(map(self.column, range(self.cols)), cols=self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix._trusted(self.rows, self.cols + other.cols,
-                               (x for i in range(self.rows) for x in self.row(i) + other.row(i)))
+        return Matrix.from_rows([self.row(i) + other.row(i) for i in range(self.rows)],
+                                cols=self.cols + other.cols)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix._trusted(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
 
     def rank(self) -> int:
         return len(_eliminate(self._rows, self.cols)[1])
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
-        return Matrix._trusted(len(row_indices), len(col_indices),
-                               (self.entries[i * self.cols + j]
-                                for i in row_indices for j in col_indices))
+        return Matrix(len(row_indices), len(col_indices),
+                      [self.entries[i * self.cols + j] for i in row_indices for j in col_indices])
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -275,7 +259,7 @@ def _times(rows, cols: int, v) -> tuple[Fraction, ...]:
 def _row_matrix(rows, cols: int) -> Matrix:
     """The `Matrix` whose rows are the scaled vectors ``rows``, which it keeps
     as its scaled rows."""
-    out = Matrix._trusted(len(rows), cols, (x for r in rows for x in _unscale(r, cols)))
+    out = Matrix.from_rows([_unscale(r, cols) for r in rows], cols=cols)
     out.__dict__["_rows"] = tuple(rows)
     return out
 
@@ -283,8 +267,7 @@ def _row_matrix(rows, cols: int) -> Matrix:
 def _column_matrix(columns, rows: int) -> Matrix:
     """The `Matrix` whose columns are the scaled vectors ``columns``, which it
     keeps as its scaled columns."""
-    cols = [_unscale(c, rows) for c in columns]
-    out = Matrix._trusted(rows, len(cols), (c[i] for i in range(rows) for c in cols))
+    out = Matrix.from_columns([_unscale(c, rows) for c in columns], rows=rows)
     out.__dict__["_columns"] = tuple(columns)
     return out
 
@@ -335,8 +318,7 @@ class Subspace:
         return len(self.basis)
 
     def matrix(self) -> Matrix:
-        return Matrix._trusted(self.ambient_dim, self.dim,
-                               (v[i] for i in range(self.ambient_dim) for v in self.basis))
+        return Matrix.from_columns(self.basis, rows=self.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +441,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
     if a.rows != b.rows:
         raise ValueError("a and b must have the same number of rows")
     x = _solve(a._rows, b._rows, a.cols, b.cols)
-    return None if x is None else Matrix._trusted(a.cols, b.cols,
-                                                  (c[i] for i in range(a.cols) for c in x))
+    return None if x is None else Matrix.from_columns(x, rows=a.cols)
 
 
 def invert(m: Matrix) -> Matrix | None:

@@ -250,6 +250,10 @@ class TestCatalog:
         rep = direct_sum_rep(adjoint_rep(g), trivial_rep(g, 1))
         assert rep.rho[0].column(3) == (F(0),) * 4
 
+    def test_direct_sum_over_different_algebras_rejected(self):
+        with pytest.raises(ValueError, match="same Lie algebra"):
+            direct_sum_rep(trivial_rep(so3()), trivial_rep(sl2()))
+
 
 class TestRandomAlgebra:
     def test_deterministic(self):

@@ -161,6 +161,10 @@ class TestExtractTriple:
             # assert the cocycle condition explicitly
             assert is_cocycle(q.jtilde, q.rep)
 
+    def test_other_algebras_decomposition_rejected(self):
+        with pytest.raises(ValueError, match="different algebra"):
+            extract_triple(skeletal_string(so3(), 1), decompose(skeletal_string(so3(), 2)))
+
 
 class TestTransport:
     def test_identity_is_noop(self):
@@ -193,6 +197,17 @@ class TestTransport:
         L = quaternion_example("0")
         with pytest.raises(InvertibilityError):
             transport(L, Matrix.zero(4, 4), Matrix.identity(4), zero_tensor((4, 4, 4)))
+
+    @pytest.mark.parametrize("phi0, phi1, message", [
+        (Matrix.zero(4, 3), Matrix.identity(4), "phi0 must be square of size n0"),
+        (Matrix.identity(3), Matrix.identity(4), "phi0 must be square of size n0"),
+        (Matrix.identity(4), Matrix.zero(3, 4), "phi1 must be square of size n1"),
+        (Matrix.identity(4), Matrix.from_rows([[1, 0, 0, 0]] * 4), "phi1 is singular"),
+    ], ids=["phi0-not-square", "phi0-wrong-size", "phi1-not-square", "phi1-singular"])
+    def test_bad_linear_parts_rejected(self, phi0, phi1, message):
+        L = quaternion_example(V)
+        with pytest.raises(InvertibilityError, match=message):
+            transport(L, phi0, phi1, zero_tensor((4, 4, 4)))
 
     @pytest.mark.parametrize("pair, where", [((0, 1), (0, 1)), ((2, 2), (2, 2)),
                                              ((3, 1), (1, 3))])

@@ -153,6 +153,17 @@ class TestNormalize:
         assert code == 0
         assert "g=3, U=0, V=1, coboundary=false" in out
 
+    def test_self_check_failure_exits_3(self, capsys, monkeypatch):
+        def failing(_):
+            raise RuntimeError("normalizing morphism failed verification")
+
+        monkeypatch.setattr("lie2alg.cli.normal_form", failing)
+        code, out, err = run(capsys, "normalize", data("quaternion.json"))
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: normalizing morphism failed verification\n"
+        assert "Traceback" not in err
+
 
 class TestInvariants:
     def test_golden_quaternion(self, capsys):
@@ -520,6 +531,15 @@ class TestOptions:
         assert captured.out == ""
         assert "unrecognized arguments" in captured.err
         assert not (tmp_path / "f.json").exists()
+
+    def test_help_names_every_exit_code(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        for code, meaning in (("0", "success"), ("1", "semantic failure"), ("2", "input error"),
+                              ("3", "internal error")):
+            assert f"  {code}  " in out and meaning in out
 
     @pytest.mark.parametrize("argv, attrs", [
         (("normalize", "A", "--out", "f", "--quiet"), {"out": "f", "quiet": True}),

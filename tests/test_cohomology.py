@@ -10,6 +10,7 @@ from lie2alg import (
     LieAlgebra,
     LieMorphismError,
     Matrix,
+    Quadruple,
     Representation,
     abelian,
     adjoint_rep,
@@ -659,3 +660,48 @@ class TestLawsAgainstOracle:
                 assert is_lie_morphism(psi, source, target) == want
                 seen.add(want)
         assert seen == {True, False}
+
+
+def _abelian4_acting_by_e0():
+    """abelian4 on a line, e0 acting as the identity and the rest as zero."""
+    return Representation(abelian(4), 1, (Matrix.identity(1),) + (Matrix.zero(1, 1),) * 3)
+
+
+class TestRecordPreconditions:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Quadruple(so3(), -1, trivial_rep(so3()), Cochain.zero(3, so3(), 1)),
+         "dim_u must be nonnegative"),
+        (lambda: Quadruple(so3(), 0, trivial_rep(sl2()), Cochain.zero(3, so3(), 1)),
+         "different Lie algebra"),
+        (lambda: Quadruple(abelian(4), 0, _abelian4_acting_by_e0(),
+                           Cochain(3, abelian(4), 1, {(1, 2, 3): (1,)})),
+         "not a cocycle"),
+        (lambda: Representation(so3(), 2, (Matrix.zero(2, 2),) * 2 + (Matrix.zero(3, 3),)),
+         "must be 2x2"),
+        (lambda: Representation(so3(), 1, (Matrix.zero(1, 1),) * 2),
+         "one rho matrix per basis element"),
+        (lambda: Cochain(2, so3(), 1, {(1, 0): (1,)}), "not an increasing 2-tuple"),
+        (lambda: Cochain(1, so3(), 2, {(0,): (1,)}), "wrong length"),
+        (lambda: Cochain.zero(2, so3(), 1).evaluate([(1, 0, 0)]), "expected 2 arguments"),
+        (lambda: delta(Cochain.zero(1, so3(), 1), adjoint_rep(so3())), "different data"),
+        (lambda: delta(Cochain.zero(1, sl2(), 1), trivial_rep(so3())), "different data"),
+        (lambda: pullback_representation(adjoint_rep(so3()), Matrix.identity(2), so3()),
+         "psi shape"),
+    ], ids=["quadruple-dim-u", "quadruple-other-algebra", "quadruple-not-cocycle",
+            "rep-matrix-size", "rep-matrix-count", "cochain-key", "cochain-value-length",
+            "evaluate-arity", "delta-dim-v", "delta-algebra", "pullback-psi-shape"])
+    def test_raises_value_error(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize("degree_k, pullback_dim, source_dim, message", [
+        (2, 1, 1, "same degree"),
+        (3, 2, 1, "rep_target_pullback"),
+        (3, 1, 2, "rep_source"),
+    ], ids=["degrees", "pullback", "source"])
+    def test_cohomologous_value_errors(self, degree_k, pullback_dim, source_dim, message):
+        g = so3()
+        with pytest.raises(ValueError, match=message):
+            cohomologous(Cochain.zero(3, g, 1), Cochain.zero(degree_k, g, 1), Matrix.identity(3),
+                         Matrix.identity(1), trivial_rep(g, source_dim),
+                         trivial_rep(g, pullback_dim))

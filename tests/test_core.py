@@ -142,6 +142,20 @@ class TestVerifyExamples:
         broken = TwoTermAlgebra(3, 1, L.d, L.b00, L.b01, jac)
         assert any("jac antisymmetry" in e for e in structure_violations(broken))
 
+    def test_d_of_the_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="d must be 1x1"):
+            TwoTermAlgebra(1, 1, [[0], [0]], zero_tensor((1, 1, 1)), zero_tensor((1, 1, 1)),
+                           zero_tensor((1, 1, 1, 1)))
+
+
+class TestElement:
+    def test_add_and_sub(self):
+        a = Element((1, F(1, 2)), (3,))
+        b = Element((F(1, 3), 0), (-3,))
+        assert a + b == Element((F(4, 3), F(1, 2)), (0,))
+        assert a - b == Element((F(2, 3), F(1, 2)), (6,))
+        assert (a - a).is_zero() and not (a + b).is_zero()
+
 
 class TestBracket:
     def test_quaternion_i_j_gives_k(self):

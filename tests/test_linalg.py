@@ -433,3 +433,53 @@ class TestMatrixBasics:
 
     def test_hashable(self):
         assert hash(M([[1]])) == hash(M([[1]]))
+
+
+class TestShapeChecks:
+    """Every internal build goes through the one constructor, so its checks
+    and those of the public operations guard them all."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: Matrix(-1, 0, ()), ValueError),
+        (lambda: Matrix(0, -2, ()), ValueError),
+        (lambda: Matrix(2, 2, (1, 2, 3)), ValueError),
+        (lambda: Matrix(1, 1, (1, 2)), ValueError),
+        (lambda: Matrix.from_rows([[1, 2], [3]]), ValueError),
+        (lambda: Matrix.from_columns([[1, 2], [3]]), ValueError),
+        (lambda: M([[1, 2]])[1, 0], IndexError),
+        (lambda: M([[1, 2]])[0, 2], IndexError),
+        (lambda: M([[1, 2]])[0, -1], IndexError),
+        (lambda: M([[1, 2]]).apply((1,)), ValueError),
+        (lambda: M([[1, 2]]).apply((1, 2, 3)), ValueError),
+        (lambda: M([[1]]).hstack(M([[1], [2]])), ValueError),
+        (lambda: M([[1]]).vstack(M([[1, 2]])), ValueError),
+        (lambda: M([[1]]) + M([[1, 2]]), ValueError),
+        (lambda: M([[1]]) - M([[1], [2]]), ValueError),
+        (lambda: Subspace(2, ((F(1),),)), ValueError),
+        (lambda: Subspace(1, ((F(1), F(0)),)), ValueError),
+    ], ids=["negative-rows", "negative-cols", "too-few-entries", "too-many-entries",
+            "ragged-rows", "ragged-columns", "row-out-of-range", "column-out-of-range",
+            "negative-index", "apply-short", "apply-long", "hstack", "vstack", "add", "sub",
+            "subspace-short-vector", "subspace-long-vector"])
+    def test_malformed_raises(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_negation(self):
+        m = M([[1, F(-2, 3)], [0, 5]])
+        assert -m == M([[-1, F(2, 3)], [0, -5]])
+        assert -Matrix.zero(0, 2) == Matrix.zero(0, 2)
+
+    def test_transpose(self):
+        m = M([[1, F(-2, 3)], [0, 5], [7, 0]])
+        assert m.transpose() == M([[1, 0, 7], [F(-2, 3), 5, 0]])
+        assert m.transpose().transpose() == m
+        assert Matrix.zero(0, 3).transpose() == Matrix.zero(3, 0)
+        assert Matrix.zero(2, 0).transpose() == Matrix.zero(0, 2)
+
+    def test_internal_builds_hold_fractions(self):
+        m = M([[1, 2], [3, 4]])
+        for out in (m + m, m - m, -m, 3 * m, m @ m, m.transpose(), m.hstack(m), m.vstack(m),
+                    m.submatrix([1], [0, 1]), rref(m)[0], solve(m, m), invert(m),
+                    kernel_basis(Matrix.zero(1, 2)).matrix()):
+            assert all(type(x) is Fraction for x in out.entries)

@@ -58,6 +58,13 @@ class TestVerifyMorphism:
         with pytest.raises(ValueError):
             Morphism(L, Z, Matrix.identity(4), Matrix.identity(4), zero_tensor((4, 4, 4)))
 
+    @pytest.mark.parametrize("phi1", [Matrix.identity(3), Matrix.zero(4, 3)],
+                             ids=["phi1-square", "phi1-columns"])
+    def test_phi1_of_the_wrong_shape_rejected(self, phi1):
+        L = quaternion_example(V)
+        with pytest.raises(ValueError, match="phi1 must be 4x4"):
+            Morphism(L, L, Matrix.identity(4), phi1, zero_tensor((4, 4, 4)))
+
 
 class TestCompose:
     def test_identity_left_right(self):
