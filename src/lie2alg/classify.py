@@ -43,7 +43,6 @@ from .linalg import (
     _eliminate,
     _invertible,
     _kernel_vectors,
-    _row_matrix,
     as_matrix,
     basis_vec,
     block_diag,
@@ -137,30 +136,30 @@ class Decomposition:
 
 def decompose(L: TwoTermAlgebra) -> Decomposition:
     """Deterministic decomposition via greedy standard-basis complements,
-    read off two row reductions: of d, and of [im d | I].
+    read off one row reduction, of [d | I].
 
     Precondition: ``verify(L)`` passes.
     """
     n0, n1 = L.n0, L.n1
-    reduced = _eliminate(L.d._rows, n1)
-    pivots = reduced[1]
-    r = len(pivots)
-    imd = Subspace._trusted(n0, (L.d.column(p) for p in pivots))
-    kerd = Subspace._trusted(n1, _kernel_vectors(reduced, n1))
+    # rref([d | I]) = [E @ d | E] has a pivot in every row: first the r
+    # pivots of d, on the nonzero rows of rref(d), then rows zero on d's block
+    red, pivots = rref(L.d.hstack(Matrix.identity(n0)))
+    r = sum(p < n1 for p in pivots)
+    imd = Subspace._trusted(n0, (L.d.column(p) for p in pivots[:r]))
+    kerd = Subspace._trusted(n1, _kernel_vectors((red._rows, pivots), n1))
     # U is the greedy complement of ker d: a free e_f is its kernel vector
     # plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}), on
-    # which the row of red (the nonzero rows of rref(d)) with pivot p vanishes.
-    u_b = Subspace._trusted(n1, (basis_vec(n1, p) for p in pivots))
-    # rref([im d | I]) = E @ [im d | I], E its identity block, has pivots
-    # 0..r-1 first, so E sends im d's basis to e_0..e_{r-1}, g's to the rest
-    red0, pivots0 = rref(imd.matrix().hstack(Matrix.identity(n0)))
-    g_b = Subspace._trusted(n0, (basis_vec(n0, p - r) for p in pivots0 if p >= r))
-    coords0 = red0.submatrix([*range(r, n0), *range(r)], range(r, r + n0))
-    # the kernel coordinates of x are its free entries, its U ones red @ x
-    free = [c for c in range(n1) if c not in pivots]
-    coords1 = Matrix.identity(n1).submatrix(free, range(n1)).vstack(_row_matrix(reduced[0], n1))
+    # which the row of rref(d) with pivot p vanishes.
+    u_b = Subspace._trusted(n1, (basis_vec(n1, p) for p in pivots[:r]))
+    # E sends im d's basis to e_0..e_{r-1} and the e_c at the last pivots,
+    # the greedy complement g of im d, to the rest
+    g_b = Subspace._trusted(n0, (basis_vec(n0, p - n1) for p in pivots[r:]))
+    coords0 = red.submatrix([*range(r, n0), *range(r)], range(n1, n1 + n0))
+    # the kernel coordinates of x are its free entries, its U ones rref(d) @ x
+    free = Matrix.identity(n1).submatrix([c for c in range(n1) if c not in pivots], range(n1))
+    coords1 = free.vstack(red.submatrix(range(r), range(n1)))
     # d maps U's basis onto im d's: h is U's basis times E's first r rows
-    h = u_b.matrix() @ red0.submatrix(range(r), range(r, r + n0))
+    h = u_b.matrix() @ red.submatrix(range(r), range(n1, n1 + n0))
     return Decomposition(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
 
 

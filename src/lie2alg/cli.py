@@ -6,8 +6,8 @@ random, compose, transport.  Exit codes: 0 pass/success, 1 semantic failure
 (unreadable file, malformed document, structural violation), 3 internal
 error (a self-check of the package failed: a bug, not the input).
 
-Every command that writes an algebra re-verifies it first, so no invalid
-document can be produced through this interface.
+Every command that writes an algebra re-verifies it first and refuses, with
+exit 3, to write one that fails: the package built it, so that is a bug.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def _emit(args, doc: dict) -> None:
 def _checked_algebra_document(L: TwoTermAlgebra, name: str | None = None) -> dict:
     report = verify(L)
     if not report.passed:
-        raise ValueError("refusing to write an algebra that fails verification")
+        raise RuntimeError("refusing to write an algebra that fails verification")
     return algebra_to_document(L, name=name)
 
 

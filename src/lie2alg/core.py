@@ -155,7 +155,7 @@ class TwoTermAlgebra:
                                _scale_tensor(self.b01, 2), _scale_tensor(self.jac, 3))
 
     @cached_property
-    def _store(self) -> dict:  # "verify", "quadruple", "normal_form" -> result
+    def _store(self) -> dict:  # "verify", "quadruple", "decomposition", "normal_form"
         """Results computed from this algebra, kept for later calls on the
         same object.  No value refers back to the algebra, so it is still
         freed by reference counting."""
@@ -596,9 +596,9 @@ def _verify(L: TwoTermAlgebra) -> VerificationReport:
 def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:
     """Left side of the four-argument coherence identity on basis indices.
 
-    Arguments need not be increasing or distinct; this is used both by the
-    verifier (increasing tuples) and by antisymmetry smoke tests.  ``jac``
-    must be antisymmetric (no ``structure_violations``).
+    Arguments need not be increasing or distinct.  The verifier sums
+    ``_coherence_parts`` itself; the tests call this on repeated arguments.
+    ``jac`` must be antisymmetric (no ``structure_violations``).
     """
     return _unscale(_ivec(L.n1, _coherence_parts(L._scaled, args)), L.n1)
 

@@ -10,11 +10,9 @@ Run with::
 """
 
 import glob
-import math
 import os
 import random
 import time
-from fractions import Fraction
 
 from lie2alg import (
     Cochain,
@@ -61,6 +59,7 @@ from lie2alg.documents import (
     maps_from_document,
     maps_to_document,
 )
+from test_cohomology import oracle_delta_matrix
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -104,52 +103,10 @@ def test_criterion_03_differential_squares_to_zero():
 def _oracle_cohomology_dims(rep, top):
     """Independent route: brute-force matrices of the classical
     alternating-sum differential, then exact rank arithmetic."""
-    from lie2alg.cohomology import Cochain as C, increasing_tuples, cochain_to_vec
-    from lie2alg.linalg import Matrix as M, vec_add, vec_scale, vec_zero
-
-    g = rep.g
-
-    def oracle_delta(f):
-        values = {}
-        for key in increasing_tuples(g.dim, f.n + 1):
-            acc = vec_zero(f.dimV)
-            for pos in range(f.n + 1):
-                rest = key[:pos] + key[pos + 1 :]
-                acc = vec_add(
-                    acc,
-                    vec_scale((-1) ** pos, rep.rho[key[pos]].apply(f.values[rest])),
-                )
-            for a in range(f.n + 1):
-                for b in range(a + 1, f.n + 1):
-                    rest = tuple(k for i, k in enumerate(key) if i not in (a, b))
-                    for t, c in enumerate(g.sc[key[a]][key[b]]):
-                        if c:
-                            acc = vec_add(
-                                acc,
-                                vec_scale(
-                                    (-1) ** (a + b) * c,
-                                    f.value_at_basis((t,) + rest),
-                                ),
-                            )
-            values[key] = acc
-        return C(f.n + 1, g, f.dimV, values)
-
-    def oracle_matrix(n):
-        cols = []
-        rows = math.comb(g.dim, n + 1) * rep.dimV
-        for key in increasing_tuples(g.dim, n):
-            for v_idx in range(rep.dimV):
-                basis = C(
-                    n, g, rep.dimV,
-                    {key: tuple(Fraction(int(t == v_idx)) for t in range(rep.dimV))},
-                )
-                cols.append(cochain_to_vec(oracle_delta(basis)))
-        return M.from_columns(cols, rows=rows) if cols else M.zero(rows, 0)
-
     dims = []
     for n in range(top + 1):
-        dn = oracle_matrix(n)
-        rank_prev = oracle_matrix(n - 1).rank() if n >= 1 else 0
+        dn = oracle_delta_matrix(n, rep)
+        rank_prev = oracle_delta_matrix(n - 1, rep).rank() if n >= 1 else 0
         dims.append(dn.cols - dn.rank() - rank_prev)
     return dims
 

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 import pytest
 
 from lie2alg import TwoTermAlgebra, quaternion_example
-from lie2alg.core import perm_sign
+from lie2alg.core import VerificationReport, perm_sign
 from lie2alg.cli import main
 from lie2alg.documents import (
     algebra_to_document,
@@ -162,6 +162,16 @@ class TestNormalize:
         assert code == 3
         assert out == ""
         assert err == "internal error: normalizing morphism failed verification\n"
+        assert "Traceback" not in err
+
+    def test_refused_write_exits_3(self, capsys, monkeypatch):
+        # every algebra the CLI writes is built by the package, so a refusal is a bug
+        failing = VerificationReport(equations=(), structure_errors=("injected",), failures=())
+        monkeypatch.setattr("lie2alg.cli.verify", lambda _: failing)
+        code, out, err = run(capsys, "example", "zero", "--n0", "1", "--n1", "1")
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: refusing to write an algebra that fails verification\n"
         assert "Traceback" not in err
 
 

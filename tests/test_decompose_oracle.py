@@ -1,8 +1,8 @@
 """Reference test for ``classify.decompose``.
 
-``decompose`` reads all nine fields of a `Decomposition` off two row
-reductions: of d, and of [im d | I].  This module keeps the construction it
-replaces, seven eliminations (the image and kernel of d, the complements of
+``decompose`` reads all nine fields of a `Decomposition` off one row
+reduction, of [d | I].  This module keeps the construction it replaces,
+seven eliminations (the image and kernel of d, the complements of
 both, and three inversions), as an independent oracle and asserts equal
 fields on seeded random algebras, on every zero algebra up to 3+3, and on
 abelian algebras whose differential is zero, surjective or injective.
@@ -29,6 +29,7 @@ from lie2alg import (
     so3,
     verify,
 )
+from lie2alg import classify, linalg
 from lie2alg.builders import RandomProfile
 from lie2alg.core import zero_tensor
 
@@ -95,7 +96,7 @@ def test_zero_differential_with_brackets():
     assert_same_decomposition(L)
 
 
-SHAPES = [(1, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (2, 5), (5, 2)]
+SHAPES = [(1, 1), (1, 3), (2, 3), (3, 1), (3, 2), (3, 3), (2, 5), (5, 2), (4, 6), (6, 4), (6, 6)]
 
 
 @pytest.mark.parametrize("n0,n1,rank", [
@@ -108,3 +109,20 @@ def test_differentials_of_every_rank(n0, n1, rank):
         L = abelian_with_differential(random_differential(rng, n0, n1, rank))
         assert verify(L).passed
         assert_same_decomposition(L)
+
+
+def test_one_elimination_per_call(monkeypatch):
+    """Every field comes from the one reduction of [d | I]."""
+    calls = []
+    original = linalg._eliminate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (linalg, classify):
+        monkeypatch.setattr(module, "_eliminate", counted)
+    for L in (random_algebra(7), skeletal_string(so3(), 1), TwoTermAlgebra.zero(2, 3)):
+        calls.clear()
+        decompose(L)
+        assert len(calls) == 1
