@@ -215,8 +215,8 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
     differential embeds the degree-1 copy of U as the degree-0 copy, the
     bracket restricts to g and acts on V through the representation, and the
     Jacobiator is the cocycle on g-arguments.  The structure is assembled on
-    the scaled-integer form, which the result keeps, and converted to
-    `Fraction`s once; the result is re-verified before being returned.
+    the scaled-integer form, which the result stores; the result is
+    re-verified before being returned.
     """
     gdim, u, v = q.g.dim, q.dim_u, q.rep.dimV
     n0, n1 = gdim + u, v + u
@@ -229,7 +229,7 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
                       for jv in range(n1)) for i in range(n0))
     jac = _alternating(n0, 3, {key: _scale(q.jtilde.values[key])
                                for key in combinations(range(gdim), 3)})
-    out = TwoTermAlgebra._from_scaled(n0, n1, d, b00, b01, jac)
+    out = TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
     report = verify(out)
     if not report.passed:
         raise RuntimeError(f"assembled algebra failed verification: {report.lines()}")

@@ -11,16 +11,17 @@ used by ``distinguish`` to refute isomorphism.
 
 ``transport``, ``extract_triple`` and ``normal_form`` build their tensors on
 the scaled-integer form of ``core`` (integer numerators, one denominator per
-vector, summed by ``core._isum``); `Fraction`s appear only at the API
-boundary, and the algebras and morphisms they return carry their scaled form
-already, so verifying them converts nothing.
+vector, summed by ``core._isum``) and hand it to the algebras and
+morphisms they return, which store only that form, so verifying them
+converts nothing; `Fraction`s appear only in the views of the public API.
 
 Results that are functions of an algebra are kept per algebra object, in
 its private ``_store``: ``verify`` keeps its report, the quadruple (one
 ``decompose`` and one ``extract_triple``) is shared by ``normal_form``,
-``invariants``, ``skeleton`` and ``split_normal_form``, its decomposition
-is kept until the normal form is built from it, and ``normal_form`` keeps
-its target algebra and the maps of its isomorphism, verified once.  A value
+``invariants``, ``skeleton`` and ``split_normal_form``, and ``normal_form``
+keeps its target algebra and the maps of its isomorphism, verified once
+(it decomposes the algebra itself, and extracts the quadruple from that
+decomposition unless one is kept).  A value
 is stored only on the argument of the call that computed it and never
 refers back to that algebra, so an algebra built by the pipeline (a normal
 form, say) is classified afresh, and a stored algebra is still freed by
@@ -32,7 +33,7 @@ the module certifies user-supplied maps and refutes via invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
@@ -54,7 +55,6 @@ from .core import (
     _alternating,
     _column_matrix,
     _ivec,
-    _keep_scaled,
     _pair_violations,
     _scale,
     _scale_tensor,
@@ -108,11 +108,10 @@ class Decomposition:
     coordinates (g then image; kernel then U).  ``f == coords1`` maps degree 1
     to (kernel, image-of-d) coordinates: the identity on the kernel and d on U.
     ``h`` sends x in degree 0 to the unique element of U whose image under d
-    is the image-part of x; it vanishes on the g part.  ``source`` is None
-    on the decomposition an algebra keeps for its normal form.
+    is the image-part of x; it vanishes on the g part.
     """
 
-    source: TwoTermAlgebra | None
+    source: TwoTermAlgebra
     g_basis: Subspace
     imd_basis: Subspace
     kerd_basis: Subspace
@@ -217,9 +216,9 @@ def transport(
     The new differential, brackets and Jacobiator are the unique ones making
     (phi0, phi1, correction) a morphism; the new Jacobiator uses the already
     transported mixed bracket.  Each is built on scaled integers, one
-    ``core._isum`` per output vector, and converted to `Fraction`s once.
-    Returns the new algebra and the connecting morphism, both carrying their
-    scaled form; both are re-verified before returning.
+    ``core._isum`` per output vector.  Returns the new algebra and the
+    connecting morphism, which store that scaled form (their `Fraction`
+    views are built on first read); both are re-verified before returning.
 
     Precondition: ``verify(L)`` passes.  A ``correction`` that is not
     antisymmetric raises ValueError naming its first bad pair.
@@ -266,9 +265,8 @@ def transport(
             parts += [(-sign, b01_new[a], (c[y, z],)), (-sign, C, (X[a], w[y, z]))]
         jac_new[key] = _ivec(n1, parts)
 
-    out = TwoTermAlgebra._from_scaled(n0, n1, d_new, b00_new, b01_new,
-                                      _alternating(n0, 3, jac_new))
-    mor = _keep_scaled(Morphism(L, out, phi0, phi1, corr), (P0, P1, C))
+    out = TwoTermAlgebra._of(n0, n1, d_new, b00_new, b01_new, _alternating(n0, 3, jac_new))
+    mor = Morphism._of(L, out, (P0, P1, C))
     report = verify(out)
     if not report.passed:
         raise ValueError(f"transported algebra failed verification: {report.lines()}")
@@ -302,16 +300,19 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     store = L._store
     if "normal_form" not in store:
         store["normal_form"] = _normal_form(L)
-        del store["decomposition"]   # read by _normal_form alone
-    target, q, phi0, phi1, Phi, scaled = store["normal_form"]
-    return NormalFormResult(target, _keep_scaled(Morphism(L, target, phi0, phi1, Phi), scaled), q)
+    target, q, scaled = store["normal_form"]
+    return NormalFormResult(target, Morphism._of(L, target, scaled), q)
 
 
 def _normal_form(L: TwoTermAlgebra) -> tuple:
-    """(target, quadruple, phi0, phi1, Phi, their scaled form) of the normal
-    form of L: nothing that refers back to L, so that it can be kept on L."""
-    q = _quadruple(L)
-    dec = L._store["decomposition"]
+    """(target, quadruple, the scaled form of the isomorphism) of the normal
+    form of L: nothing that refers back to L, so that it can be kept on L.
+    The quadruple is extracted from the same decomposition unless L keeps
+    one already."""
+    store, dec = L._store, decompose(L)
+    if "quadruple" not in store:
+        store["quadruple"] = extract_triple(L, dec)
+    q = store["quadruple"]
     target = normal_form_algebra(q)
 
     gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
@@ -329,22 +330,18 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
         s = _ivec(n1, ((1, S.b01[i], (h[j],)), (-1, S.b01, (g_std[j], h[i]))))
         Phi[i, j] = _ivec(n1, ((1, k_coords, (s,)), (1, u, (S.b00[i][j],))))
     Phi = _alternating(n0, 2, Phi)
-    mor = _keep_scaled(Morphism(L, target, dec.coords0, dec.f, _unscale_tensor(Phi, 2, n1)),
-                       (dec.coords0._columns, dec.f._columns, Phi))
+    mor = Morphism._of(L, target, (dec.coords0._columns, dec.f._columns, Phi))
     report = verify_morphism(mor)
     if not report.passed or not is_isomorphism(mor):
         raise RuntimeError(f"normalizing morphism failed verification: {report.lines()}")
-    return target, q, mor.phi0, mor.phi1, mor.Phi, mor._scaled
+    return target, q, mor._scaled
 
 
 def _quadruple(L: TwoTermAlgebra) -> Quadruple:
-    """The quadruple of L, extracted once per algebra object and kept on it,
-    next to its decomposition (without source) until the normal form."""
+    """The quadruple of L, extracted once per algebra object and kept on it."""
     store = L._store
     if "quadruple" not in store:
-        dec = decompose(L)
-        store["quadruple"] = extract_triple(L, dec)
-        store["decomposition"] = _keep_scaled(replace(dec, source=None), dec._scaled)
+        store["quadruple"] = extract_triple(L, decompose(L))
     return store["quadruple"]
 
 
@@ -523,8 +520,8 @@ def certify_isomorphism(
     # the correction is the witness on the g part, zero on U
     corr = _alternating(nf_l.algebra.n0, 2,
                         {key: _scale(value) for key, value in witness.values.items()})
-    mor_nf = Morphism(nf_l.algebra, nf_m.algebra, block_diag(chi, f_u), block_diag(t_v, f_u),
-                      _unscale_tensor(corr, 2, nf_m.algebra.n1))
+    mor_nf = Morphism._of(nf_l.algebra, nf_m.algebra, (block_diag(chi, f_u)._columns,
+                                                       block_diag(t_v, f_u)._columns, corr))
     report = verify_morphism(mor_nf)
     if not report.passed:
         raise RuntimeError(f"certificate morphism failed verification: {report.lines()}")

@@ -12,20 +12,21 @@ The bracket of two degree-1 elements vanishes for degree reasons and is not
 stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
-validated as an explicit verifier stage.  The public tensors hold
-`Fraction`s, but every tensor contraction runs on scaled integers, the
-one exact vector form of the package (``linalg._scale``): each leaf vector
-of a structure tensor is kept as integer numerators over the lcm of its own
-denominators, built once per algebra or handed over by the code that built
-the algebra, and a `Matrix` keeps its columns in the same form, so the
-columns of ``d`` are ``d._columns``.  One kernel, ``_isum``, sums signed
-contractions of scaled tensors with scaled vectors (a basis argument is an
-index into the tensor).  The Jacobi, mixed-Jacobi (representation) and
-bracket-defect laws are written once here as such signed parts, shared by
-the verifiers and by the Lie algebra, representation and Lie-morphism
-checks of ``cohomology``; the pipeline (``classify``, ``morphisms``,
+validated as an explicit verifier stage.  An algebra stores its structure
+once, in scaled integers, the one exact vector form of the package
+(``linalg._scale``): each leaf vector of a structure tensor as integer
+numerators over the lcm of its own denominators, and ``d`` as its columns
+in the same form.  The public constructor scales its `Fraction` data once;
+the pipeline hands its scaled results to ``TwoTermAlgebra._of``.  The
+public ``d``, ``b00``, ``b01`` and ``jac`` are `Fraction` views, built on
+first read, and every tensor contraction runs on the scaled form.  One
+kernel, ``_isum``, sums signed contractions of scaled tensors with scaled
+vectors (a basis argument is an index into the tensor).  The Jacobi,
+mixed-Jacobi (representation) and bracket-defect laws are written once here
+as such signed parts, shared by the verifiers and by the Lie algebra,
+representation and Lie-morphism checks of ``cohomology``; the pipeline (``classify``, ``morphisms``,
 ``builders``) builds new algebras and morphisms with the same kernel, so
-`Fraction`s appear only at the API boundary: in the public tensors and in
+`Fraction`s appear only at the API boundary: in the public views and in
 the discrepancy of a reported failure.  Because all structure maps are
 multilinear, checking the five defining equations on basis tuples is
 sufficient; the verifier walks tuples in lexicographic order and reports
@@ -130,53 +131,51 @@ def zero_tensor(shape: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TwoTermAlgebra:
     n0: int
     n1: int
-    d: Matrix
-    b00: Tensor3
-    b01: Tensor3
-    jac: Tensor4
+    _scaled: _Scaled   # canonical, so == and hash compare the structure
 
-    def __post_init__(self):
-        d = as_matrix(self.d, self.n1)
-        if d.rows != self.n0 or d.cols != self.n1:
-            raise ValueError(f"d must be {self.n0}x{self.n1}")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "b00", tensor(self.b00, (self.n0, self.n0, self.n0)))
-        object.__setattr__(self, "b01", tensor(self.b01, (self.n0, self.n1, self.n1)))
-        object.__setattr__(self, "jac", tensor(self.jac, (self.n0, self.n0, self.n0, self.n1)))
+    def __init__(self, n0: int, n1: int, d, b00, b01, jac):
+        d = as_matrix(d, n1)
+        if d.rows != n0 or d.cols != n1:
+            raise ValueError(f"d must be {n0}x{n1}")
+        self.__dict__.update(n0=n0, n1=n1, _scaled=_scaled_algebra(
+            d._columns, _scale_tensor(tensor(b00, (n0, n0, n0)), 2),
+            _scale_tensor(tensor(b01, (n0, n1, n1)), 2),
+            _scale_tensor(tensor(jac, (n0, n0, n0, n1)), 3)))
+
+    @classmethod
+    def _of(cls, n0: int, n1: int, d, b00, b01, jac) -> "TwoTermAlgebra":
+        """The algebra whose structure is given in scaled form: ``d`` as its
+        columns, every tensor nested in tuples."""
+        out = object.__new__(cls)
+        out.__dict__.update(n0=n0, n1=n1, _scaled=_scaled_algebra(d, b00, b01, jac))
+        return out
 
     @cached_property
-    def _scaled(self) -> "_Scaled":
-        """The structure in scaled-integer form, built on first use."""
-        return _scaled_algebra(self.d._columns, _scale_tensor(self.b00, 2),
-                               _scale_tensor(self.b01, 2), _scale_tensor(self.jac, 3))
+    def d(self) -> Matrix:
+        return _column_matrix(self._scaled.d, self.n0)
 
     @cached_property
-    def _store(self) -> dict:  # "verify", "quadruple", "decomposition", "normal_form"
+    def b00(self) -> Tensor3:
+        return _unscale_tensor(self._scaled.b00, 2, self.n0)
+
+    @cached_property
+    def b01(self) -> Tensor3:
+        return _unscale_tensor(self._scaled.b01, 2, self.n1)
+
+    @cached_property
+    def jac(self) -> Tensor4:
+        return _unscale_tensor(self._scaled.jac, 3, self.n1)
+
+    @cached_property
+    def _store(self) -> dict:  # "verify", "quadruple", "normal_form"
         """Results computed from this algebra, kept for later calls on the
         same object.  No value refers back to the algebra, so it is still
         freed by reference counting."""
         return {}
-
-    @classmethod
-    def _trusted(cls, n0: int, n1: int, d: Matrix, b00, b01, jac) -> "TwoTermAlgebra":
-        """The algebra on a `Matrix` d and nested `Fraction` tuples, all of the
-        right shapes: skips the constructor's coercions and shape checks."""
-        out = object.__new__(cls)
-        out.__dict__.update(n0=n0, n1=n1, d=d, b00=b00, b01=b01, jac=jac)
-        return out
-
-    @classmethod
-    def _from_scaled(cls, n0: int, n1: int, d, b00, b01, jac) -> "TwoTermAlgebra":
-        """The algebra whose structure is given in scaled form (``d`` as its
-        columns, every tensor nested in tuples).  The public tensors are
-        built from it, and it is kept as ``_scaled``."""
-        out = cls._trusted(n0, n1, _column_matrix(d, n0), _unscale_tensor(b00, 2, n0),
-                           _unscale_tensor(b01, 2, n1), _unscale_tensor(jac, 3, n1))
-        return _keep_scaled(out, _scaled_algebra(d, b00, b01, jac))
 
     @classmethod
     def zero(cls, n0: int, n1: int) -> "TwoTermAlgebra":
@@ -285,13 +284,6 @@ def _alternating(n: int, slots: int, values: dict):
     for _ in range(slots - 1):
         grid = [tuple(grid[i:i + n]) for i in range(0, len(grid), n or 1)]
     return tuple(grid)
-
-
-def _keep_scaled(obj, scaled):
-    """``obj`` (an algebra, a morphism or a decomposition) with ``scaled``
-    as its cached scaled form, which must equal the one its data give."""
-    obj.__dict__["_scaled"] = scaled
-    return obj
 
 
 def _isum(n: int, parts) -> tuple[list[int], int]:

@@ -128,7 +128,7 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
     b00 = _parse_tensor(doc["b00"], (n0, n0, n0), "b00")
     b01 = _parse_tensor(doc["b01"], (n0, n1, n1), "b01")
     jac = _parse_tensor(doc["jac"], (n0, n0, n0, n1), "jac")
-    L = TwoTermAlgebra._trusted(n0, n1, d, b00, b01, jac)
+    L = TwoTermAlgebra(n0, n1, d, b00, b01, jac)
     violations = structure_violations(L)
     if violations:
         raise DocumentError(violations[0])

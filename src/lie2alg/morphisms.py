@@ -8,11 +8,13 @@ the source basis pair (e_i, e_j).
 Composition convention: ``compose(first, second)`` applies ``first`` and then
 ``second``.
 
-A morphism keeps the columns of phi0 and phi1 and its correction in the
-scaled-integer form of ``core`` (built on first use, or handed over by the
-code that built it).  ``verify_morphism`` checks its equations on that form,
-and ``compose`` and ``inverse`` build their results on it with
-``core._isum``, so `Fraction`s appear only at the API boundary.
+A morphism stores the columns of phi0 and phi1 and its correction once, in
+the scaled-integer form of ``core``: the public constructor scales its
+`Fraction` data, and ``compose`` and ``inverse`` build their results on
+that form with ``core._isum`` and hand it to ``Morphism._of``.  The public
+``phi0``, ``phi1`` and ``Phi`` are views built on first read, and
+``verify_morphism`` checks the equations on the scaled form, so `Fraction`s
+appear only at the API boundary.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .core import (
     _column_matrix,
     _first_failure,
     _ivec,
-    _keep_scaled,
     _pair_violations,
     _scale_tensor,
     _unscale_tensor,
@@ -52,33 +53,41 @@ MORPHISM_EQUATIONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Morphism:
     source: TwoTermAlgebra
     target: TwoTermAlgebra
-    phi0: Matrix
-    phi1: Matrix
-    Phi: Tensor3
+    _scaled: tuple   # (columns of phi0, columns of phi1, Phi)
 
-    def __post_init__(self):
-        phi0, phi1 = as_matrix(self.phi0, self.source.n0), as_matrix(self.phi1, self.source.n1)
-        if phi0.rows != self.target.n0 or phi0.cols != self.source.n0:
-            raise ValueError(f"phi0 must be {self.target.n0}x{self.source.n0}")
-        if phi1.rows != self.target.n1 or phi1.cols != self.source.n1:
-            raise ValueError(f"phi1 must be {self.target.n1}x{self.source.n1}")
-        object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "phi1", phi1)
-        object.__setattr__(
-            self,
-            "Phi",
-            tensor(self.Phi, (self.source.n0, self.source.n0, self.target.n1)),
-        )
+    def __init__(self, source: TwoTermAlgebra, target: TwoTermAlgebra, phi0, phi1, Phi):
+        phi0, phi1 = as_matrix(phi0, source.n0), as_matrix(phi1, source.n1)
+        if phi0.rows != target.n0 or phi0.cols != source.n0:
+            raise ValueError(f"phi0 must be {target.n0}x{source.n0}")
+        if phi1.rows != target.n1 or phi1.cols != source.n1:
+            raise ValueError(f"phi1 must be {target.n1}x{source.n1}")
+        Phi = _scale_tensor(tensor(Phi, (source.n0, source.n0, target.n1)), 2)
+        self.__dict__.update(source=source, target=target,
+                             _scaled=(phi0._columns, phi1._columns, Phi))
+
+    @classmethod
+    def _of(cls, source: TwoTermAlgebra, target: TwoTermAlgebra, scaled: tuple) -> "Morphism":
+        """The morphism whose (columns of phi0, columns of phi1, Phi) are
+        given in scaled form."""
+        out = object.__new__(cls)
+        out.__dict__.update(source=source, target=target, _scaled=scaled)
+        return out
 
     @cached_property
-    def _scaled(self) -> tuple:
-        """(columns of phi0, columns of phi1, Phi) in scaled form, built on
-        first use."""
-        return self.phi0._columns, self.phi1._columns, _scale_tensor(self.Phi, 2)
+    def phi0(self) -> Matrix:
+        return _column_matrix(self._scaled[0], self.target.n0)
+
+    @cached_property
+    def phi1(self) -> Matrix:
+        return _column_matrix(self._scaled[1], self.target.n1)
+
+    @cached_property
+    def Phi(self) -> Tensor3:
+        return _unscale_tensor(self._scaled[2], 2, self.target.n1)
 
 
 def identity_morphism(L: TwoTermAlgebra) -> Morphism:
@@ -157,9 +166,7 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
     # Psi(x, y) = Phi2(phi1 x, phi1 y) + phi2(Phi1(x, y))
     Psi = tuple(tuple(_ivec(m1, ((1, B, (a0[i], a0[j])), (1, b1, (A[i][j],))))
                       for j in range(n0)) for i in range(n0))
-    return _keep_scaled(Morphism(first.source, second.target, _column_matrix(u0, m0),
-                                 _column_matrix(w1, m1), _unscale_tensor(Psi, 2, m1)),
-                        (u0, w1, Psi))
+    return Morphism._of(first.source, second.target, (u0, w1, Psi))
 
 
 def inverse(m: Morphism) -> Morphism | None:
@@ -174,8 +181,7 @@ def inverse(m: Morphism) -> Morphism | None:
     # Phi^-1(x, y) = -phi1^-1(Phi(phi0^-1 x, phi0^-1 y))
     Psi = tuple(tuple(_ivec(n1, ((-1, v, (_ivec(n1, ((1, Phi, (x[i], x[j])),)),)),))
                       for j in range(n0)) for i in range(n0))
-    return _keep_scaled(Morphism(m.target, m.source, inv0, inv1, _unscale_tensor(Psi, 2, n1)),
-                        (x, v, Psi))
+    return Morphism._of(m.target, m.source, (x, v, Psi))
 
 
 def is_isomorphism(m: Morphism) -> bool:

@@ -526,13 +526,25 @@ class TestPerAlgebraStore:
         decs = counting(monkeypatch, classify, "decompose")
         triples = counting(monkeypatch, classify, "extract_triple")
         inv = invariants(L)
-        # the decomposition is kept for the normal form, without its source
-        assert stored(L)["decomposition"].source is None
+        assert set(stored(L)) == {"verify", "quadruple"}
         res = normal_form(L)
-        assert len(decs) == 1 and len(triples) == 1
-        assert "decomposition" not in stored(L)
+        # the normal form decomposes L again, and extracts no second quadruple
+        assert len(decs) == 2 and len(triples) == 1
+        assert set(stored(L)) == {"verify", "quadruple", "normal_form"}
         assert res.quadruple is stored(L)["quadruple"]
         assert inv == invariants(res.algebra)
+
+    def test_no_decomposition_is_kept(self):
+        # a quadruple read without the normal form keeps nothing next to it
+        A = normal_form(random_algebra(3)).algebra
+        split_normal_form(A)
+        assert set(stored(A)) <= {"verify", "quadruple"}
+        L = random_algebra(3)
+        invariants(L)
+        assert set(stored(L)) <= {"verify", "quadruple"}
+        L = random_algebra(3)
+        skeleton(L)
+        assert set(stored(L)) <= {"verify", "quadruple"}
 
     def test_equal_but_distinct_algebra_shares_no_store(self, monkeypatch):
         L = random_algebra(3)

@@ -4,22 +4,25 @@
 ``builders.normal_form_algebra``, ``morphisms.compose`` and
 ``morphisms.inverse`` build their tensors on integer numerators with one
 denominator per vector (``core._isum``) and return algebras and morphisms
-whose scaled form is already filled in.  This module keeps the `Fraction`
+that store only that scaled form.  This module keeps the `Fraction`
 loops they replace (a naive contraction over index tuples, ``Matrix.apply``
 and the vector helpers, one reduced entry at a time) as an independent
 oracle, and asserts equal algebras, morphisms, quadruples and verification
 reports on seeded random algebras, on maps with large prime, shared-factor
 and mixed denominators, on morphisms that are not valid, and on algebras
-with an empty degree.
-Every filled-in scaled form must equal the one computed from the public
-`Fraction` tensors, and the canonical reduction behind it is property-tested
-against ``core._scale``.
+with an empty degree.  The public `Fraction` views of every output are
+compared with the oracle's raw tensors, entry by entry, and so are those of
+``classify.certify_isomorphism``.
+Every stored scaled form must equal the one computed from the public
+views, and the canonical reduction behind it is property-tested against
+``core._scale``.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -33,12 +36,17 @@ from lie2alg import (
     Representation,
     TwoTermAlgebra,
     abelian,
+    certify_isomorphism,
     compose,
     decompose,
+    extract_quadruple_maps,
     extract_triple,
     inverse,
+    is_coboundary,
     normal_form,
     normal_form_algebra,
+    pullback_representation,
+    quaternion_example,
     random_algebra,
     so3,
     transport,
@@ -48,7 +56,8 @@ from lie2alg import (
 )
 from lie2alg.builders import random_antisymmetric_correction, random_invertible
 from lie2alg.core import _reduce, _scale, perm_sign, shuffles, tensor
-from lie2alg.linalg import ZERO, invert, vec_add, vec_sub, vec_zero
+from lie2alg.cohomology import _transfer_difference
+from lie2alg.linalg import ZERO, block_diag, invert, vec_add, vec_sub, vec_zero
 from test_core import brute_force_contract
 
 F = Fraction
@@ -61,6 +70,34 @@ DENOMINATORS = {"primes": PRIMES, "shared": SHARED, "mixed": PRIMES + SHARED}
 # ---------------------------------------------------------------------------
 # the oracle: the pipeline's tensor loops on Fraction entries
 # ---------------------------------------------------------------------------
+
+
+class RawAlgebra(NamedTuple):
+    """An algebra as the oracle computes it: ``d`` a `Matrix`, the tensors
+    nested lists of `Fraction`s."""
+
+    n0: int
+    n1: int
+    d: Matrix
+    b00: list
+    b01: list
+    jac: list
+
+    def record(self):
+        return TwoTermAlgebra(*self)
+
+
+class RawMorphism(NamedTuple):
+    """A morphism as the oracle computes it: ``Phi`` nested lists of `Fraction`s."""
+
+    source: TwoTermAlgebra
+    target: TwoTermAlgebra
+    phi0: Matrix
+    phi1: Matrix
+    Phi: list
+
+    def record(self):
+        return Morphism(*self)
 
 
 def contract(tensor, *vectors, n):
@@ -104,8 +141,8 @@ def oracle_transport(L, phi0, phi1, corr):
             a, b, c = (key[o] for o in order)
             jac_new[a][b][c] = [perm_sign(order) * x for x in val]
 
-    out = TwoTermAlgebra(n0, n1, d_new, b00_new, b01_new, jac_new)
-    return out, Morphism(L, out, phi0, phi1, corr)
+    out = RawAlgebra(n0, n1, d_new, b00_new, b01_new, jac_new)
+    return out, RawMorphism(L, out.record(), phi0, phi1, corr)
 
 
 def oracle_extract_triple(L, dec):
@@ -157,7 +194,7 @@ def oracle_normal_form_algebra(q):
         for order in permutations(range(3)):
             a, b, c = (key[o] for o in order)
             jac[a][b][c][:v] = [perm_sign(order) * x for x in q.jtilde.values[key]]
-    return TwoTermAlgebra(n0, n1, d, b00, b01, jac)
+    return RawAlgebra(n0, n1, Matrix.from_rows(d, cols=n1), b00, b01, jac)
 
 
 def oracle_normal_form_correction(L, dec):
@@ -183,8 +220,8 @@ def oracle_compose(first, second):
     cols = [first.phi0.column(i) for i in range(n0)]
     psi = [[vec_add(contract(second.Phi, cols[i], cols[j], n=second.target.n1),
                     second.phi1.apply(first.Phi[i][j])) for j in range(n0)] for i in range(n0)]
-    return Morphism(first.source, second.target, second.phi0 @ first.phi0,
-                    second.phi1 @ first.phi1, psi)
+    return RawMorphism(first.source, second.target, second.phi0 @ first.phi0,
+                       second.phi1 @ first.phi1, psi)
 
 
 def oracle_inverse(m):
@@ -193,7 +230,25 @@ def oracle_inverse(m):
     phi = [[tuple(-c for c in inv1.apply(contract(m.Phi, inv0.column(i), inv0.column(j),
                                                    n=m.target.n1)))
             for j in range(n0)] for i in range(n0)]
-    return Morphism(m.target, m.source, inv0, inv1, phi)
+    return RawMorphism(m.target, m.source, inv0, inv1, phi)
+
+
+def oracle_certify(L, M, chi, f_u, t_v):
+    """The certificate L -> M composed from the two normal forms and the
+    morphism between them that ``chi``, ``f_u``, ``t_v`` and the package's
+    coboundary witness give."""
+    nf_l, nf_m = normal_form(L), normal_form(M)
+    q_l, q_m = nf_l.quadruple, nf_m.quadruple
+    witness = is_coboundary(_transfer_difference(q_l.jtilde, q_m.jtilde, chi, t_v),
+                            pullback_representation(q_m.rep, chi, q_l.g))
+    n0, n1 = nf_l.algebra.n0, nf_m.algebra.n1
+    corr = [[[ZERO] * n1 for _ in range(n0)] for _ in range(n0)]
+    for (i, j), value in witness.values.items():
+        corr[i][j][:len(value)] = value
+        corr[j][i][:len(value)] = [-x for x in value]
+    middle = RawMorphism(nf_l.algebra, nf_m.algebra, block_diag(chi, f_u), block_diag(t_v, f_u),
+                         corr)
+    return oracle_compose(oracle_compose(nf_l.morphism, middle), oracle_inverse(nf_m.morphism))
 
 
 # ---------------------------------------------------------------------------
@@ -219,27 +274,81 @@ def assert_scaled_filled(obj):
     else:
         mats = (obj.phi0, obj.phi1)
         fresh = Morphism(obj.source, obj.target, *map(fresh_matrix, mats), obj.Phi)
-    assert "_scaled" not in vars(fresh)
     assert obj._scaled == fresh._scaled
     for m in mats:
         assert "_columns" in vars(m)
         assert m._columns == fresh_matrix(m)._columns
 
 
-def assert_same_morphism(got, want):
-    assert got == want
+VIEWS = {TwoTermAlgebra: ("d", "b00", "b01", "jac"), Morphism: ("phi0", "phi1", "Phi")}
+
+
+def frozen(t):
+    """Nested lists and tuples as nested tuples, entries unchanged."""
+    return tuple(map(frozen, t)) if isinstance(t, (list, tuple)) else t
+
+
+def entries(t):
+    """The entries of nested tuples ``t``."""
+    return [x for sub in t for x in (entries(sub) if isinstance(sub, tuple) else (sub,))]
+
+
+def bumped(t):
+    """Nested tuples ``t`` with the first entry of its first nonempty leaf
+    raised by one, or None when ``t`` has no entry."""
+    if t and not isinstance(t[0], tuple):
+        return (t[0] + 1, *t[1:])
+    for k, sub in enumerate(t):
+        if (new := bumped(sub)) is not None:
+            return (*t[:k], new, *t[k + 1:])
+    return None
+
+
+def twin(obj, **views):
+    """``obj`` rebuilt by its public constructor from its views, with
+    ``views`` in place of some of them."""
+    head = (obj.n0, obj.n1) if isinstance(obj, TwoTermAlgebra) else (obj.source, obj.target)
+    return type(obj)(*head, *(views.get(name, getattr(obj, name)) for name in VIEWS[type(obj)]))
+
+
+def assert_views(obj, want):
+    """Every view of ``obj`` equals, entry by entry, the raw `Fraction` data
+    of the oracle's ``want``; ``obj`` equals and hashes like its twin built
+    from its views, and is unequal to a twin with one entry of one view
+    changed."""
+    for name in VIEWS[type(obj)]:
+        view, raw = getattr(obj, name), getattr(want, name)
+        if isinstance(view, Matrix):
+            assert view == raw
+            values, changed = view.entries, bumped(view.entries)
+            changed = changed and Matrix(view.rows, view.cols, changed)
+        else:
+            assert view == frozen(raw)
+            values, changed = entries(view), bumped(view)
+        assert all(type(x) is Fraction for x in values)
+        if changed is not None:
+            assert twin(obj, **{name: changed}) != obj
+    same = twin(obj)
+    assert same == obj and hash(same) == hash(obj)
+
+
+def assert_same(got, want):
+    """A pipeline output against the oracle's raw data: equal views, equal
+    records and equal verification reports; its scaled form is filled in."""
+    record = want.record()
+    assert_views(got, want)
+    assert got == record
     assert_scaled_filled(got)
-    assert verify_morphism(got) == verify_morphism(want)
+    check = verify if isinstance(got, TwoTermAlgebra) else verify_morphism
+    assert check(got) == check(record)
 
 
 def check_pipeline(L, phi0, phi1, corr):
     """Every rewritten stage against its oracle, on L and on its transport."""
     M, mor = transport(L, phi0, phi1, corr)
     want_M, want_mor = oracle_transport(L, phi0, phi1, corr)
-    assert M == want_M
-    assert_scaled_filled(M)
-    assert verify(M) == verify(want_M)
-    assert_same_morphism(mor, want_mor)
+    assert_same(M, want_M)
+    assert_same(mor, want_mor)
 
     nfs = []
     for A in (L, M):
@@ -248,18 +357,17 @@ def check_pipeline(L, phi0, phi1, corr):
         assert q == oracle_extract_triple(A, dec)
         nf = normal_form(A)
         assert nf.quadruple == q
-        assert nf.algebra == oracle_normal_form_algebra(q)
-        assert_scaled_filled(nf.algebra)
-        assert nf.morphism.Phi == oracle_normal_form_correction(A, dec)
-        assert nf.morphism.phi0 == dec.coords0 and nf.morphism.phi1 == dec.f
-        assert_scaled_filled(nf.morphism)
+        want_nf = oracle_normal_form_algebra(q)
+        assert_same(nf.algebra, want_nf)
+        assert_same(nf.morphism, RawMorphism(A, want_nf.record(), dec.coords0, dec.f,
+                                             oracle_normal_form_correction(A, dec)))
         nfs.append(nf)
 
     inv = inverse(nfs[0].morphism)
-    assert_same_morphism(inv, oracle_inverse(nfs[0].morphism))
-    assert_same_morphism(inverse(mor), oracle_inverse(mor))
+    assert_same(inv, oracle_inverse(nfs[0].morphism))
+    assert_same(inverse(mor), oracle_inverse(mor))
     bridge = compose(compose(inv, mor), nfs[1].morphism)
-    assert_same_morphism(bridge, oracle_compose(oracle_compose(inv, mor), nfs[1].morphism))
+    assert_same(bridge, oracle_compose(oracle_compose(inv, mor), nfs[1].morphism))
     assert verify_morphism(bridge).passed
 
 
@@ -369,7 +477,7 @@ class TestInvalidInputsAgainstOracle:
             bad = TwoTermAlgebra(L.n0, L.n1, L.d, L.b00, b01, L.jac)
             maps = rational_maps(bad, rng, dens)
             want, _ = oracle_transport(bad, *maps)
-            report = verify(want)
+            report = verify(want.record())
             assert not report.passed
             with pytest.raises(ValueError) as err:
                 transport(bad, *maps)
@@ -391,8 +499,26 @@ class TestInvalidInputsAgainstOracle:
                                 rational_invertible(rng, n1, dens), Phi)
 
             first, second = arbitrary(L, M), arbitrary(M, N)
-            assert_same_morphism(compose(first, second), oracle_compose(first, second))
-            assert_same_morphism(inverse(first), oracle_inverse(first))
+            assert_same(compose(first, second), oracle_compose(first, second))
+            assert_same(inverse(first), oracle_inverse(first))
+
+
+class TestCertificateAgainstOracle:
+    @pytest.mark.parametrize("seed", (0, 5, 12))
+    def test_certificate_of_a_transport(self, seed):
+        # the quadruple maps of the isomorphism between the two normal forms
+        # that transport gives certify L and its transport as isomorphic
+        L = random_algebra(seed)
+        M, mor = transport(L, *integer_maps(L, 2000 + seed))
+        bridge = compose(compose(inverse(normal_form(L).morphism), mor), normal_form(M).morphism)
+        maps = extract_quadruple_maps(bridge)
+        iso = certify_isomorphism(L, M, maps.tau, maps.f_u, maps.t_v)
+        assert_same(iso, oracle_certify(L, M, maps.tau, maps.f_u, maps.t_v))
+
+    def test_certificate_of_quaternionic_algebras(self):
+        a, b = quaternion_example("1+2i+3j+5k"), quaternion_example("7i-j")
+        maps = Matrix.identity(3), Matrix.identity(1), Matrix.identity(3)
+        assert_same(certify_isomorphism(a, b, *maps), oracle_certify(a, b, *maps))
 
 
 # ---------------------------------------------------------------------------
