@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .linalg import Matrix, ZERO, _invertible, block_diag, rat, vec_zero
-from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, _unscale_tensor, verify,
+from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, _scale_tensor, verify,
                    zero_tensor)
 from .morphisms import Morphism
 from .cohomology import (
@@ -223,7 +223,7 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
 
     zero = _ZERO_SCALED
     d = tuple((((gdim + j - v, 1),), 1) if j >= v else zero for j in range(n1))
-    b00 = _alternating(n0, 2, {(i, j): _scale(q.g.sc[i][j])
+    b00 = _alternating(n0, 2, {(i, j): q.g._scaled[i][j]
                                for i, j in combinations(range(gdim), 2)})
     b01 = tuple(tuple(q.rep.rho[i]._columns[jv] if i < gdim and jv < v else zero
                       for jv in range(n1)) for i in range(n0))
@@ -281,14 +281,13 @@ def quaternion_example(v) -> TwoTermAlgebra:
     units = [quaternion(1, 0, 0, 0), quaternion(0, 1, 0, 0),
              quaternion(0, 0, 1, 0), quaternion(0, 0, 0, 1)]
 
-    d = [[ZERO] * 4 for _ in range(4)]
-    d[0][0] = Fraction(1)
+    d = ((((0, 1),), 1),) + (_ZERO_SCALED,) * 3   # the columns of the real part
 
-    table = [[list(qim(qmul(qim(units[p]), qim(units[q])))) for q in range(4)]
-             for p in range(4)]
+    table = _scale_tensor([[qim(qmul(qim(units[p]), qim(units[q]))) for q in range(4)]
+                           for p in range(4)], 2)
 
-    jac = _unscale_tensor(_alternating(4, 3, {(1, 2, 3): _scale(qim(v))}), 3, 4)
-    return TwoTermAlgebra(4, 4, d, table, table, jac)
+    jac = _alternating(4, 3, {(1, 2, 3): _scale(qim(v))})
+    return TwoTermAlgebra._of(4, 4, d, table, table, jac)
 
 
 def example27_automorphism(v) -> Morphism:
@@ -304,10 +303,7 @@ def example27_automorphism(v) -> Morphism:
     L = quaternion_example(v)
 
     cols = {0: 0, 1: 2, 2: 3, 3: 1}        # image index per source basis index
-    phi = Matrix.from_rows(
-        [[Fraction(1) if cols[j] == i else ZERO for j in range(4)] for i in range(4)],
-        cols=4,
-    )
+    phi = tuple((((cols[j], 1),), 1) for j in range(4))   # the columns of phi
 
     qi = quaternion(0, 1, 0, 0)
     qj = quaternion(0, 0, 1, 0)
@@ -316,13 +312,13 @@ def example27_automorphism(v) -> Morphism:
     c_jk = qre(qmul(v, qsub(qj, qk)))
     c_ki = qre(qmul(v, qsub(qk, qi)))
 
-    Phi = _unscale_tensor(_alternating(4, 2, {
+    Phi = _alternating(4, 2, {
         (1, 2): _scale((ZERO, ZERO, ZERO, c_ij)),    # Phi(i ^ j) = Re(v(i-j)) k
         (2, 3): _scale((ZERO, c_jk, ZERO, ZERO)),    # Phi(j ^ k) = Re(v(j-k)) i
         (1, 3): _scale((ZERO, ZERO, -c_ki, ZERO)),   # Phi(i ^ k) = -Re(v(k-i)) j
-    }), 2, 4)
+    })
 
-    return Morphism(L, L, phi, phi, Phi)
+    return Morphism._of(L, L, (phi, phi, Phi))
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ from .core import (
     _scale,
     _scale_tensor,
     _unscale,
-    _unscale_tensor,
     shuffles,
     tensor,
     verify,
@@ -182,7 +181,7 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
          for i, j in combinations(range(gdim), 2)}
     sc = _alternating(gdim, 2, {key: _ivec(gdim, ((1, g_coords, (wij,)),))
                                 for key, wij in w.items()})
-    g = LieAlgebra(gdim, _unscale_tensor(sc, 2, gdim))
+    g = LieAlgebra._of(gdim, sc)
 
     rho = tuple(
         _column_matrix([_ivec(kdim, ((1, k_coords, (_ivec(n1, ((1, S.b01, (G[i], k)),)),)),))
@@ -429,8 +428,7 @@ def _series_dims(g: LieAlgebra, pairs) -> tuple[int, ...]:
 def center_dim(g: LieAlgebra) -> int:
     """The dimension of the kernel of all ad(e_i) at once: dim g minus the
     rank of their stacked rows."""
-    return g.dim - Matrix.from_rows([row for i in range(g.dim) for row in g.ad(i).to_rows()],
-                                    cols=g.dim).rank()
+    return g.dim - Matrix._of([row for i in range(g.dim) for row in g.ad(i)._rows], g.dim).rank()
 
 
 def invariants(L: TwoTermAlgebra) -> InvariantVector:

@@ -126,7 +126,7 @@ def _load_lie_algebra(path: str) -> LieAlgebra:
     L = load_algebra(path)
     if L.n1 != 0:
         raise DocumentError("a Lie algebra document must have n1 = 0")
-    return LieAlgebra(L.n0, L.b00)
+    return LieAlgebra._of(L.n0, L._scaled.b00)
 
 
 def cmd_cohomology(args) -> int:

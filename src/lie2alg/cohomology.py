@@ -19,11 +19,11 @@ terms of sc and rho into sparse scaled rows, and eliminated once; the
 ``Representation`` keeps both.  ``delta`` takes one integer dot product per
 row, and no query builds a dense matrix but ``delta_matrix``, their view.
 
-Tensor contractions run on the scaled integers of ``core``: a Lie algebra,
-a representation and a cochain each keep their structure in scaled form,
-built on first use, and the Jacobi identity, the representation law and the
-Lie-morphism condition are the same signed ``core._isum`` sums the
-verifiers of ``core`` and ``morphisms`` check.
+Tensor contractions run on the scaled integers of ``core``: a Lie algebra
+stores its structure constants in that form, a representation and a
+cochain keep theirs, built on first use, and the Jacobi identity, the
+representation law and the Lie-morphism condition are the same signed
+``core._isum`` sums the verifiers of ``core`` and ``morphisms`` check.
 
 Matrix flattening convention: increasing tuples ordered lexicographically,
 V index fastest.
@@ -41,7 +41,6 @@ from .linalg import (
     _column_matrix,
     _eliminate,
     _kernel_vectors,
-    _row_matrix,
     _scale_items,
     _solve,
     _times,
@@ -64,6 +63,7 @@ from .core import (
     _scale_arg,
     _scale_tensor,
     _unscale,
+    _unscale_tensor,
     perm_sign,
     tensor,
 )
@@ -77,7 +77,7 @@ class IntertwinerError(ValueError):
     """The supplied linear map does not intertwine the representations."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LieAlgebra:
     """A Lie algebra by structure constants: [e_i, e_j] = sum_t sc[i][j][t] e_t.
 
@@ -86,25 +86,33 @@ class LieAlgebra:
     """
 
     dim: int
-    sc: Tensor3
+    _scaled: tuple   # sc in scaled form; canonical, so == and hash compare sc
 
-    def __post_init__(self):
-        object.__setattr__(self, "sc", tensor(self.sc, (self.dim, self.dim, self.dim)))
-        sc = self._scaled
+    def __init__(self, dim: int, sc: Tensor3):
+        self._set(dim, _scale_tensor(tensor(sc, (dim, dim, dim)), 2))
+
+    @classmethod
+    def _of(cls, dim: int, sc) -> "LieAlgebra":
+        """The Lie algebra whose structure constants are given in scaled form."""
+        out = object.__new__(cls)
+        out._set(dim, sc)
+        return out
+
+    def _set(self, dim: int, sc) -> None:
         for pair in _pair_violations(sc):
             raise ValueError(f"structure constants not antisymmetric at {pair}")
-        for (i, j, k) in combinations(range(self.dim), 3):
-            if any(_isum(self.dim, _jacobi_parts(sc, i, j, k))[0]):
+        for (i, j, k) in combinations(range(dim), 3):
+            if any(_isum(dim, _jacobi_parts(sc, i, j, k))[0]):
                 raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
+        self.__dict__.update(dim=dim, _scaled=sc)
 
     @cached_property
-    def _scaled(self) -> tuple:
-        """The structure constants in scaled form, built on first use."""
-        return _scale_tensor(self.sc, 2)
+    def sc(self) -> Tensor3:
+        return _unscale_tensor(self._scaled, 2, self.dim)
 
     def ad(self, i: int) -> Matrix:
         """Matrix of ad(e_i): x -> [e_i, x]; its columns are the [e_i, e_s]."""
-        return Matrix.from_columns(self.sc[i], rows=self.dim)
+        return _column_matrix(self._scaled[i], self.dim)
 
 
 @dataclass(frozen=True)
@@ -234,11 +242,13 @@ def _delta_terms(g: LieAlgebra, n: int):
             yield key, key[i], (-1) ** i, key[:i] + key[i + 1:]
         for i, j in combinations(range(n + 1), 2):
             rest = key[:i] + key[i + 1:j] + key[j + 1:]
-            for t, c in enumerate(g.sc[key[i]][key[j]]):
-                if c and t not in rest:
+            items, den = g._scaled[key[i]][key[j]]
+            for t, c in items:
+                if t not in rest:
                     # f(e_t, rest) = (-1)^#(rest below t) f(sorted tuple)
                     below = sum(1 for r in rest if r < t)
-                    yield key, None, (-1) ** (i + j + below) * c, tuple(sorted(rest + (t,)))
+                    yield (key, None, Fraction((-1) ** (i + j + below) * c, den),
+                           tuple(sorted(rest + (t,))))
 
 
 def delta(f: Cochain, rep: Representation) -> Cochain:
@@ -291,7 +301,7 @@ def _delta_rows(n: int, rep: Representation) -> tuple[tuple, int]:
 def delta_matrix(n: int, rep: Representation) -> Matrix:
     """Matrix of the degree-n differential on the increasing-tuple (x) V basis:
     the dense view of the cached rows of delta_n, which it keeps."""
-    return _row_matrix(*_delta_rows(n, rep))
+    return Matrix._of(*_delta_rows(n, rep))
 
 
 def _elimination(n: int, rep: Representation) -> tuple[tuple, tuple[int, ...]]:

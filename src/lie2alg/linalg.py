@@ -4,11 +4,11 @@ All entries are `fractions.Fraction`, so ranks, kernels and solutions are
 computed exactly and every operation is deterministic: identical inputs give
 identical outputs, bit for bit.  The one exact accumulation form of the
 package lives here too: the scaled vector, integer numerators over one
-denominator (``_scale``).  A `Matrix` stores its entries densely and keeps
-its rows and columns in that form, built on first use or handed over by
-``_row_matrix`` and ``_column_matrix``; ``apply`` and ``@`` then take one
-integer dot product per scaled row (``_times``), in time proportional to
-the nonzeros.  Tensor contractions sum the same form with ``core._isum``.
+denominator (``_scale``).  A `Matrix` stores only its rows in that form
+(``Matrix._of`` takes them as they are), and builds its scaled columns and
+`Fraction` ``entries`` on first use.  ``apply`` and ``@`` take one integer
+dot product per scaled row (``_times``), in time proportional to the
+nonzeros.  Tensor contractions sum the same form with ``core._isum``.
 All elimination is one routine on scaled rows, ``_eliminate``:
 fraction-free sparse Gauss-Jordan, whose work follows the nonzeros.
 """
@@ -105,23 +105,32 @@ def _unscale(v, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(entries[t], v[1]) if t in entries else ZERO for t in range(n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Matrix:
-    """Immutable dense matrix with row-major Fraction entries."""
+    """Immutable matrix over the rationals, stored as its scaled rows."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    _rows: tuple   # the scaled rows; canonical, so == and hash compare the entries
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: Sequence):
+        if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        ent = tuple(map(rat, self.entries))
-        if len(ent) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(ent)}"
-            )
-        object.__setattr__(self, "entries", ent)
+        ent = tuple(map(rat, entries))
+        if len(ent) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
+        self.__dict__.update(rows=rows, cols=cols, _rows=tuple(
+            [_scale(ent[i * cols:(i + 1) * cols]) for i in range(rows)]))
+
+    @classmethod
+    def _of(cls, rows, cols: int) -> "Matrix":
+        """The matrix with ``cols`` columns whose rows are the scaled vectors ``rows``."""
+        rows = tuple(rows)
+        if any(items and items[-1][0] >= cols for items, _ in rows):
+            raise ValueError(f"scaled row index out of range for {cols} columns")
+        out = object.__new__(cls)
+        out.__dict__.update(rows=len(rows), cols=cols, _rows=rows)
+        return out
 
     # -- construction -------------------------------------------------------
 
@@ -140,14 +149,9 @@ class Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "Matrix":
         columns = [tuple(c) for c in columns]
-        if columns:
-            height = len(columns[0])
-            if any(len(c) != height for c in columns):
-                raise ValueError("ragged columns")
-        else:
-            height = 0 if rows is None else rows
-        flat = tuple(columns[j][i] for i in range(height) for j in range(len(columns)))
-        return cls(height, len(columns), flat)
+        if any(len(c) != len(columns[0]) for c in columns):
+            raise ValueError("ragged columns")
+        return cls.from_rows(columns, cols=rows).transpose()
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -175,7 +179,7 @@ class Matrix:
         return tuple(self.row(i) for i in range(self.rows))
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(items for items, _ in self._rows)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -199,8 +203,8 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return Matrix.from_columns([_times(self._rows, self.cols, c) for c in other._columns],
-                                   rows=self.rows)
+        return Matrix.from_rows([_times(other._columns, other.rows, r) for r in self._rows],
+                                cols=other.cols)
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix times coordinate vector."""
@@ -210,36 +214,36 @@ class Matrix:
         return _times(self._rows, self.cols, _scale(v))
 
     @cached_property
-    def _rows(self) -> tuple:
-        """The rows in scaled form, built on first use."""
-        return tuple(map(_scale, self.to_rows()))
+    def entries(self) -> tuple[Fraction, ...]:
+        """The entries in row-major order, built on first read."""
+        return tuple([x for r in self._rows for x in _unscale(r, self.cols)])
 
     @cached_property
     def _columns(self) -> tuple:
         """The columns in scaled form, built on first use: a depth-1 tensor
         whose contraction with a vector (``core._isum``) is ``apply``."""
-        return tuple([_scale(self.entries[j::self.cols]) for j in range(self.cols)])
+        return _transpose(self._rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix.from_rows(map(self.column, range(self.cols)), cols=self.rows)
+        return Matrix._of(self._columns, self.rows)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix.from_rows([self.row(i) + other.row(i) for i in range(self.rows)],
-                                cols=self.cols + other.cols)
+        # [self | other] is the transpose of the matrix whose rows are the columns of both
+        return Matrix._of(self._columns + other._columns, self.rows).transpose()
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self.entries + other.entries)
+        return Matrix._of(self._rows + other._rows, self.cols)
 
     def rank(self) -> int:
         return len(_eliminate(self._rows, self.cols)[1])
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
-        return Matrix(len(row_indices), len(col_indices),
-                      [self.entries[i * self.cols + j] for i in row_indices for j in col_indices])
+        return Matrix._of([_reduce(([dict(self._rows[i][0]).get(j, 0) for j in col_indices],
+                                    self._rows[i][1])) for i in row_indices], len(col_indices))
 
     def _same_shape(self, other: "Matrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -256,20 +260,21 @@ def _times(rows, cols: int, v) -> tuple[Fraction, ...]:
                   for items, d in rows])
 
 
-def _row_matrix(rows, cols: int) -> Matrix:
-    """The `Matrix` whose rows are the scaled vectors ``rows``, which it keeps
-    as its scaled rows."""
-    out = Matrix.from_rows([_unscale(r, cols) for r in rows], cols=cols)
-    out.__dict__["_rows"] = tuple(rows)
-    return out
+def _transpose(vectors, n: int) -> tuple:
+    """The ``n`` scaled columns of the matrix whose rows are the scaled
+    vectors ``vectors`` (or its rows given its columns), each reduced from
+    numerators over the lcm of the rows' denominators."""
+    den = lcm(*[d for _, d in vectors])
+    out = [[0] * len(vectors) for _ in range(n)]
+    for i, (items, d) in enumerate(vectors):
+        for t, x in items:
+            out[t][i] = x * (den // d)
+    return tuple([_reduce((col, den)) for col in out])
 
 
 def _column_matrix(columns, rows: int) -> Matrix:
-    """The `Matrix` whose columns are the scaled vectors ``columns``, which it
-    keeps as its scaled columns."""
-    out = Matrix.from_columns([_unscale(c, rows) for c in columns], rows=rows)
-    out.__dict__["_columns"] = tuple(columns)
-    return out
+    """The `Matrix` with ``rows`` rows whose columns are the scaled vectors ``columns``."""
+    return Matrix._of(_transpose(columns, rows), len(columns))
 
 
 def as_matrix(value, cols: int) -> Matrix:
@@ -373,7 +378,7 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """Reduced row echelon form and the sorted pivot-column list: the rows of
     ``_eliminate``, then the zero rows."""
     reduced, pivots = _eliminate(m._rows, m.cols)
-    return _row_matrix(reduced + (((), 1),) * (m.rows - len(pivots)), m.cols), pivots
+    return Matrix._of(reduced + (((), 1),) * (m.rows - len(pivots)), m.cols), pivots
 
 
 def _solutions(reduced, columns, n: int) -> list[list[Fraction]]:

@@ -34,7 +34,7 @@ from lie2alg.cohomology import (
     is_lie_morphism,
     vec_to_cochain,
 )
-from lie2alg.core import perm_sign
+from lie2alg.core import _scale_tensor, perm_sign
 from lie2alg.linalg import _scale, basis_vec, image_basis, invert, kernel_basis, solve
 from lie2alg.linalg import vec_add, vec_scale, vec_sub, vec_zero
 
@@ -627,6 +627,26 @@ class TestLawsAgainstOracle:
             assert raises_message(lambda: LieAlgebra(6, sc)) == want
             seen.add(want)
         assert len(seen) > 3
+
+    def test_scaled_constructor_first_failure(self):
+        """``LieAlgebra._of`` on scaled structure constants runs the public
+        constructor's checks, and its ``sc`` view is the input tensor."""
+        rng = random.Random(74)
+        seen = set()
+        for trial in range(12):
+            sc = change_basis(so3_plus_sl2(), rational_basis(rng, 6))
+            g = LieAlgebra._of(6, _scale_tensor(sc, 2))
+            assert g.sc == tuple(tuple(map(tuple, plane)) for plane in sc)
+            assert g == LieAlgebra(6, sc)
+            i, j = sorted(rng.sample(range(6), 2))
+            t, c = rng.randrange(6), large_entry(rng)
+            sc[i][j][t] += c
+            if trial % 3:
+                sc[j][i][t] -= c
+            want = oracle_lie_error(6, sc)
+            assert raises_message(lambda: LieAlgebra._of(6, _scale_tensor(sc, 2))) == want
+            seen.add(want.split(" at ")[0])
+        assert seen == {"structure constants not antisymmetric", "Jacobi identity fails"}
 
     def test_representation_first_failure(self):
         rng = random.Random(72)

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from lie2alg import LieAlgebra, Morphism, TwoTermAlgebra, adjoint_rep, delta_matrix
+from lie2alg.core import zero_tensor
 from lie2alg.linalg import (
     Matrix,
     Subspace,
@@ -282,25 +284,31 @@ class TestInvert:
 def dense_rref(m):
     """Reference: dense `Fraction` Gauss-Jordan, the first nonzero entry of
     each column as pivot."""
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows, pivots = dense_rref_rows(m.to_rows(), m.cols)
+    return Matrix.from_rows(rows, cols=m.cols), pivots
+
+
+def dense_rref_rows(rows, cols):
+    """``dense_rref`` on a list of `Fraction` rows with ``cols`` columns."""
+    rows = [list(row) for row in rows]
     pivots = []
     r = 0
-    for c in range(m.cols):
-        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         pv = rows[r][c]
         rows[r] = [x / pv for x in rows[r]]
-        for i in range(m.rows):
+        for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == m.rows:
+        if r == len(rows):
             break
-    return Matrix.from_rows(rows, cols=m.cols), tuple(pivots)
+    return rows, tuple(pivots)
 
 
 def dense_kernel_basis(m):
@@ -318,14 +326,21 @@ def dense_kernel_basis(m):
 
 def dense_solve(a, b):
     """Reference: rref of [a | b], free unknowns zero, None if inconsistent."""
-    red, pivots = dense_rref(a.hstack(b))
-    if any(p >= a.cols for p in pivots):
+    x = dense_solve_rows(a.to_rows(), b.to_rows(), a.cols, b.cols)
+    return None if x is None else Matrix.from_rows(x, cols=b.cols)
+
+
+def dense_solve_rows(a, b, cols, width):
+    """``dense_solve`` on lists of `Fraction` rows, ``a`` with ``cols``
+    columns and ``b`` with ``width``."""
+    red, pivots = dense_rref_rows([list(ra) + list(rb) for ra, rb in zip(a, b)], cols + width)
+    if any(p >= cols for p in pivots):
         return None
-    x = [[F(0)] * b.cols for _ in range(a.cols)]
+    x = [[F(0)] * width for _ in range(cols)]
     for r, pc in enumerate(pivots):
-        for j in range(b.cols):
-            x[pc][j] = red[r, a.cols + j]
-    return Matrix.from_rows(x, cols=b.cols)
+        for j in range(width):
+            x[pc][j] = red[r][cols + j]
+    return x
 
 
 def primes_of_50_digits(rng, count):
@@ -436,8 +451,9 @@ class TestMatrixBasics:
 
 
 class TestShapeChecks:
-    """Every internal build goes through the one constructor, so its checks
-    and those of the public operations guard them all."""
+    """Both constructors check shape: the public one, and ``Matrix._of``, on
+    scaled rows, through which every other build goes; so their checks and
+    those of the public operations guard them all."""
 
     @pytest.mark.parametrize("build, error", [
         (lambda: Matrix(-1, 0, ()), ValueError),
@@ -446,6 +462,7 @@ class TestShapeChecks:
         (lambda: Matrix(1, 1, (1, 2)), ValueError),
         (lambda: Matrix.from_rows([[1, 2], [3]]), ValueError),
         (lambda: Matrix.from_columns([[1, 2], [3]]), ValueError),
+        (lambda: Matrix._of([(((0, 1),), 1), (((1, 2), (2, 1)), 3)], 2), ValueError),
         (lambda: M([[1, 2]])[1, 0], IndexError),
         (lambda: M([[1, 2]])[0, 2], IndexError),
         (lambda: M([[1, 2]])[0, -1], IndexError),
@@ -458,8 +475,9 @@ class TestShapeChecks:
         (lambda: Subspace(2, ((F(1),),)), ValueError),
         (lambda: Subspace(1, ((F(1), F(0)),)), ValueError),
     ], ids=["negative-rows", "negative-cols", "too-few-entries", "too-many-entries",
-            "ragged-rows", "ragged-columns", "row-out-of-range", "column-out-of-range",
-            "negative-index", "apply-short", "apply-long", "hstack", "vstack", "add", "sub",
+            "ragged-rows", "ragged-columns", "scaled-index-out-of-range", "row-out-of-range",
+            "column-out-of-range", "negative-index", "apply-short", "apply-long", "hstack", "vstack",
+            "add", "sub",
             "subspace-short-vector", "subspace-long-vector"])
     def test_malformed_raises(self, build, error):
         with pytest.raises(error):
@@ -483,3 +501,121 @@ class TestShapeChecks:
                     m.submatrix([1], [0, 1]), rref(m)[0], solve(m, m), invert(m),
                     kernel_basis(Matrix.zero(1, 2)).matrix()):
             assert all(type(x) is Fraction for x in out.entries)
+
+
+def ref_columns(rows, cols):
+    return [[row[j] for row in rows] for j in range(cols)]
+
+
+def ref_mul(x, y, cols):
+    """The product of the `Fraction` rows ``x`` and ``y``, ``y`` with ``cols`` columns."""
+    return [[sum((a * y[k][j] for k, a in enumerate(row)), F(0)) for j in range(cols)]
+            for row in x]
+
+
+def ref_stack(*blocks):
+    """The rows of the block matrix whose block rows ``blocks`` are lists of
+    (rows, cols) blocks of equal height; a zero block is (None, cols)."""
+    out = []
+    for row in blocks:
+        height = max(len(b) for b, _ in row if b is not None)
+        for i in range(height):
+            out.append([x for b, c in row for x in (b[i] if b is not None else [F(0)] * c)])
+    return out
+
+
+class TestEveryBuild:
+    """Every way to build a `Matrix` stores the scaled rows of a dense
+    `Fraction` reference: its entries, its scaled columns and its == and
+    hash agree with those of the matrix built from the reference's entries,
+    and changing any one entry of that twin makes it unequal; on 0xN and Nx0
+    shapes and on entries over distinct 50-digit primes."""
+
+    def check(self, m, rows, cols):
+        flat = tuple(x for row in rows for x in row)
+        assert (m.rows, m.cols, m.entries) == (len(rows), cols, flat)
+        assert all(type(x) is Fraction for x in m.entries)
+        twin = Matrix(m.rows, m.cols, m.entries)
+        assert m == twin and hash(m) == hash(twin)
+        for k in range(len(flat)):
+            changed = list(flat)
+            changed[k] += F(1, 3)
+            assert Matrix(m.rows, m.cols, changed) != m
+        assert m._columns == tuple(map(_scale, ref_columns(rows, cols)))
+
+    def test_against_dense_reference(self):
+        rng = random.Random(17)
+        primes = primes_of_50_digits(rng, 80)
+
+        def entries(r, c, upper=False):
+            return [[F(rng.randint(1, 9) * rng.choice((-1, 1)), primes.pop())
+                     if (i <= j if upper else rng.random() < 0.7) else F(0)
+                     for j in range(c)] for i in range(r)]
+
+        a, b, c = entries(3, 4), entries(3, 4), entries(4, 2)
+        s = entries(3, 3, upper=True)   # invertible: upper triangular, nonzero diagonal
+        ma, mb, mc, ms = (Matrix.from_rows(x) for x in (a, b, c, s))
+        e3 = [[F(int(i == j)) for j in range(3)] for i in range(3)]
+        q = F(7, primes.pop())
+        cases = [
+            (Matrix(3, 4, [x for row in a for x in row]), a, 4),
+            (Matrix.from_rows(a), a, 4),
+            (Matrix.from_columns(ref_columns(a, 4)), a, 4),
+            (Matrix.from_rows([], cols=4), [], 4),
+            (Matrix.from_columns([], rows=3), [[]] * 3, 0),
+            (Matrix.identity(3), e3, 3),
+            (Matrix.zero(2, 3), [[F(0)] * 3] * 2, 3),
+            (ma + mb, [[x + y for x, y in zip(u, v)] for u, v in zip(a, b)], 4),
+            (ma - mb, [[x - y for x, y in zip(u, v)] for u, v in zip(a, b)], 4),
+            (-ma, [[-x for x in u] for u in a], 4),
+            (q * ma, [[q * x for x in u] for u in a], 4),
+            (ma @ mc, ref_mul(a, c, 2), 2),
+            (ma @ Matrix.zero(4, 0), [[]] * 3, 0),
+            (Matrix.zero(0, 3) @ ma, [], 4),
+            (ma.transpose(), ref_columns(a, 4), 3),
+            (Matrix.zero(0, 4).transpose(), [[]] * 4, 0),
+            (Matrix.zero(4, 0).transpose(), [], 4),
+            (ma.hstack(mb), ref_stack([(a, 4), (b, 4)]), 8),
+            (Matrix.zero(3, 0).hstack(ma), a, 4),
+            (ma.vstack(mb), a + b, 4),
+            (Matrix.zero(0, 4).vstack(ma), a, 4),
+            (ma.submatrix([2, 0], [3, 1, 1]), [[a[i][j] for j in (3, 1, 1)] for i in (2, 0)], 3),
+            (ma.submatrix([], [1, 2]), [], 2),
+            (block_diag(ma, mc), ref_stack([(a, 4), (None, 2)], [(None, 4), (c, 2)]), 6),
+            (rref(ma.vstack(ma))[0], dense_rref_rows(a + a, 4)[0], 4),
+            (rref(Matrix.zero(0, 4))[0], [], 4),
+            (rref(Matrix.zero(3, 0))[0], [[]] * 3, 0),
+            (solve(ma, ma @ mc), dense_solve_rows(a, ref_mul(a, c, 2), 4, 2), 2),
+            (solve(ma, Matrix.zero(3, 0)), [[]] * 4, 0),
+            (invert(ms), dense_solve_rows(s, e3, 3, 3), 3),
+            (invert(Matrix.zero(0, 0)), [], 0),
+        ]
+
+        # [e_0, e_j] = sum_t D[t][j] e_t on the abelian ideal spanned by e_1, e_2
+        D = entries(2, 2)
+        sc = [[[F(0)] * 3 for _ in range(3)] for _ in range(3)]
+        for j in (1, 2):
+            for t in (1, 2):
+                sc[0][j][t], sc[j][0][t] = D[t - 1][j - 1], -D[t - 1][j - 1]
+        rep = adjoint_rep(LieAlgebra(3, sc))
+        rho = [[[sc[i][w][v] for w in range(3)] for v in range(3)] for i in range(3)]
+        x = [F(rng.randint(1, 9), primes.pop()) for _ in range(3)]
+        cases += [(rep.g.ad(i), rho[i], 3) for i in range(3)]
+        cases.append((rep.rho_vec(x), [[sum((x[i] * rho[i][v][w] for i in range(3)), F(0))
+                                        for w in range(3)] for v in range(3)], 3))
+        # delta_0 f = rho(e_i) f, and
+        # (delta_1 f)(e_a, e_b) = rho_a f(e_b) - rho_b f(e_a) - f([e_a, e_b])
+        cases.append((delta_matrix(0, rep), [row for i in range(3) for row in rho[i]], 3))
+        cases.append((delta_matrix(1, rep), [
+            [(rho[a][v][w] if k == b else 0) - (rho[b][v][w] if k == a else 0)
+             - (sc[a][b][k] if v == w else 0) for k in range(3) for w in range(3)]
+            for a in range(3) for b in range(a + 1, 3) for v in range(3)], 9))
+
+        d, phi0, phi1 = entries(3, 2), entries(3, 3), entries(2, 2)
+        L = TwoTermAlgebra(3, 2, d, zero_tensor((3, 3, 3)), zero_tensor((3, 2, 2)),
+                           zero_tensor((3, 3, 3, 2)))
+        mor = Morphism(L, L, phi0, phi1, zero_tensor((3, 3, 2)))
+        cases += [(L.d, d, 2), (mor.phi0, phi0, 3), (mor.phi1, phi1, 2)]
+
+        for m, rows, cols in cases:
+            self.check(m, rows, cols)

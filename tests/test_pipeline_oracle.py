@@ -264,9 +264,8 @@ def fresh_matrix(m):
 def assert_scaled_filled(obj):
     """``obj`` carries a scaled form from its construction, and it equals
     the one computed from the public `Fraction` tensors and matrices of a
-    fresh copy; its matrices carry scaled columns (kept by
-    ``core._column_matrix`` when the pipeline built them from scaled
-    columns), equal to those rescaled from their entries."""
+    fresh copy; the scaled columns of its matrices equal those rescaled
+    from their entries."""
     assert "_scaled" in vars(obj)
     if isinstance(obj, TwoTermAlgebra):
         mats = (obj.d,)
@@ -276,7 +275,6 @@ def assert_scaled_filled(obj):
         fresh = Morphism(obj.source, obj.target, *map(fresh_matrix, mats), obj.Phi)
     assert obj._scaled == fresh._scaled
     for m in mats:
-        assert "_columns" in vars(m)
         assert m._columns == fresh_matrix(m)._columns
 
 
