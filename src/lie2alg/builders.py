@@ -15,9 +15,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .linalg import Matrix, ZERO, _invertible, block_diag, rat, vec_zero
 from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, _scale_tensor, verify,
@@ -326,8 +326,7 @@ def example27_automorphism(v) -> Morphism:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomProfile:
+class RandomProfile(NamedTuple):
     """Catalog selection and dimension bounds for the random generator."""
 
     algebras: tuple[str, ...] = (

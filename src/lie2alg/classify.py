@@ -33,7 +33,6 @@ the module certifies user-supplied maps and refutes via invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
 from functools import cached_property
 from itertools import combinations, product
 from typing import NamedTuple
@@ -41,6 +40,7 @@ from typing import NamedTuple
 from .linalg import (
     Matrix,
     Subspace,
+    _Record,
     _eliminate,
     _invertible,
     _kernel_vectors,
@@ -97,8 +97,7 @@ class InvertibilityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Record):
     """A choice of complements: degree 0 splits into a Lie-algebra part and
     the image of d, degree 1 into the kernel of d and a transported copy U,
     spanned by the standard basis vectors at the pivot columns of d.
@@ -119,6 +118,13 @@ class Decomposition:
     h: Matrix
     coords0: Matrix
     coords1: Matrix
+
+    def __init__(self, source: TwoTermAlgebra, g_basis: Subspace, imd_basis: Subspace,
+                 kerd_basis: Subspace, u_basis: Subspace, f: Matrix, h: Matrix,
+                 coords0: Matrix, coords1: Matrix):
+        self.__dict__.update(source=source, g_basis=g_basis, imd_basis=imd_basis,
+                             kerd_basis=kerd_basis, u_basis=u_basis, f=f, h=h,
+                             coords0=coords0, coords1=coords1)
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -367,8 +373,7 @@ def split_normal_form(L: TwoTermAlgebra) -> Quadruple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class InvariantVector:
+class InvariantVector(NamedTuple):
     """Deterministic isomorphism-invariant fingerprint of an algebra.
 
     Every field is computable from the algebra alone and agrees for any two
@@ -376,29 +381,31 @@ class InvariantVector:
     of all fields is necessary but not sufficient.
     """
 
-    dim_g: int = field(metadata={"label": "dim g"})
-    dim_u: int = field(metadata={"label": "dim U"})
-    dim_v: int = field(metadata={"label": "dim V"})
-    n0: int = field(metadata={"label": "n0"})
-    n1: int = field(metadata={"label": "n1"})
-    h0: int = field(metadata={"label": "h0"})
-    h1: int = field(metadata={"label": "h1"})
-    derived_series: tuple[int, ...] = field(metadata={"label": "derived series"})
-    lower_central_series: tuple[int, ...] = field(metadata={"label": "lower central series"})
-    center_dim: int = field(metadata={"label": "center dim"})
-    killing_rank: int = field(metadata={"label": "Killing rank"})
-    cohomology_h0: int = field(metadata={"label": "H0"})
-    cohomology_h1: int = field(metadata={"label": "H1"})
-    cohomology_h2: int = field(metadata={"label": "H2"})
-    cohomology_h3: int = field(metadata={"label": "H3"})
-    jtilde_is_coboundary: bool = field(metadata={"label": "Jtilde coboundary flag"})
+    dim_g: int
+    dim_u: int
+    dim_v: int
+    n0: int
+    n1: int
+    h0: int
+    h1: int
+    derived_series: tuple[int, ...]
+    lower_central_series: tuple[int, ...]
+    center_dim: int
+    killing_rank: int
+    cohomology_h0: int
+    cohomology_h1: int
+    cohomology_h2: int
+    cohomology_h3: int
+    jtilde_is_coboundary: bool
 
     def lines(self) -> list[str]:
         return [f"{label}={_render_value(getattr(self, attr))}" for attr, label in self.FIELDS]
 
 
 # (attribute, label) of each field, in order
-InvariantVector.FIELDS = tuple((f.name, f.metadata["label"]) for f in fields(InvariantVector))
+InvariantVector.FIELDS = tuple(zip(InvariantVector._fields, (
+    "dim g", "dim U", "dim V", "n0", "n1", "h0", "h1", "derived series", "lower central series",
+    "center dim", "Killing rank", "H0", "H1", "H2", "H3", "Jtilde coboundary flag"), strict=True))
 
 
 def _render_value(value) -> str:

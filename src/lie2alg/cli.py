@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .core import TwoTermAlgebra, _rational_text, verify
 from .cohomology import (
@@ -191,11 +190,11 @@ def cmd_example(args) -> int:
 def cmd_random(args) -> int:
     profile = RandomProfile()
     if args.algebras:
-        profile = replace(profile, algebras=tuple(args.algebras.split(",")))
+        profile = profile._replace(algebras=tuple(args.algebras.split(",")))
     if args.reps:
-        profile = replace(profile, representations=tuple(args.reps.split(",")))
+        profile = profile._replace(representations=tuple(args.reps.split(",")))
     if args.max_u is not None:
-        profile = replace(profile, max_dim_u=args.max_u)
+        profile = profile._replace(max_dim_u=args.max_u)
     L = random_algebra(args.seed, profile)
     _emit(args, _checked_algebra_document(L, name=f"random seed={args.seed}"))
     return 0

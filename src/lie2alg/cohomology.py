@@ -31,13 +31,13 @@ V index fastest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .linalg import (
     Matrix,
+    _Record,
     _column_matrix,
     _eliminate,
     _kernel_vectors,
@@ -77,8 +77,7 @@ class IntertwinerError(ValueError):
     """The supplied linear map does not intertwine the representations."""
 
 
-@dataclass(frozen=True, init=False)
-class LieAlgebra:
+class LieAlgebra(_Record):
     """A Lie algebra by structure constants: [e_i, e_j] = sum_t sc[i][j][t] e_t.
 
     Construction validates antisymmetry and the Jacobi identity on basis
@@ -115,8 +114,7 @@ class LieAlgebra:
         return _column_matrix(self._scaled[i], self.dim)
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(_Record):
     """rho: g -> gl(V), one dimV x dimV matrix per basis element of g.
 
     Construction validates rho([x,y]) = rho(x) rho(y) - rho(y) rho(x) on all
@@ -127,13 +125,13 @@ class Representation:
     dimV: int
     rho: tuple[Matrix, ...]
 
-    def __post_init__(self):
-        mats = [as_matrix(m, self.dimV) for m in self.rho]
-        if any(m.rows != self.dimV or m.cols != self.dimV for m in mats):
-            raise ValueError(f"rho matrices must be {self.dimV}x{self.dimV}")
-        if len(mats) != self.g.dim:
+    def __init__(self, g: LieAlgebra, dimV: int, rho: tuple[Matrix, ...]):
+        mats = [as_matrix(m, dimV) for m in rho]
+        if any(m.rows != dimV or m.cols != dimV for m in mats):
+            raise ValueError(f"rho matrices must be {dimV}x{dimV}")
+        if len(mats) != g.dim:
             raise ValueError("need one rho matrix per basis element")
-        object.__setattr__(self, "rho", tuple(mats))
+        self.__dict__.update(g=g, dimV=dimV, rho=tuple(mats))
         sc, (r, rt) = self.g._scaled, self._scaled
         for i, j in combinations(range(self.g.dim), 2):
             for l in range(self.dimV):
@@ -164,8 +162,7 @@ def increasing_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(dim), n))
 
 
-@dataclass(frozen=True)
-class Cochain:
+class Cochain(_Record):
     """Degree-n alternating cochain with values in V.
 
     ``values`` maps every strictly increasing n-tuple of basis indices to a
@@ -175,23 +172,23 @@ class Cochain:
     n: int
     g: LieAlgebra
     dimV: int
-    values: dict = field(default_factory=dict)
+    values: dict
 
-    def __post_init__(self):
+    def __init__(self, n: int, g: LieAlgebra, dimV: int, values: dict | None = None):
         canonical = {}
-        keys = increasing_tuples(self.g.dim, self.n)
+        keys = increasing_tuples(g.dim, n)
         key_set = set(keys)
-        supplied = dict(self.values)
+        supplied = dict(values or {})
         for key in supplied:
             if tuple(key) not in key_set:
-                raise ValueError(f"not an increasing {self.n}-tuple: {key}")
+                raise ValueError(f"not an increasing {n}-tuple: {key}")
         for key in keys:
             raw = supplied.get(key)
-            v = vec(raw) if raw is not None else vec_zero(self.dimV)
-            if len(v) != self.dimV:
+            v = vec(raw) if raw is not None else vec_zero(dimV)
+            if len(v) != dimV:
                 raise ValueError(f"value at {key} has wrong length")
             canonical[key] = v
-        object.__setattr__(self, "values", canonical)
+        self.__dict__.update(n=n, g=g, dimV=dimV, values=canonical)
 
     @classmethod
     def zero(cls, n: int, g: LieAlgebra, dimV: int) -> "Cochain":
@@ -446,8 +443,7 @@ def _transfer_difference(J: Cochain, K: Cochain, psi: Matrix, t: Matrix) -> Coch
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Quadruple:
+class Quadruple(_Record):
     """(Lie algebra, dim of the transported space, representation, 3-cocycle).
 
     Exactly the data needed to assemble a standard-shape 2-term algebra;
@@ -459,12 +455,13 @@ class Quadruple:
     rep: Representation
     jtilde: Cochain
 
-    def __post_init__(self):
-        if self.dim_u < 0:
+    def __init__(self, g: LieAlgebra, dim_u: int, rep: Representation, jtilde: Cochain):
+        if dim_u < 0:
             raise ValueError("dim_u must be nonnegative")
-        if self.rep.g != self.g:
+        if rep.g != g:
             raise ValueError("representation acts on a different Lie algebra")
-        if self.jtilde.n != 3 or self.jtilde.g != self.g or self.jtilde.dimV != self.rep.dimV:
+        if jtilde.n != 3 or jtilde.g != g or jtilde.dimV != rep.dimV:
             raise ValueError("jtilde must be a degree-3 cochain on g with values in V")
-        if not is_cocycle(self.jtilde, self.rep):
+        if not is_cocycle(jtilde, rep):
             raise ValueError("jtilde is not a cocycle")
+        self.__dict__.update(g=g, dim_u=dim_u, rep=rep, jtilde=jtilde)

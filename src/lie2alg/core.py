@@ -37,22 +37,20 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import (Matrix, _column_matrix, _reduce, _scale, _unscale, as_matrix, basis_vec,
-                     is_zero_vec, rat, vec, vec_add, vec_sub, vec_zero)
+from .linalg import (Matrix, _Record, _column_matrix, _reduce, _scale, _unscale, as_matrix,
+                     basis_vec, is_zero_vec, rat, vec, vec_add, vec_sub, vec_zero)
 
 # ---------------------------------------------------------------------------
 # shuffles
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShuffleSet:
+class ShuffleSet(NamedTuple):
     """All (m, n)-shuffles with ordinary permutation signs.
 
     A shuffle is a permutation of {0..m+n-1} (images stored 0-based) that is
@@ -131,8 +129,7 @@ def zero_tensor(shape: tuple[int, ...]):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
-class TwoTermAlgebra:
+class TwoTermAlgebra(_Record):
     n0: int
     n1: int
     _scaled: _Scaled   # canonical, so == and hash compare the structure
@@ -189,16 +186,14 @@ class TwoTermAlgebra:
         )
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(_Record):
     """An element of L0 + L1, stored as its pair of coordinate tuples."""
 
     deg0: Vec
     deg1: Vec
 
-    def __post_init__(self):
-        object.__setattr__(self, "deg0", vec(self.deg0))
-        object.__setattr__(self, "deg1", vec(self.deg1))
+    def __init__(self, deg0: Vec, deg1: Vec):
+        self.__dict__.update(deg0=vec(deg0), deg1=vec(deg1))
 
     @classmethod
     def degree0(cls, L: TwoTermAlgebra, coords) -> "Element":
@@ -276,10 +271,12 @@ def _alternating(n: int, slots: int, values: dict):
     """The scaled tensor of leaves ``slots`` indices deep over range(n) that
     is alternating in those indices and takes ``values`` on increasing
     index tuples (every other leaf with a repeated index is zero)."""
+    signs = [(order, perm_sign(order)) for order in permutations(range(slots))]
     leaves = {}
     for key, v in values.items():
-        for order in permutations(range(slots)):
-            leaves[tuple(key[o] for o in order)] = v if perm_sign(order) == 1 else _neg(v)
+        neg = _neg(v)
+        for order, sign in signs:
+            leaves[tuple(key[o] for o in order)] = v if sign == 1 else neg
     grid = [leaves.get(idx, _ZERO_SCALED) for idx in product(range(n), repeat=slots)]
     for _ in range(slots - 1):
         grid = [tuple(grid[i:i + n]) for i in range(0, len(grid), n or 1)]
@@ -397,15 +394,13 @@ ALGEBRA_EQUATIONS = (
 )
 
 
-@dataclass(frozen=True)
-class EquationFailure:
+class EquationFailure(NamedTuple):
     equation: str
     args: tuple[int, ...]
     discrepancy: Vec
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of a basis-tuple check of a family of defining equations.
 
     ``structure_errors`` lists violated storage invariants (antisymmetry);

@@ -15,10 +15,10 @@ fraction-free sparse Gauss-Jordan, whose work follows the nonzeros.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Sequence
 
 Rational = Fraction
@@ -105,8 +105,38 @@ def _unscale(v, n: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(entries[t], v[1]) if t in entries else ZERO for t in range(n))
 
 
-@dataclass(frozen=True, init=False)
-class Matrix:
+class _Record:
+    """Base of the records that have a constructor: the fields are the
+    annotated names of the class body (``_fields``).  Two records are equal
+    when they have the same type and equal tuples of field values, whose hash
+    is theirs; no attribute can be assigned (``cached_property`` views write
+    to ``__dict__``).  The plain value records are `typing.NamedTuple`s:
+    ``dataclasses`` would take about a third of a cold command's import."""
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Matrix(_Record):
     """Immutable matrix over the rationals, stored as its scaled rows."""
 
     rows: int
@@ -289,8 +319,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
     return top.vstack(bottom)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(_Record):
     """A subspace given by an explicit linearly independent basis.
 
     Basis vectors are columns, stored as coordinate tuples of length
@@ -300,13 +329,13 @@ class Subspace:
     ambient_dim: int
     basis: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self):
-        vecs = tuple(vec(v) for v in self.basis)
+    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
+        vecs = tuple(vec(v) for v in basis)
         for v in vecs:
-            if len(v) != self.ambient_dim:
+            if len(v) != ambient_dim:
                 raise ValueError("basis vector length != ambient dimension")
-        object.__setattr__(self, "basis", vecs)
-        if vecs and Matrix.from_columns(vecs, rows=self.ambient_dim).rank() != len(vecs):
+        self.__dict__.update(ambient_dim=ambient_dim, basis=vecs)
+        if vecs and Matrix.from_columns(vecs, rows=ambient_dim).rank() != len(vecs):
             raise ValueError("basis vectors are linearly dependent")
 
     @classmethod
@@ -314,8 +343,7 @@ class Subspace:
         """A subspace on Fraction vectors independent by construction: skips
         the constructor's re-check, which would be a second rref."""
         out = object.__new__(cls)
-        object.__setattr__(out, "ambient_dim", ambient_dim)
-        object.__setattr__(out, "basis", tuple(basis))
+        out.__dict__.update(ambient_dim=ambient_dim, basis=tuple(basis))
         return out
 
     @property

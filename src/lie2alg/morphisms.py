@@ -19,11 +19,10 @@ appear only at the API boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import Matrix, _invertible, as_matrix, invert
+from .linalg import Matrix, _invertible, _Record, as_matrix, invert
 from .core import (
     Tensor3,
     TwoTermAlgebra,
@@ -53,8 +52,7 @@ MORPHISM_EQUATIONS = (
 )
 
 
-@dataclass(frozen=True, init=False)
-class Morphism:
+class Morphism(_Record):
     source: TwoTermAlgebra
     target: TwoTermAlgebra
     _scaled: tuple   # (columns of phi0, columns of phi1, Phi)

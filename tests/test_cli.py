@@ -6,9 +6,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from lie2alg import TwoTermAlgebra, quaternion_example
+from lie2alg import RandomProfile, TwoTermAlgebra, quaternion_example, random_algebra
 from lie2alg.core import VerificationReport, perm_sign
-from lie2alg.cli import main
+from lie2alg.cli import _checked_algebra_document, main
 from lie2alg.documents import (
     algebra_to_document,
     dumps,
@@ -358,6 +358,22 @@ class TestGeneration:
         code, _, _ = run(capsys, "verify", "--quiet", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("flags, profile", [
+        (("--algebras", "so3,sl2"), RandomProfile(algebras=("so3", "sl2"))),
+        (("--reps", "adjoint"), RandomProfile(representations=("adjoint",))),
+        (("--max-u", "0"), RandomProfile(max_dim_u=0)),
+        (("--algebras", "heisenberg3", "--reps", "trivial2,adjoint", "--max-u", "1"),
+         RandomProfile(algebras=("heisenberg3",), representations=("trivial2", "adjoint"),
+                       max_dim_u=1)),
+    ])
+    def test_random_profile_flags(self, capsys, flags, profile):
+        code, out, _ = run(capsys, "random", "--seed", "5", *flags)
+        assert code == 0
+        want = _checked_algebra_document(random_algebra(5, profile), name="random seed=5")
+        assert out == dumps(want)
+        # seed 5 draws a different algebra under each of these profiles
+        assert out != run(capsys, "random", "--seed", "5")[1]
+
 
 class TestComposeTransport:
     def test_compose_with_inverse_gives_identity_document(self, capsys, tmp_path):
@@ -565,3 +581,17 @@ class TestOptions:
 
         args = vars(build_parser().parse_args(list(argv)))
         assert {k: args[k] for k in attrs} == attrs
+
+
+def test_cold_import_loads_no_dataclasses():
+    # every command pays for what importing the cli loads; dataclasses (with
+    # inspect, ast and dis under it) was about a third of that
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import lie2alg.cli, sys; print('dataclasses' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "False\n"
