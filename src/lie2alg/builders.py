@@ -84,7 +84,10 @@ def parse_quaternion(text: str) -> Quaternion:
         sign, number, unit = m.groups()
         if number is None and not unit:
             raise ValueError(f"invalid quaternion literal {text!r} at position {pos}")
-        value = Fraction(number) if number is not None else Fraction(1)
+        try:
+            value = Fraction(number or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in quaternion literal {text!r}") from None
         if sign == "-":
             value = -value
         coeffs[unit] += value

@@ -15,17 +15,18 @@ vector, summed by ``core._isum``) and hand it to the algebras and
 morphisms they return, which store only that form, so verifying them
 converts nothing; `Fraction`s appear only in the views of the public API.
 
-Results that are functions of an algebra are kept per algebra object, in
-its private ``_store``: ``verify`` keeps its report, the quadruple (one
-``decompose`` and one ``extract_triple``) is shared by ``normal_form``,
-``invariants``, ``skeleton`` and ``split_normal_form``, and ``normal_form``
-keeps its target algebra and the maps of its isomorphism, verified once
-(it decomposes the algebra itself, and extracts the quadruple from that
-decomposition unless one is kept).  A value
-is stored only on the argument of the call that computed it and never
-refers back to that algebra, so an algebra built by the pipeline (a normal
-form, say) is classified afresh, and a stored algebra is still freed by
-reference counting.  The public ``decompose`` and ``extract_triple`` are not cached.
+Results that are functions of an algebra are kept per algebra object,
+through the record's ``_kept``: ``verify`` keeps its report under
+"verify", the quadruple (one ``decompose`` and one ``extract_triple``) is
+kept under "quadruple" and shared by ``normal_form``, ``invariants``,
+``skeleton`` and ``split_normal_form``, and ``normal_form`` keeps its target
+algebra and the maps of its isomorphism, verified once, under
+"normal_form" (it decomposes the algebra itself, and extracts the quadruple
+from that decomposition unless one is kept).  A value is kept only on the
+argument of the call that computed it and never refers back to that
+algebra, so an algebra built by the pipeline (a normal form, say) is
+classified afresh, and an algebra is still freed by reference counting.
+The public ``decompose`` and ``extract_triple`` are not cached.
 
 A full search for a Lie algebra isomorphism is deliberately out of scope:
 the module certifies user-supplied maps and refutes via invariants.
@@ -52,6 +53,7 @@ from .linalg import (
 )
 from .core import (
     TwoTermAlgebra,
+    _SHUFFLES,
     _alternating,
     _column_matrix,
     _ivec,
@@ -59,7 +61,6 @@ from .core import (
     _scale,
     _scale_tensor,
     _unscale,
-    shuffles,
     tensor,
     verify,
 )
@@ -119,13 +120,6 @@ class Decomposition(_Record):
     coords0: Matrix
     coords1: Matrix
 
-    def __init__(self, source: TwoTermAlgebra, g_basis: Subspace, imd_basis: Subspace,
-                 kerd_basis: Subspace, u_basis: Subspace, f: Matrix, h: Matrix,
-                 coords0: Matrix, coords1: Matrix):
-        self.__dict__.update(source=source, g_basis=g_basis, imd_basis=imd_basis,
-                             kerd_basis=kerd_basis, u_basis=u_basis, f=f, h=h,
-                             coords0=coords0, coords1=coords1)
-
     @cached_property
     def _scaled(self) -> tuple:
         """(g basis, kernel basis, g coordinates, kernel coordinates, h) in
@@ -149,22 +143,22 @@ def decompose(L: TwoTermAlgebra) -> Decomposition:
     # pivots of d, on the nonzero rows of rref(d), then rows zero on d's block
     red, pivots = rref(L.d.hstack(Matrix.identity(n0)))
     r = sum(p < n1 for p in pivots)
-    imd = Subspace._trusted(n0, (L.d.column(p) for p in pivots[:r]))
-    kerd = Subspace._trusted(n1, _kernel_vectors((red._rows, pivots), n1))
+    imd = Subspace._of(n0, tuple([L.d.column(p) for p in pivots[:r]]))
+    kerd = Subspace._of(n1, _kernel_vectors((red._rows, pivots), n1))
     # U is the greedy complement of ker d: a free e_f is its kernel vector
     # plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}), on
     # which the row of rref(d) with pivot p vanishes.
-    u_b = Subspace._trusted(n1, (basis_vec(n1, p) for p in pivots[:r]))
+    u_b = Subspace._of(n1, tuple([basis_vec(n1, p) for p in pivots[:r]]))
     # E sends im d's basis to e_0..e_{r-1} and the e_c at the last pivots,
     # the greedy complement g of im d, to the rest
-    g_b = Subspace._trusted(n0, (basis_vec(n0, p - n1) for p in pivots[r:]))
+    g_b = Subspace._of(n0, tuple([basis_vec(n0, p - n1) for p in pivots[r:]]))
     coords0 = red.submatrix([*range(r, n0), *range(r)], range(n1, n1 + n0))
     # the kernel coordinates of x are its free entries, its U ones rref(d) @ x
     free = Matrix.identity(n1).submatrix([c for c in range(n1) if c not in pivots], range(n1))
     coords1 = free.vstack(red.submatrix(range(r), range(n1)))
     # d maps U's basis onto im d's: h is U's basis times E's first r rows
     h = u_b.matrix() @ red.submatrix(range(r), range(n1, n1 + n0))
-    return Decomposition(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
+    return Decomposition._of(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
 
 
 def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
@@ -199,7 +193,7 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
     values = {}
     for key in combinations(range(gdim), 3):
         parts = [(1, S.jac, tuple(G[k] for k in key))]
-        for perm, sign in shuffles(1, 2).elements:
+        for perm, sign in _SHUFFLES[1, 2]:
             a, y, z = (key[p] for p in perm)
             parts.append((-sign, S.b01, (G[a], hw[y, z])))
         values[key] = _unscale(_ivec(kdim, ((1, k_coords, (_ivec(n1, parts),)),)), kdim)
@@ -225,8 +219,10 @@ def transport(
     connecting morphism, which store that scaled form (their `Fraction`
     views are built on first read); both are re-verified before returning.
 
-    Precondition: ``verify(L)`` passes.  A ``correction`` that is not
-    antisymmetric raises ValueError naming its first bad pair.
+    Precondition: ``verify(L)`` passes; when it does not, the transported
+    algebra fails its check with ValueError.  A failed check on a valid L
+    is a bug, RuntimeError.  A ``correction`` that is not antisymmetric
+    raises ValueError naming its first bad pair.
     """
     phi0, phi1 = as_matrix(phi0, L.n0), as_matrix(phi1, L.n1)
     if phi0.rows != phi0.cols or phi0.rows != L.n0:
@@ -265,7 +261,7 @@ def transport(
     jac_new = {}
     for key in combinations(range(n0), 3):
         parts = [(1, P1, (_ivec(n1, ((1, S.jac, tuple(X[k] for k in key)),)),))]
-        for perm, sign in shuffles(1, 2).elements:
+        for perm, sign in _SHUFFLES[1, 2]:
             a, y, z = (key[p] for p in perm)
             parts += [(-sign, b01_new[a], (c[y, z],)), (-sign, C, (X[a], w[y, z]))]
         jac_new[key] = _ivec(n1, parts)
@@ -274,10 +270,13 @@ def transport(
     mor = Morphism._of(L, out, (P0, P1, C))
     report = verify(out)
     if not report.passed:
-        raise ValueError(f"transported algebra failed verification: {report.lines()}")
+        # the structure of L carries over exactly, so this is a bug unless L
+        # itself breaks the precondition
+        error = RuntimeError if verify(L).passed else ValueError
+        raise error(f"transported algebra failed verification: {report.lines()}")
     mreport = verify_morphism(mor)
     if not mreport.passed:
-        raise ValueError(f"transport produced an invalid morphism: {mreport.lines()}")
+        raise RuntimeError(f"transport produced an invalid morphism: {mreport.lines()}")
     return out, mor
 
 
@@ -302,10 +301,7 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     verified once per algebra object and kept on it; each call returns a
     new `Morphism` from L around them.
     """
-    store = L._store
-    if "normal_form" not in store:
-        store["normal_form"] = _normal_form(L)
-    target, q, scaled = store["normal_form"]
+    target, q, scaled = L._kept("normal_form", _normal_form, L)
     return NormalFormResult(target, Morphism._of(L, target, scaled), q)
 
 
@@ -314,10 +310,8 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
     form of L: nothing that refers back to L, so that it can be kept on L.
     The quadruple is extracted from the same decomposition unless L keeps
     one already."""
-    store, dec = L._store, decompose(L)
-    if "quadruple" not in store:
-        store["quadruple"] = extract_triple(L, dec)
-    q = store["quadruple"]
+    dec = decompose(L)
+    q = L._kept("quadruple", extract_triple, L, dec)
     target = normal_form_algebra(q)
 
     gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
@@ -344,10 +338,7 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
 
 def _quadruple(L: TwoTermAlgebra) -> Quadruple:
     """The quadruple of L, extracted once per algebra object and kept on it."""
-    store = L._store
-    if "quadruple" not in store:
-        store["quadruple"] = extract_triple(L, decompose(L))
-    return store["quadruple"]
+    return L._kept("quadruple", lambda: extract_triple(L, decompose(L)))
 
 
 def skeleton(L: TwoTermAlgebra) -> TwoTermAlgebra:

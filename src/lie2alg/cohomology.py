@@ -16,7 +16,8 @@ uniformly.
 
 Each differential is assembled once per representation from the nonzero
 terms of sc and rho into sparse scaled rows, and eliminated once; the
-``Representation`` keeps both.  ``delta`` takes one integer dot product per
+``Representation`` keeps both, through the record's ``_kept``, under
+("delta", n) and ("rref", n).  ``delta`` takes one integer dot product per
 row, and no query builds a dense matrix but ``delta_matrix``, their view.
 
 Tensor contractions run on the scaled integers of ``core``: a Lie algebra
@@ -32,7 +33,7 @@ V index fastest.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .linalg import (
@@ -88,22 +89,18 @@ class LieAlgebra(_Record):
     _scaled: tuple   # sc in scaled form; canonical, so == and hash compare sc
 
     def __init__(self, dim: int, sc: Tensor3):
-        self._set(dim, _scale_tensor(tensor(sc, (dim, dim, dim)), 2))
+        self.__dict__.update(vars(self._of(dim, _scale_tensor(tensor(sc, (dim, dim, dim)), 2))))
 
     @classmethod
     def _of(cls, dim: int, sc) -> "LieAlgebra":
-        """The Lie algebra whose structure constants are given in scaled form."""
-        out = object.__new__(cls)
-        out._set(dim, sc)
-        return out
-
-    def _set(self, dim: int, sc) -> None:
+        """The Lie algebra whose structure constants are given in scaled form,
+        checked as the public constructor checks them."""
         for pair in _pair_violations(sc):
             raise ValueError(f"structure constants not antisymmetric at {pair}")
         for (i, j, k) in combinations(range(dim), 3):
             if any(_isum(dim, _jacobi_parts(sc, i, j, k))[0]):
                 raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
-        self.__dict__.update(dim=dim, _scaled=sc)
+        return super()._of(dim, sc)
 
     @cached_property
     def sc(self) -> Tensor3:
@@ -152,12 +149,7 @@ class Representation(_Record):
         return _column_matrix([_ivec(self.dimV, ((1, c, (x,)),)) for c in self._scaled[1]],
                               self.dimV)
 
-    @cached_property
-    def _complex(self) -> dict:  # ("delta", n) -> (rows, cols) of delta_n, ("rref", n) -> rref
-        return {}
 
-
-@lru_cache(maxsize=None)
 def increasing_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(dim), n))
 
@@ -266,33 +258,35 @@ def cochain_to_vec(f: Cochain) -> tuple[Fraction, ...]:
 
 
 def vec_to_cochain(n: int, g: LieAlgebra, dimV: int, flat) -> Cochain:
-    values = {}
-    for pos, key in enumerate(increasing_tuples(g.dim, n)):
-        values[key] = tuple(flat[pos * dimV : (pos + 1) * dimV])
-    return Cochain(n, g, dimV, values)
+    """The cochain of the flattened `Fraction` coordinates ``flat``, built
+    as it is: every caller hands over a complete vector of its own."""
+    return Cochain._of(n, g, dimV, {key: tuple(flat[pos * dimV:(pos + 1) * dimV])
+                                    for pos, key in enumerate(increasing_tuples(g.dim, n))})
 
 
 def _delta_rows(n: int, rep: Representation) -> tuple[tuple, int]:
-    """The rows of delta_n in scaled form on the increasing-tuple (x) V basis,
-    and its number of columns, assembled once per representation from the
-    terms of ``_delta_terms``: each adds coeff times the nonzero entries of
-    rho(e_x), or of the identity, to its block."""
+    """The rows of delta_n in scaled form and its number of columns,
+    assembled once per representation and kept on it."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    cache = rep._complex
-    if ("delta", n) not in cache:
-        d = rep.dimV
-        cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
-        rows = {key: [{} for _ in range(d)] for key in increasing_tuples(rep.g.dim, n + 1)}
-        identity = [(((k, 1),), 1) for k in range(d)]   # the scaled rows of the identity
-        for key, x, coeff, src in _delta_terms(rep.g, n):
-            s = cols[src]
-            for row, (items, den) in zip(rows[key], identity if x is None else rep.rho[x]._rows):
-                for k, e in items:
-                    row[s + k] = row.get(s + k, 0) + Fraction(coeff * e, den)
-        cache["delta", n] = (tuple([_scale_items(sorted(row.items()))
-                                    for block in rows.values() for row in block]), len(cols) * d)
-    return cache["delta", n]
+    return rep._kept(("delta", n), _assemble_delta, n, rep)
+
+
+def _assemble_delta(n: int, rep: Representation) -> tuple[tuple, int]:
+    """The rows of delta_n on the increasing-tuple (x) V basis from the terms
+    of ``_delta_terms``: each adds coeff times the nonzero entries of
+    rho(e_x), or of the identity, to its block."""
+    d = rep.dimV
+    cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
+    rows = {key: [{} for _ in range(d)] for key in increasing_tuples(rep.g.dim, n + 1)}
+    identity = [(((k, 1),), 1) for k in range(d)]   # the scaled rows of the identity
+    for key, x, coeff, src in _delta_terms(rep.g, n):
+        s = cols[src]
+        for row, (items, den) in zip(rows[key], identity if x is None else rep.rho[x]._rows):
+            for k, e in items:
+                row[s + k] = row.get(s + k, 0) + Fraction(coeff * e, den)
+    return (tuple([_scale_items(sorted(row.items())) for block in rows.values() for row in block]),
+            len(cols) * d)
 
 
 def delta_matrix(n: int, rep: Representation) -> Matrix:
@@ -302,10 +296,9 @@ def delta_matrix(n: int, rep: Representation) -> Matrix:
 
 
 def _elimination(n: int, rep: Representation) -> tuple[tuple, tuple[int, ...]]:
-    """``_eliminate`` of the rows of delta_n, once per representation."""
-    if ("rref", n) not in rep._complex:
-        rep._complex["rref", n] = _eliminate(*_delta_rows(n, rep))
-    return rep._complex["rref", n]
+    """``_eliminate`` of the rows of delta_n, once per representation and
+    kept on it."""
+    return rep._kept(("rref", n), _eliminate, *_delta_rows(n, rep))
 
 
 def cocycle_basis(n: int, rep: Representation) -> tuple[tuple[Fraction, ...], ...]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import decimal
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
@@ -73,7 +73,6 @@ def perm_sign(perm: Sequence[int]) -> int:
     return -1 if inversions & 1 else 1
 
 
-@lru_cache(maxsize=None)
 def shuffles(m: int, n: int) -> ShuffleSet:
     if m < 0 or n < 0:
         raise ValueError("shuffle arguments must be nonnegative")
@@ -90,6 +89,10 @@ def shuffles(m: int, n: int) -> ShuffleSet:
     expected = math.comb(total, m)
     assert len(elements) == expected
     return ShuffleSet(m, n, tuple(elements))
+
+
+# the shuffle tables the laws of the package read, built once
+_SHUFFLES = {mn: shuffles(*mn).elements for mn in ((1, 2), (1, 3), (2, 2))}
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +150,7 @@ class TwoTermAlgebra(_Record):
     def _of(cls, n0: int, n1: int, d, b00, b01, jac) -> "TwoTermAlgebra":
         """The algebra whose structure is given in scaled form: ``d`` as its
         columns, every tensor nested in tuples."""
-        out = object.__new__(cls)
-        out.__dict__.update(n0=n0, n1=n1, _scaled=_scaled_algebra(d, b00, b01, jac))
-        return out
+        return super()._of(n0, n1, _scaled_algebra(d, b00, b01, jac))
 
     @cached_property
     def d(self) -> Matrix:
@@ -166,13 +167,6 @@ class TwoTermAlgebra(_Record):
     @cached_property
     def jac(self) -> Tensor4:
         return _unscale_tensor(self._scaled.jac, 3, self.n1)
-
-    @cached_property
-    def _store(self) -> dict:  # "verify", "quadruple", "normal_form"
-        """Results computed from this algebra, kept for later calls on the
-        same object.  No value refers back to the algebra, so it is still
-        freed by reference counting."""
-        return {}
 
     @classmethod
     def zero(cls, n0: int, n1: int) -> "TwoTermAlgebra":
@@ -535,10 +529,7 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
     discrepancy of a reported failure.  The report is kept on the algebra
     object, so a repeated call on the same object returns it unchecked.
     """
-    store = L._store
-    if "verify" not in store:
-        store["verify"] = _verify(L)
-    return store["verify"]
+    return L._kept("verify", _verify, L)
 
 
 def _verify(L: TwoTermAlgebra) -> VerificationReport:
@@ -592,10 +583,10 @@ def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:
 
 def _coherence_parts(S: "_Scaled", args: tuple[int, int, int, int]) -> list:
     parts = []
-    for perm, sign in shuffles(1, 3).elements:
+    for perm, sign in _SHUFFLES[1, 3]:
         a, b, c, d = (args[p] for p in perm)
         parts.append((sign, S.b01[a], (S.jac[b][c][d],)))
-    for perm, sign in shuffles(2, 2).elements:
+    for perm, sign in _SHUFFLES[2, 2]:
         a, b, c, d = (args[p] for p in perm)
         # J([e_a,e_b], e_c, e_d) = J(e_c, e_d, [e_a,e_b]): a cyclic permutation
         parts.append((-sign, S.jac[c][d], (S.b00[a][b],)))

@@ -253,5 +253,9 @@ def load_morphism(path: str) -> Morphism:
 
 
 def save_document(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(doc))
+    text = dumps(doc)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror}") from None

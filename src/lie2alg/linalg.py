@@ -117,6 +117,33 @@ class _Record:
         cls._fields = tuple(cls.__annotations__)
         cls._values = attrgetter(*cls._fields)
 
+    def __init__(self, *args, **kwargs):
+        """The fields as given, by position or by name: the constructor of a
+        record that checks nothing (``Decomposition``)."""
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(values) or values.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        self.__dict__.update(values)
+
+    @classmethod
+    def _of(cls, *values):
+        """The record with these field values, neither coerced nor checked:
+        the one constructor for data the package built itself."""
+        out = object.__new__(cls)
+        out.__dict__.update(zip(cls._fields, values))
+        return out
+
+    def _kept(self, key, compute, *args):
+        """``compute(*args)``, once per object: the one store of results
+        computed from a record, under "verify", "quadruple" and "normal_form"
+        on a `TwoTermAlgebra` and ("delta", n) and ("rref", n) on a
+        `Representation`.  No kept value refers back to its record, so it is
+        still freed by reference counting; an equal record keeps its own."""
+        kept = self.__dict__.setdefault("_kept_results", {})
+        if key not in kept:
+            kept[key] = compute(*args)
+        return kept[key]
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._values(self) == self._values(other)
@@ -158,9 +185,7 @@ class Matrix(_Record):
         rows = tuple(rows)
         if any(items and items[-1][0] >= cols for items, _ in rows):
             raise ValueError(f"scaled row index out of range for {cols} columns")
-        out = object.__new__(cls)
-        out.__dict__.update(rows=len(rows), cols=cols, _rows=rows)
-        return out
+        return super()._of(len(rows), cols, rows)
 
     # -- construction -------------------------------------------------------
 
@@ -338,14 +363,6 @@ class Subspace(_Record):
         if vecs and Matrix.from_columns(vecs, rows=ambient_dim).rank() != len(vecs):
             raise ValueError("basis vectors are linearly dependent")
 
-    @classmethod
-    def _trusted(cls, ambient_dim: int, basis) -> "Subspace":
-        """A subspace on Fraction vectors independent by construction: skips
-        the constructor's re-check, which would be a second rref."""
-        out = object.__new__(cls)
-        out.__dict__.update(ambient_dim=ambient_dim, basis=tuple(basis))
-        return out
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -434,12 +451,12 @@ def _kernel_vectors(reduced, cols: int) -> tuple[tuple[Fraction, ...], ...]:
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null-space basis built from the rref free columns, in increasing order."""
-    return Subspace._trusted(m.cols, _kernel_vectors(_eliminate(m._rows, m.cols), m.cols))
+    return Subspace._of(m.cols, _kernel_vectors(_eliminate(m._rows, m.cols), m.cols))
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column-space basis: the original columns at the pivot positions."""
-    return Subspace._trusted(m.rows, (m.column(p) for p in _eliminate(m._rows, m.cols)[1]))
+    return Subspace._of(m.rows, tuple([m.column(p) for p in _eliminate(m._rows, m.cols)[1]]))
 
 
 def complement(s: Subspace) -> Subspace:
@@ -451,7 +468,7 @@ def complement(s: Subspace) -> Subspace:
     """
     n, k = s.ambient_dim, s.dim
     pivots = _eliminate(s.matrix().hstack(Matrix.identity(n))._rows, n + k)[1]
-    return Subspace._trusted(n, (basis_vec(n, p - k) for p in pivots if p >= k))
+    return Subspace._of(n, tuple([basis_vec(n, p - k) for p in pivots if p >= k]))
 
 
 def _solve(a_rows, b_rows, cols: int, width: int) -> list[list[Fraction]] | None:

@@ -27,6 +27,7 @@ from .core import (
     Tensor3,
     TwoTermAlgebra,
     VerificationReport,
+    _SHUFFLES,
     _bracket_defect_parts,
     _column_matrix,
     _first_failure,
@@ -34,7 +35,6 @@ from .core import (
     _pair_violations,
     _scale_tensor,
     _unscale_tensor,
-    shuffles,
     tensor,
     zero_tensor,
 )
@@ -55,7 +55,7 @@ MORPHISM_EQUATIONS = (
 class Morphism(_Record):
     source: TwoTermAlgebra
     target: TwoTermAlgebra
-    _scaled: tuple   # (columns of phi0, columns of phi1, Phi)
+    _scaled: tuple   # (columns of phi0, columns of phi1, Phi), all scaled
 
     def __init__(self, source: TwoTermAlgebra, target: TwoTermAlgebra, phi0, phi1, Phi):
         phi0, phi1 = as_matrix(phi0, source.n0), as_matrix(phi1, source.n1)
@@ -66,14 +66,6 @@ class Morphism(_Record):
         Phi = _scale_tensor(tensor(Phi, (source.n0, source.n0, target.n1)), 2)
         self.__dict__.update(source=source, target=target,
                              _scaled=(phi0._columns, phi1._columns, Phi))
-
-    @classmethod
-    def _of(cls, source: TwoTermAlgebra, target: TwoTermAlgebra, scaled: tuple) -> "Morphism":
-        """The morphism whose (columns of phi0, columns of phi1, Phi) are
-        given in scaled form."""
-        out = object.__new__(cls)
-        out.__dict__.update(source=source, target=target, _scaled=scaled)
-        return out
 
     @cached_property
     def phi0(self) -> Matrix:
@@ -145,7 +137,7 @@ def _jacobiator_parts(S, T, u0, w1, Phi, tri: tuple[int, int, int]) -> list:
     (1,2)-shuffles of sign * ([phi a, Phi(b,c)]' + Phi(a, [b,c]))."""
     i, j, k = tri
     parts = [(1, w1, (S.jac[i][j][k],)), (-1, T.jac, (u0[i], u0[j], u0[k]))]
-    for perm, sign in shuffles(1, 2).elements:
+    for perm, sign in _SHUFFLES[1, 2]:
         a, b, c = (tri[p] for p in perm)
         parts.append((-sign, T.b01, (u0[a], Phi[b][c])))
         parts.append((-sign, Phi[a], (S.b00[b][c],)))

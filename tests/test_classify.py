@@ -22,6 +22,7 @@ from lie2alg import (
     extract_quadruple_maps,
     extract_triple,
     homology_dims,
+    identity_morphism,
     invariants,
     inverse,
     is_cocycle,
@@ -42,7 +43,7 @@ from lie2alg import classify, core
 from lie2alg.builders import (catalog_pairs, random_antisymmetric_correction, random_cocycle,
                                random_invertible)
 from lie2alg.core import zero_tensor
-from lie2alg.linalg import is_zero_vec
+from lie2alg.linalg import _Record, is_zero_vec
 
 F = Fraction
 V = "1+2i+3j+5k"
@@ -493,7 +494,7 @@ def counting(monkeypatch, module, name):
 
 def stored(L):
     """The entries kept on an algebra object, without creating its store."""
-    return dict(vars(L).get("_store", {}))
+    return dict(vars(L).get("_kept_results", {}))
 
 
 class TestPerAlgebraStore:
@@ -560,7 +561,7 @@ class TestPerAlgebraStore:
         assert again.morphism.source is twin and again.morphism == res.morphism
         assert invariants(twin) == inv
         assert verify(twin) == verify(L) and verify(twin) is not verify(L)
-        assert twin._store is not L._store
+        assert vars(twin)["_kept_results"] is not vars(L)["_kept_results"]
 
     def test_kept_values_do_not_keep_the_algebra_alive(self):
         # reference counting alone must free it: no stored value refers back
@@ -578,6 +579,31 @@ class TestPerAlgebraStore:
                 assert ref() is None
         finally:
             gc.enable()
+
+    def test_kept_keys_are_the_documented_ones(self):
+        # every result a record keeps goes through ``_Record._kept``, under
+        # the keys its docstring names
+        algebras, reps = [], []
+        for seed in (0, 4, 11):
+            L = random_algebra(seed)
+            res = normal_form(L)
+            invariants(L)
+            skeleton(L)
+            split_normal_form(res.algebra)
+            extract_quadruple_maps(identity_morphism(res.algebra))
+            algebras += [L, res.algebra]
+            reps.append(res.quadruple.rep)
+            # the other records keep nothing
+            for record in (res.morphism, res.quadruple, res.quadruple.g, res.quadruple.jtilde):
+                assert "_kept_results" not in vars(record)
+        for L in algebras:
+            assert set(stored(L)) <= {"verify", "quadruple", "normal_form"}
+        delta_keys = {(kind, n) for kind in ("delta", "rref") for n in range(5)}
+        assert set().union(*(stored(rep) for rep in reps)) <= delta_keys
+        assert any(stored(rep) for rep in reps)
+        doc = _Record._kept.__doc__
+        assert all(f'"{key}"' in doc for key in ("verify", "quadruple", "normal_form"))
+        assert '("delta", n)' in doc and '("rref", n)' in doc
 
     def test_normal_form_of_a_normal_form_is_classified_afresh(self, monkeypatch):
         L = random_algebra(9)

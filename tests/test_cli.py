@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import random
+import tempfile
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie2alg import RandomProfile, TwoTermAlgebra, quaternion_example, random_algebra
 from lie2alg.core import VerificationReport, perm_sign
@@ -358,6 +362,23 @@ class TestGeneration:
         code, _, _ = run(capsys, "verify", "--quiet", str(path))
         assert code == 0
 
+    @pytest.mark.parametrize("literal", ["1/0", "2-3/0k"])
+    def test_zero_denominator_in_v_exits_2(self, capsys, literal):
+        code, out, err = run(capsys, "example", "quaternion", "--v", literal)
+        assert (code, out) == (2, "")
+        assert err == f"error: zero denominator in quaternion literal {literal!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("example", "zero", "--out", "{dir}"),
+        ("example", "zero", "--out", "{dir}/missing/zero.json"),
+        ("normalize", data("quaternion.json"), "--quiet", "--out-morphism", "{dir}"),
+    ])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, argv):
+        argv = [a.replace("{dir}", str(tmp_path)) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {argv[-1]}: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("flags, profile", [
         (("--algebras", "so3,sl2"), RandomProfile(algebras=("so3", "sl2"))),
         (("--reps", "adjoint"), RandomProfile(representations=("adjoint",))),
@@ -473,6 +494,28 @@ class TestComposeTransport:
                              "--out", str(out_path))
         assert (code, out, err) == (2, "", "error: correction antisymmetry violated at (0, 1)\n")
         assert not out_path.exists()
+
+
+    @pytest.mark.parametrize("check, message", [
+        ("verify", "transported algebra failed verification"),
+        ("verify_morphism", "transport produced an invalid morphism"),
+    ])
+    def test_self_check_failure_exits_3(self, capsys, monkeypatch, tmp_path, check, message):
+        # the command verifies its input first, so a failed check of what
+        # transport built is a bug
+        from lie2alg import Matrix, classify
+        from lie2alg.core import zero_tensor
+        from lie2alg.documents import transport_to_document
+
+        maps = tmp_path / "tid.json"
+        save_document(str(maps), transport_to_document(Matrix.identity(4), Matrix.identity(4),
+                                                       zero_tensor((4, 4, 4))))
+        failing = VerificationReport(equations=(), structure_errors=("injected",), failures=())
+        real, answers = getattr(classify, check), iter([failing])
+        monkeypatch.setattr(classify, check, lambda x: next(answers, None) or real(x))
+        code, out, err = run(capsys, "transport", data("quaternion.json"), str(maps))
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {message}: ['structure: injected']\n"
 
 
 def _shape_cases():
@@ -595,3 +638,50 @@ def test_cold_import_loads_no_dataclasses():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert out == "False\n"
+
+
+# -- the exit-code contract under arbitrary input ------------------------------
+
+def _exit_code(argv):
+    """``main(argv)`` with its output discarded: what it returns."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(option=st.sampled_from([("quaternion", "--v"), ("skeletal-string", "--k")]),
+       text=st.one_of(st.text(max_size=10), st.text("0123456789/+-ijk. ", max_size=10)))
+def test_any_parameter_text_gets_an_exit_code(option, text):
+    name, flag = option
+    assert _exit_code(["example", name, f"{flag}={text}"]) in (0, 1, 2, 3)
+
+
+_SMALL_DOCUMENT = algebra_to_document(random_algebra(
+    0, RandomProfile(algebras=("nonabelian2",), representations=("trivial1",), max_dim_u=1)))
+
+
+@st.composite
+def _mutated_documents(draw):
+    """The small algebra document with one field, or one entry or list
+    inside it, of a wrong type, a bad rational or a wrong length."""
+    doc = json.loads(json.dumps(_SMALL_DOCUMENT))
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    value = parent[key]
+    parent[key] = draw(st.one_of(
+        st.sampled_from([None, True, 1.5, 7, "x", [], {}]),
+        st.sampled_from(["1/0", "1.5", "1e3", "", "2/-3", "\u0663", 2.5]),
+        st.just(value[:-1] if isinstance(value, list) else [value]),
+        st.just(value + value[-1:] if isinstance(value, list) else [value, value])))
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=_mutated_documents(), command=st.sampled_from(["verify", "invariants", "normalize"]))
+def test_any_mutated_document_gets_an_exit_code(doc, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert _exit_code([command, path]) in (0, 1, 2, 3)

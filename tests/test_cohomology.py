@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -179,8 +181,24 @@ class TestComplexCache:
         g = so3()
         a, b = adjoint_rep(g), adjoint_rep(g)
         delta_matrix(2, a)
-        assert a == b and a._complex is not b._complex
-        assert ("delta", 2) not in b._complex
+        assert a == b and vars(a)["_kept_results"] is not vars(b).get("_kept_results")
+        assert ("delta", 2) not in vars(b).get("_kept_results", {})
+
+    def test_kept_complex_does_not_keep_the_representation_alive(self):
+        # reference counting alone must free it: no kept value refers back
+        gc.disable()
+        try:
+            rep = adjoint_rep(so3())
+            assert cohomology_dim(2, rep) == 0 and cohomology_basis(1, rep) == ()
+            primitive = Cochain(1, rep.g, 3, {(0,): (1, 2, 3), (2,): (0, 0, 5)})
+            assert is_coboundary(delta(primitive, rep), rep) is not None
+            assert set(vars(rep)["_kept_results"]) == {
+                ("delta", 0), ("delta", 1), ("delta", 2), ("rref", 0), ("rref", 1), ("rref", 2)}
+            ref = weakref.ref(rep)
+            del rep
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestDeltaMatrixShapes:

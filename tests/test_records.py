@@ -17,6 +17,7 @@ from lie2alg import (
     Element,
     Matrix,
     RandomProfile,
+    Decomposition,
     ShuffleSet,
     Subspace,
     adjoint_rep,
@@ -129,3 +130,18 @@ def test_factories_cover_every_exported_record():
                 if isinstance(obj, type) and hasattr(obj, "_fields")}
     assert exported <= set(FACTORIES)
 
+
+
+def test_unchecked_constructor_takes_each_field_once():
+    # a record without checks of its own (``Decomposition``) takes its
+    # fields as given, by position or by name, and each exactly once
+    dec = FACTORIES["Decomposition"]()
+    values = _values(dec)
+    fields = Decomposition._fields
+    assert Decomposition(*values) == dec
+    assert Decomposition(*values[:2], **dict(zip(fields[2:], values[2:]))) == dec
+    assert Decomposition._of(*values) == dec
+    for args, kwargs in [(values[:-1], {}), (values + (None,), {}),
+                         (values, {fields[0]: values[0]}), (values[:-1], {"other": None})]:
+        with pytest.raises(TypeError, match="Decomposition takes the fields source, g_basis"):
+            Decomposition(*args, **kwargs)
