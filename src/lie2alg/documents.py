@@ -16,7 +16,10 @@ Document kinds:
 
 Matrices and tensors travel as nested lists of rational strings.  A shape
 error names the index path of the offending list and the length expected
-there (for example ``jac[0][1][2]: expected length 3``).
+there (for example ``jac[0][1][2]: expected length 3``), of the first
+defect in reading order.  Documents are read into and written from the
+stored scaled form of ``linalg`` (``_read``, ``_text``), with no `Fraction`
+views; ``dumps`` indents by itself, as json indents in pure Python.
 """
 
 from __future__ import annotations
@@ -25,9 +28,12 @@ import json
 import os
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import gcd
 
-from .linalg import Matrix
-from .core import TwoTermAlgebra, _int_text, _rational_text, structure_violations
+from .linalg import Matrix, _scale_ratios, _transpose, rat
+from .core import (TwoTermAlgebra, _digits, _int_text, _rational_text, _unscale_tensor,
+                   structure_violations)
 from .morphisms import Morphism
 
 FORMAT_VERSION = "1"
@@ -42,38 +48,49 @@ class DocumentError(ValueError):
 format_rational = _rational_text
 
 
-def parse_rational(text, where: str) -> Fraction:
+def _ratio(text, where: str) -> tuple[int, int]:
+    """The reduced (p, q), q > 0, of the document rational ``text``."""
     if type(text) is int:
-        return Fraction(text)
+        return text, 1
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise DocumentError(f"{where}: invalid rational {text!r}")
     num, _, den = text.strip().partition("/")
-    d = _int_text(den) if den else 1
-    if d == 0:
+    p, q = _int_text(num), _int_text(den) if den else 1
+    if q == 0:
         raise DocumentError(f"{where}: zero denominator in {text!r}")
-    return Fraction(_int_text(num), d)
+    g = gcd(p, q) if q > 0 else -gcd(p, q)
+    return p // g, q // g
 
 
-def _to_lists(t, depth: int) -> list:
-    """Nested lists of canonical rational strings for a tensor whose
-    entries sit ``depth`` indices deep (a matrix is its rows, depth 2)."""
-    if depth == 1:
-        return [format_rational(e) for e in t]
-    return [_to_lists(sub, depth - 1) for sub in t]
+def parse_rational(text, where: str) -> Fraction:
+    return Fraction(*_ratio(text, where))
 
 
-def _parse_tensor(data, shape: tuple[int, ...], where: str):
-    """Nested tuples of the rationals in ``data``, which must be nested lists
-    of lengths ``shape``; an error names the index path below ``where``."""
+def _read(data, shape: tuple[int, ...], where: str):
+    """The scaled tensor of ``data``: nested lists of lengths ``shape`` with
+    rationals at the leaves; an error names its index path below ``where``."""
     if not isinstance(data, list) or len(data) != shape[0]:
         raise DocumentError(f"{where}: expected length {shape[0]}")
-    if len(shape) == 1:
-        return tuple([parse_rational(e, f"{where}[{k}]") for k, e in enumerate(data)])
-    return tuple([_parse_tensor(sub, shape[1:], f"{where}[{i}]") for i, sub in enumerate(data)])
+    if len(shape) > 1:
+        return tuple([_read(sub, shape[1:], f"{where}[{i}]") for i, sub in enumerate(data)])
+    return _scale_ratios([(t, r) for t, e in enumerate(data)     # most entries are "0"
+                          if e != "0" and (r := _ratio(e, f"{where}[{t}]"))[0]])
 
 
-def _parse_matrix(data, rows: int, cols: int, where: str) -> Matrix:
-    return Matrix.from_rows(_parse_tensor(data, (rows, cols), where), cols=cols)
+def _text(x: int, den: int) -> str:
+    """The canonical text of the rational x / den."""
+    g = gcd(x, den)
+    return _digits(x // g) if g == den else f"{_digits(x // g)}/{_digits(den // g)}"
+
+
+def _lists(t, depth: int, n: int) -> list:
+    """The texts of a scaled tensor with length-``n`` leaves ``depth`` indices deep."""
+    if depth:
+        return [_lists(sub, depth - 1, n) for sub in t]
+    texts = ["0"] * n
+    for k, x in t[0]:
+        texts[k] = _text(x, t[1])
+    return texts
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +105,12 @@ def algebra_to_document(L: TwoTermAlgebra, name: str | None = None,
         doc["name"] = name
     if provenance is not None:
         doc["provenance"] = provenance
-    doc["n0"] = L.n0
-    doc["n1"] = L.n1
-    doc["d"] = _to_lists(L.d.to_rows(), 2)
-    doc["b00"] = _to_lists(L.b00, 3)
-    doc["b01"] = _to_lists(L.b01, 3)
-    doc["jac"] = _to_lists(L.jac, 4)
+    d, b00, b01, _, jac = L._scaled
+    doc["n0"], doc["n1"] = L.n0, L.n1
+    doc["d"] = _lists(_transpose(d, L.n0), 1, L.n1)
+    doc["b00"] = _lists(b00, 2, L.n0)
+    doc["b01"] = _lists(b01, 2, L.n1)
+    doc["jac"] = _lists(jac, 3, L.n1)
     return doc
 
 
@@ -124,11 +141,11 @@ def algebra_from_document(doc: dict) -> TwoTermAlgebra:
     for key in ("d", "b00", "b01", "jac"):
         if key not in doc:
             raise DocumentError(f"missing field {key!r}")
-    d = _parse_matrix(doc["d"], n0, n1, "d")
-    b00 = _parse_tensor(doc["b00"], (n0, n0, n0), "b00")
-    b01 = _parse_tensor(doc["b01"], (n0, n1, n1), "b01")
-    jac = _parse_tensor(doc["jac"], (n0, n0, n0, n1), "jac")
-    L = TwoTermAlgebra(n0, n1, d, b00, b01, jac)
+    d = _transpose(_read(doc["d"], (n0, n1), "d"), n1)
+    b00 = _read(doc["b00"], (n0, n0, n0), "b00")
+    b01 = _read(doc["b01"], (n0, n1, n1), "b01")
+    jac = _read(doc["jac"], (n0, n0, n0, n1), "jac")
+    L = TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
     violations = structure_violations(L)
     if violations:
         raise DocumentError(violations[0])
@@ -145,9 +162,10 @@ def morphism_to_document(m: Morphism, source_path: str | None = None,
     doc = {"format_version": FORMAT_VERSION, "kind": "morphism"}
     doc["source"] = algebra_to_document(m.source) if source_path is None else source_path
     doc["target"] = algebra_to_document(m.target) if target_path is None else target_path
-    doc["phi0"] = _to_lists(m.phi0.to_rows(), 2)
-    doc["phi1"] = _to_lists(m.phi1.to_rows(), 2)
-    doc["Phi"] = _to_lists(m.Phi, 3)
+    phi0, phi1, Phi = m._scaled
+    doc["phi0"] = _lists(_transpose(phi0, m.target.n0), 1, m.source.n0)
+    doc["phi1"] = _lists(_transpose(phi1, m.target.n1), 1, m.source.n1)
+    doc["Phi"] = _lists(Phi, 2, m.target.n1)
     return doc
 
 
@@ -164,10 +182,10 @@ def morphism_from_document(doc: dict, base_dir: str = ".") -> Morphism:
     _check_header(doc, "morphism")
     source = _resolve_algebra_ref(doc.get("source"), base_dir, "source")
     target = _resolve_algebra_ref(doc.get("target"), base_dir, "target")
-    phi0 = _parse_matrix(doc.get("phi0"), target.n0, source.n0, "phi0")
-    phi1 = _parse_matrix(doc.get("phi1"), target.n1, source.n1, "phi1")
-    Phi = _parse_tensor(doc.get("Phi"), (source.n0, source.n0, target.n1), "Phi")
-    return Morphism(source, target, phi0, phi1, Phi)
+    phi0 = _transpose(_read(doc.get("phi0"), (target.n0, source.n0), "phi0"), source.n0)
+    phi1 = _transpose(_read(doc.get("phi1"), (target.n1, source.n1), "phi1"), source.n1)
+    Phi = _read(doc.get("Phi"), (source.n0, source.n0, target.n1), "Phi")
+    return Morphism._of(source, target, (phi0, phi1, Phi))
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +197,9 @@ def maps_to_document(chi: Matrix, f_u: Matrix, t_v: Matrix) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "maps",
-        "chi": _to_lists(chi.to_rows(), 2),
-        "fU": _to_lists(f_u.to_rows(), 2),
-        "tV": _to_lists(t_v.to_rows(), 2),
+        "chi": _lists(chi._rows, 1, chi.cols),
+        "fU": _lists(f_u._rows, 1, f_u.cols),
+        "tV": _lists(t_v._rows, 1, t_v.cols),
     }
 
 
@@ -196,7 +214,7 @@ def maps_from_document(doc: dict) -> tuple[Matrix, Matrix, Matrix]:
             raise DocumentError(f"{key}[0]: expected a row (list of entries)")
         rows = len(data)
         cols = len(data[0]) if rows else 0
-        out.append(_parse_matrix(data, rows, cols, key))
+        out.append(Matrix._of(_read(data, (rows, cols), key), cols))
     return tuple(out)
 
 
@@ -204,18 +222,19 @@ def transport_to_document(phi0: Matrix, phi1: Matrix, Phi) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "kind": "transport",
-        "phi0": _to_lists(phi0.to_rows(), 2),
-        "phi1": _to_lists(phi1.to_rows(), 2),
-        "Phi": _to_lists(Phi, 3),
+        "phi0": _lists(phi0._rows, 1, phi0.cols),
+        "phi1": _lists(phi1._rows, 1, phi1.cols),
+        "Phi": [[[_text(*rat(x).as_integer_ratio()) for x in leaf] for leaf in plane]
+                for plane in Phi],
     }
 
 
 def transport_from_document(doc: dict, L: TwoTermAlgebra):
     _check_header(doc, "transport")
-    phi0 = _parse_matrix(doc.get("phi0"), L.n0, L.n0, "phi0")
-    phi1 = _parse_matrix(doc.get("phi1"), L.n1, L.n1, "phi1")
-    Phi = _parse_tensor(doc.get("Phi"), (L.n0, L.n0, L.n1), "Phi")
-    return phi0, phi1, Phi
+    phi0 = Matrix._of(_read(doc.get("phi0"), (L.n0, L.n0), "phi0"), L.n0)
+    phi1 = Matrix._of(_read(doc.get("phi1"), (L.n1, L.n1), "phi1"), L.n1)
+    Phi = _read(doc.get("Phi"), (L.n0, L.n0, L.n1), "Phi")
+    return phi0, phi1, _unscale_tensor(Phi, 2, L.n1)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +242,24 @@ def transport_from_document(doc: dict, L: TwoTermAlgebra):
 # ---------------------------------------------------------------------------
 
 
-def dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` for string dict keys, with json's C
+    functions for strings and scalars (its indenting encoder is pure Python)."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as JSON whose lines start with ``newline``, indented by 2."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        items = [_json(v, inner) for v in value]
+        return f"[{inner}{f',{inner}'.join(items)}{newline}]" if items else "[]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return f"{{{inner}{f',{inner}'.join(items)}{newline}}}" if items else "{}"
+    return json.dumps(value)
 
 
 def loads(text: str) -> dict:

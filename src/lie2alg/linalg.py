@@ -85,7 +85,11 @@ def _scale(v) -> tuple[tuple[tuple[int, int], ...], int]:
 
 def _scale_items(pairs) -> tuple[tuple[tuple[int, int], ...], int]:
     """The scaled form of the vector with entries x at t, (t, x) in ``pairs`` by increasing t."""
-    ratios = [(t, x.as_integer_ratio()) for t, x in pairs if x]
+    return _scale_ratios([(t, x.as_integer_ratio()) for t, x in pairs if x])
+
+
+def _scale_ratios(ratios) -> tuple[tuple[tuple[int, int], ...], int]:
+    """``_scale_items`` of (t, p / q) for (t, (p, q)) in ``ratios``, p / q reduced and nonzero."""
     den = lcm(*[q for _, (_, q) in ratios])
     return tuple([(t, p * (den // q)) for t, (p, q) in ratios]), den
 

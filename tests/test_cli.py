@@ -10,7 +10,10 @@ from itertools import combinations, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie2alg import RandomProfile, TwoTermAlgebra, quaternion_example, random_algebra
+from lie2alg import (RandomProfile, TwoTermAlgebra, compose, extract_quadruple_maps,
+                     identity_morphism, inverse, normal_form, quaternion_example, random_algebra,
+                     transport)
+from lie2alg.builders import random_antisymmetric_correction, random_invertible
 from lie2alg.core import VerificationReport, perm_sign
 from lie2alg.cli import _checked_algebra_document, main
 from lie2alg.documents import (
@@ -18,7 +21,10 @@ from lie2alg.documents import (
     dumps,
     load_algebra,
     load_morphism,
+    maps_to_document,
+    morphism_to_document,
     save_document,
+    transport_to_document,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -648,7 +654,7 @@ def _exit_code(argv):
         return main(argv)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(option=st.sampled_from([("quaternion", "--v"), ("skeletal-string", "--k")]),
        text=st.one_of(st.text(max_size=10), st.text("0123456789/+-ijk. ", max_size=10)))
 def test_any_parameter_text_gets_an_exit_code(option, text):
@@ -677,7 +683,7 @@ def _mutated_documents(draw):
     return doc
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(doc=_mutated_documents(), command=st.sampled_from(["verify", "invariants", "normalize"]))
 def test_any_mutated_document_gets_an_exit_code(doc, command):
     with tempfile.TemporaryDirectory() as tmp:
@@ -685,3 +691,64 @@ def test_any_mutated_document_gets_an_exit_code(doc, command):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert _exit_code([command, path]) in (0, 1, 2, 3)
+
+
+def _other_documents():
+    """A morphism, a maps and a transport document around the small algebra
+    A: the transport to B, the certificate maps of A and B, and the
+    morphism that transport builds."""
+    A = random_algebra(0, RandomProfile(algebras=("nonabelian2",), representations=("trivial1",),
+                                        max_dim_u=1))
+    rng = random.Random(0)
+    phi0, phi1 = random_invertible(rng, A.n0, 2), random_invertible(rng, A.n1, 2)
+    corr = random_antisymmetric_correction(rng, A.n0, A.n1, 2)
+    B, mor = transport(A, phi0, phi1, corr)
+    bridge = compose(compose(inverse(normal_form(A).morphism), mor), normal_form(B).morphism)
+    maps = extract_quadruple_maps(bridge)
+    return A, B, {"compose": morphism_to_document(mor),
+                  "compare": maps_to_document(maps.tau, maps.f_u, maps.t_v),
+                  "transport": transport_to_document(phi0, phi1, corr)}
+
+
+_A, _B, _OTHER_DOCUMENTS = _other_documents()
+
+
+@st.composite
+def _mutated_other_documents(draw):
+    """A subcommand and its morphism, maps or transport document with one
+    field, or one entry, list or inline algebra field inside it, of a wrong
+    type, a bad rational or a wrong length."""
+    command = draw(st.sampled_from(sorted(_OTHER_DOCUMENTS)))
+    doc = json.loads(json.dumps(_OTHER_DOCUMENTS[command]))
+    holder, key = doc, draw(st.sampled_from(sorted(doc)))
+    while isinstance(holder[key], (list, dict)) and holder[key] and draw(st.booleans()):
+        node = holder[key]
+        holder, key = node, draw(st.sampled_from(sorted(node)) if isinstance(node, dict)
+                                 else st.integers(0, len(node) - 1))
+    value = holder[key]
+    holder[key] = draw(st.one_of(
+        st.sampled_from([None, True, 1.5, 7, "x", [], {}]),
+        st.sampled_from(["1/0", "1.5", "1e3", "", "2/-3", "\u0663", 2.5]),
+        st.just(value[:-1] if isinstance(value, list) else [value]),
+        st.just(value + value[-1:] if isinstance(value, list) else [value, value])))
+    return command, doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(case=_mutated_other_documents())
+def test_any_mutated_morphism_maps_or_transport_document_gets_an_exit_code(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        def save(name, content):
+            path = os.path.join(tmp, name)
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+            return path
+
+        a, b = save("a.json", algebra_to_document(_A)), save("b.json", algebra_to_document(_B))
+        path = save("doc.json", doc)
+        argv = {"compose": ["compose", path,
+                            save("id.json", morphism_to_document(identity_morphism(_B)))],
+                "compare": ["compare", a, b, "--maps", path],
+                "transport": ["transport", a, path]}[command]
+        assert _exit_code(argv) in (0, 1, 2, 3)
