@@ -221,6 +221,11 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
     the scaled-integer form, which the result stores; the result is
     re-verified before being returned.
     """
+    return _verified(_standard_shape(q))
+
+
+def _standard_shape(q: Quadruple) -> TwoTermAlgebra:
+    """The algebra ``normal_form_algebra`` returns, not yet verified."""
     gdim, u, v = q.g.dim, q.dim_u, q.rep.dimV
     n0, n1 = gdim + u, v + u
 
@@ -232,11 +237,15 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
                       for jv in range(n1)) for i in range(n0))
     jac = _alternating(n0, 3, {key: _scale(q.jtilde.values[key])
                                for key in combinations(range(gdim), 3)})
-    out = TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
-    report = verify(out)
+    return TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
+
+
+def _verified(L: TwoTermAlgebra) -> TwoTermAlgebra:
+    """L, once ``verify`` passes on it (the report is kept on L)."""
+    report = verify(L)
     if not report.passed:
         raise RuntimeError(f"assembled algebra failed verification: {report.lines()}")
-    return out
+    return L
 
 
 def killing_form(g: LieAlgebra) -> Matrix:

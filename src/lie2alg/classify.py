@@ -11,7 +11,7 @@ used by ``distinguish`` to refute isomorphism.
 
 ``transport``, ``extract_triple`` and ``normal_form`` build their tensors on
 the scaled-integer form of ``core`` (integer numerators, one denominator per
-vector, summed by ``core._isum``) and hand it to the algebras and
+vector, summed by ``linalg._isum``) and hand it to the algebras and
 morphisms they return, which store only that form, so verifying them
 converts nothing; `Fraction`s appear only in the views of the public API.
 
@@ -86,7 +86,7 @@ from .cohomology import (
     _transfer_difference,
     is_intertwiner,
 )
-from .builders import killing_form, normal_form_algebra
+from .builders import _standard_shape, _verified, killing_form, normal_form_algebra
 
 
 class InvertibilityError(ValueError):
@@ -144,7 +144,8 @@ def decompose(L: TwoTermAlgebra) -> Decomposition:
     red, pivots = rref(L.d.hstack(Matrix.identity(n0)))
     r = sum(p < n1 for p in pivots)
     imd = Subspace._of(n0, tuple([L.d.column(p) for p in pivots[:r]]))
-    kerd = Subspace._of(n1, _kernel_vectors((red._rows, pivots), n1))
+    free = [c for c in range(n1) if c not in pivots]
+    kerd = Subspace._of(n1, _kernel_vectors((red._rows, pivots), free, n1))
     # U is the greedy complement of ker d: a free e_f is its kernel vector
     # plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}), on
     # which the row of rref(d) with pivot p vanishes.
@@ -154,8 +155,8 @@ def decompose(L: TwoTermAlgebra) -> Decomposition:
     g_b = Subspace._of(n0, tuple([basis_vec(n0, p - n1) for p in pivots[r:]]))
     coords0 = red.submatrix([*range(r, n0), *range(r)], range(n1, n1 + n0))
     # the kernel coordinates of x are its free entries, its U ones rref(d) @ x
-    free = Matrix.identity(n1).submatrix([c for c in range(n1) if c not in pivots], range(n1))
-    coords1 = free.vstack(red.submatrix(range(r), range(n1)))
+    coords1 = Matrix.identity(n1).submatrix(free, range(n1)).vstack(
+        red.submatrix(range(r), range(n1)))
     # d maps U's basis onto im d's: h is U's basis times E's first r rows
     h = u_b.matrix() @ red.submatrix(range(r), range(n1, n1 + n0))
     return Decomposition._of(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
@@ -215,7 +216,7 @@ def transport(
     The new differential, brackets and Jacobiator are the unique ones making
     (phi0, phi1, correction) a morphism; the new Jacobiator uses the already
     transported mixed bracket.  Each is built on scaled integers, one
-    ``core._isum`` per output vector.  Returns the new algebra and the
+    ``linalg._isum`` per output vector.  Returns the new algebra and the
     connecting morphism, which store that scaled form (their `Fraction`
     views are built on first read); both are re-verified before returning.
 
@@ -351,11 +352,12 @@ def split_normal_form(L: TwoTermAlgebra) -> Quadruple:
     """The quadruple of an algebra already in standard shape: the one L
     keeps (``_quadruple``), read off a standard shape in identity
     coordinates.  Raises ValueError unless L is bit-for-bit
-    ``normal_form_algebra`` of it.
+    ``normal_form_algebra`` of it, which is then verified on L itself.
     """
     q = _quadruple(L)
-    if normal_form_algebra(q) != L:
+    if _standard_shape(q) != L:
         raise ValueError("not a standard-shape algebra")
+    _verified(L)
     return q
 
 

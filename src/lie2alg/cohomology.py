@@ -15,16 +15,17 @@ the size of a shuffle table.  Degree 0 is included with C_0 = V and
 uniformly.
 
 Each differential is assembled once per representation from the nonzero
-terms of sc and rho into sparse scaled rows, and eliminated once; the
-``Representation`` keeps both, through the record's ``_kept``, under
-("delta", n) and ("rref", n).  ``delta`` takes one integer dot product per
-row, and no query builds a dense matrix but ``delta_matrix``, their view.
+terms of sc and rho into scaled rows, each summed on integers over one
+denominator and reduced once, and eliminated once; the ``Representation``
+keeps both, through the record's ``_kept``, under ("delta", n) and
+("rref", n).  ``delta`` takes one integer dot product per row, and no
+query builds a dense matrix but ``delta_matrix``, their view.
 
 Tensor contractions run on the scaled integers of ``core``: a Lie algebra
 stores its structure constants in that form, a representation and a
 cochain keep theirs, built on first use, and the Jacobi identity, the
 representation law and the Lie-morphism condition are the same signed
-``core._isum`` sums the verifiers of ``core`` and ``morphisms`` check.
+``linalg._isum`` sums the verifiers of ``core`` and ``morphisms`` check.
 
 Matrix flattening convention: increasing tuples ordered lexicographically,
 V index fastest.
@@ -35,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 
 from .linalg import (
     Matrix,
@@ -42,7 +44,7 @@ from .linalg import (
     _column_matrix,
     _eliminate,
     _kernel_vectors,
-    _scale_items,
+    _reduce,
     _solve,
     _times,
     as_matrix,
@@ -220,26 +222,6 @@ class Cochain(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _delta_terms(g: LieAlgebra, n: int):
-    """(delta f)(key) term by term for every increasing (n+1)-tuple key:
-    yields (key, x, coeff, src) for coeff * rho(e_x) f(src), or with x None
-    for coeff * f(src); src is an increasing n-tuple.  The signs are the
-    closed forms of the shuffle signs: (-1)^i for the action of position i,
-    (-1)^(i+j) for the bracket of positions i < j."""
-    for key in increasing_tuples(g.dim, n + 1):
-        for i in range(n + 1):
-            yield key, key[i], (-1) ** i, key[:i] + key[i + 1:]
-        for i, j in combinations(range(n + 1), 2):
-            rest = key[:i] + key[i + 1:j] + key[j + 1:]
-            items, den = g._scaled[key[i]][key[j]]
-            for t, c in items:
-                if t not in rest:
-                    # f(e_t, rest) = (-1)^#(rest below t) f(sorted tuple)
-                    below = sum(1 for r in rest if r < t)
-                    yield (key, None, Fraction((-1) ** (i + j + below) * c, den),
-                           tuple(sorted(rest + (t,))))
-
-
 def delta(f: Cochain, rep: Representation) -> Cochain:
     """Cochain differential: action sum over (1,n)-shuffles minus bracket sum
     over (2,n-1)-shuffles, ordinary permutation signs; the cached rows of
@@ -273,20 +255,36 @@ def _delta_rows(n: int, rep: Representation) -> tuple[tuple, int]:
 
 
 def _assemble_delta(n: int, rep: Representation) -> tuple[tuple, int]:
-    """The rows of delta_n on the increasing-tuple (x) V basis from the terms
-    of ``_delta_terms``: each adds coeff times the nonzero entries of
-    rho(e_x), or of the identity, to its block."""
-    d = rep.dimV
+    """The rows of delta_n on the increasing-tuple (x) V basis: (delta f)(key)
+    sums (-1)^i rho(e_key[i]) f(key less i) and, for i < j, (-1)^(i+j)
+    f([e_key[i], e_key[j]], rest), with f(e_t, rest) = (-1)^#(rest below t)
+    f(sorted tuple).  Each row sums integer numerators over the lcm of the
+    denominators it reads, and is reduced once."""
+    d, sc, rho = rep.dimV, rep.g._scaled, [m._rows for m in rep.rho]
     cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
-    rows = {key: [{} for _ in range(d)] for key in increasing_tuples(rep.g.dim, n + 1)}
-    identity = [(((k, 1),), 1) for k in range(d)]   # the scaled rows of the identity
-    for key, x, coeff, src in _delta_terms(rep.g, n):
-        s = cols[src]
-        for row, (items, den) in zip(rows[key], identity if x is None else rep.rho[x]._rows):
-            for k, e in items:
-                row[s + k] = row.get(s + k, 0) + Fraction(coeff * e, den)
-    return (tuple([_scale_items(sorted(row.items())) for block in rows.values() for row in block]),
-            len(cols) * d)
+    width, out = len(cols) * d, []
+    for key in increasing_tuples(rep.g.dim, n + 1):
+        action = [((-1) ** i, rho[x], cols[key[:i] + key[i + 1:]]) for i, x in enumerate(key)]
+        bracket = []   # (numerator, den, block) of each f(e_t, rest) term
+        for i, j in combinations(range(n + 1), 2):
+            rest = key[:i] + key[i + 1:j] + key[j + 1:]
+            items, den = sc[key[i]][key[j]]
+            for t, c in items:
+                if t not in rest:
+                    below = sum(1 for r in rest if r < t)
+                    bracket.append(((-1) ** (i + j + below) * c, den,
+                                    cols[tuple(sorted(rest + (t,)))]))
+        for l in range(d):
+            den = lcm(*[r[l][1] for _, r, _ in action], *[q for _, q, _ in bracket])
+            row = [0] * width
+            for sign, r, s in action:
+                items, q = r[l]
+                for k, e in items:
+                    row[s + k] += sign * e * (den // q)
+            for c, q, s in bracket:
+                row[s + l] += c * (den // q)
+            out.append(_reduce((row, den)))
+    return tuple(out), width
 
 
 def delta_matrix(n: int, rep: Representation) -> Matrix:
@@ -301,9 +299,15 @@ def _elimination(n: int, rep: Representation) -> tuple[tuple, tuple[int, ...]]:
     return rep._kept(("rref", n), _eliminate, *_delta_rows(n, rep))
 
 
+def _free_columns(n: int, rep: Representation) -> list[int]:
+    """The free columns of delta_n, in increasing order."""
+    pivots = set(_elimination(n, rep)[1])
+    return [c for c in range(_delta_rows(n, rep)[1]) if c not in pivots]
+
+
 def cocycle_basis(n: int, rep: Representation) -> tuple[tuple[Fraction, ...], ...]:
     """Flattened kernel basis of delta_n, from its rref's free columns in order."""
-    return _kernel_vectors(_elimination(n, rep), _delta_rows(n, rep)[1])
+    return _kernel_vectors(_elimination(n, rep), _free_columns(n, rep), _delta_rows(n, rep)[1])
 
 
 def is_cocycle(f: Cochain, rep: Representation) -> bool:
@@ -320,7 +324,8 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
     if f.n < 1:
         raise ValueError("is_coboundary needs degree >= 1")
     rows, cols = _delta_rows(f.n - 1, rep)
-    x = _solve(rows, [_scale((y,)) for y in cochain_to_vec(f)], cols, 1)
+    ratios = map(Fraction.as_integer_ratio, cochain_to_vec(f))
+    x = _solve(rows, [(((0, p),) if p else (), q) for p, q in ratios], cols, 1)
     return None if x is None else vec_to_cochain(f.n - 1, f.g, f.dimV, x[0])
 
 
@@ -339,8 +344,7 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
     last nonzero free coordinate at f: a pivot of the image's spanning
     columns eliminated on the free rows of delta_{n-1}, reversed (a row's
     denominator moves no last nonzero)."""
-    pivots = set(_elimination(n, rep)[1])
-    free = [c for c in range(_delta_rows(n, rep)[1]) if c not in pivots]
+    free = _free_columns(n, rep)
     bounded = set()
     if n >= 1:
         rows, image = _delta_rows(n - 1, rep)[0], {p: [] for p in _elimination(n - 1, rep)[1]}
@@ -349,8 +353,9 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
                 if k in image:
                     image[k].append((i, x))
         bounded = {free[-1 - i] for i in _eliminate([(v, 1) for v in image.values()], len(free))[1]}
-    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v)
-                 for c, v in zip(free, cocycle_basis(n, rep)) if c not in bounded)
+    kept = [c for c in free if c not in bounded]
+    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v) for v in
+                 _kernel_vectors(_elimination(n, rep), kept, _delta_rows(n, rep)[1]))
 
 
 # ---------------------------------------------------------------------------

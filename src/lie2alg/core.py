@@ -20,8 +20,8 @@ in the same form.  The public constructor scales its `Fraction` data once;
 the pipeline hands its scaled results to ``TwoTermAlgebra._of``.  The
 public ``d``, ``b00``, ``b01`` and ``jac`` are `Fraction` views, built on
 first read, and every tensor contraction runs on the scaled form.  One
-kernel, ``_isum``, sums signed contractions of scaled tensors with scaled
-vectors (a basis argument is an index into the tensor).  The Jacobi,
+kernel, ``linalg._isum``, sums signed contractions of scaled tensors with
+scaled vectors (a basis argument is an index into the tensor).  The Jacobi,
 mixed-Jacobi (representation) and bracket-defect laws are written once here
 as such signed parts, shared by the verifiers and by the Lie algebra,
 representation and Lie-morphism checks of ``cohomology``; the pipeline (``classify``, ``morphisms``,
@@ -42,8 +42,8 @@ from functools import cached_property
 from itertools import combinations, permutations, product
 from typing import Iterator, NamedTuple, Sequence
 
-from .linalg import (Matrix, _Record, _column_matrix, _reduce, _scale, _unscale, as_matrix,
-                     basis_vec, is_zero_vec, rat, vec, vec_add, vec_sub, vec_zero)
+from .linalg import (Matrix, _Record, _column_matrix, _isum, _ivec, _reduce, _scale, _unscale,
+                     as_matrix, basis_vec, is_zero_vec, rat, vec, vec_add, vec_sub, vec_zero)
 
 # ---------------------------------------------------------------------------
 # shuffles
@@ -277,50 +277,6 @@ def _alternating(n: int, slots: int, values: dict):
     return tuple(grid)
 
 
-def _isum(n: int, parts) -> tuple[list[int], int]:
-    """Sum of sign * (tensor contracted with vectors) over ``parts``, an
-    iterable of (sign, tensor, vectors) on scaled forms, as (numerators, den)
-    of length n.  ``tensor[i1]...[ik]`` is the leaf vector on the basis
-    arguments (e_i1, ..., e_ik), and its contraction with v1..vk is the sum
-    of v1[i1] * ... * vk[ik] * tensor[i1]...[ik].
-
-    Coefficients multiply as ints; each nonzero leaf vector of the tensor is
-    one term whose denominator (the product of the vectors' denominators and
-    the leaf's) is merged into the running denominator once.  The result is
-    not reduced.
-    """
-    acc, acc_den = [0] * n, 1
-    for sign, tensor, vectors in parts:
-        items, den = vectors[0]
-        terms = [(sign * c, tensor[p]) for p, c in items]
-        for items, vden in vectors[1:]:
-            den *= vden
-            terms = [(a * c, node[q]) for a, node in terms for q, c in items]
-        for c, (leaf, leaf_den) in terms:
-            if not leaf:
-                continue
-            term_den = den * leaf_den
-            if term_den != acc_den:
-                q, r = divmod(acc_den, term_den)
-                if r:
-                    # gcd(acc_den, term_den) == gcd(term_den, r): a gcd of
-                    # short numbers when the running denominator is long
-                    g = math.gcd(term_den, r)
-                    up = term_den // g
-                    acc = [x * up for x in acc]
-                    q = acc_den // g
-                    acc_den *= up
-                c *= q
-            for t, x in leaf:
-                acc[t] += c * x
-    return acc, acc_den
-
-
-def _ivec(n: int, parts):
-    """``_isum(n, parts)`` in scaled form."""
-    return _reduce(_isum(n, parts))
-
-
 def _scale_arg(v, n: int):
     """Scaled form of a coordinate vector argument, which must have length ``n``."""
     v = vec(v)
@@ -499,12 +455,18 @@ def _pair_violations(t) -> Iterator[tuple[int, int]]:
 
 
 def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:
-    """Index triples, in lexicographic order, where the scaled ``jac`` differs
-    from the alternating tensor of its values on increasing triples."""
-    ref = _alternating(n0, 3, {(i, j, k): jac[i][j][k] for i, j, k in combinations(range(n0), 3)})
-    for i, j, k in product(range(n0), repeat=3):
-        if jac[i][j][k] != ref[i][j][k]:
-            yield i, j, k
+    """Index triples, in lexicographic order, where the scaled ``jac`` is not
+    alternating: its leaf differs from zero on a repeated index, or from the
+    leaf of the sorted triple times the sign of the sort."""
+    bad = [(a, b, c) for a, b, c in product(range(n0), repeat=3)
+           if (a == b or b == c or a == c) and jac[a][b][c] != _ZERO_SCALED]
+    for i, j, k in combinations(range(n0), 3):
+        v, odd = jac[i][j][k], _neg(jac[i][j][k])
+        for (a, b, c), want in (((i, k, j), odd), ((j, i, k), odd), ((j, k, i), v),
+                                ((k, i, j), v), ((k, j, i), odd)):
+            if jac[a][b][c] != want:
+                bad.append((a, b, c))
+    yield from sorted(bad)
 
 
 def _first_failure(equation, n, checks) -> EquationFailure | None:

@@ -6,9 +6,10 @@ identical outputs, bit for bit.  The one exact accumulation form of the
 package lives here too: the scaled vector, integer numerators over one
 denominator (``_scale``).  A `Matrix` stores only its rows in that form
 (``Matrix._of`` takes them as they are), and builds its scaled columns and
-`Fraction` ``entries`` on first use.  ``apply`` and ``@`` take one integer
-dot product per scaled row (``_times``), in time proportional to the
-nonzeros.  Tensor contractions sum the same form with ``core._isum``.
+`Fraction` ``entries`` on first use (``_column_matrix`` keeps the columns
+it is built from).  ``apply`` takes one integer dot product per scaled row
+(``_times``); ``@`` contracts the rows of its left operand with those of
+its right one by ``_isum``, the integer kernel of every tensor contraction.
 All elimination is one routine on scaled rows, ``_eliminate``:
 fraction-free sparse Gauss-Jordan, whose work follows the nonzeros.
 """
@@ -64,10 +65,6 @@ def vec_sub(u, v) -> tuple[Fraction, ...]:
     return tuple(a - b if b else a for a, b in zip(u, v))
 
 
-def vec_scale(c, u) -> tuple[Fraction, ...]:
-    return tuple(c * a for a in u)
-
-
 def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
@@ -107,6 +104,50 @@ def _unscale(v, n: int) -> tuple[Fraction, ...]:
     """The length-``n`` `Fraction` vector of a scaled vector."""
     entries = dict(v[0])
     return tuple(Fraction(entries[t], v[1]) if t in entries else ZERO for t in range(n))
+
+
+def _isum(n: int, parts) -> tuple[list[int], int]:
+    """Sum of sign * (tensor contracted with vectors) over ``parts``, an
+    iterable of (sign, tensor, vectors) on scaled forms, as (numerators, den)
+    of length n.  ``tensor[i1]...[ik]`` is the leaf vector on the basis
+    arguments (e_i1, ..., e_ik), and its contraction with v1..vk is the sum
+    of v1[i1] * ... * vk[ik] * tensor[i1]...[ik].
+
+    Coefficients multiply as ints; each nonzero leaf vector of the tensor is
+    one term whose denominator (the product of the vectors' denominators and
+    the leaf's) is merged into the running denominator once.  The result is
+    not reduced.
+    """
+    acc, acc_den = [0] * n, 1
+    for sign, tensor, vectors in parts:
+        items, den = vectors[0]
+        terms = [(sign * c, tensor[p]) for p, c in items]
+        for items, vden in vectors[1:]:
+            den *= vden
+            terms = [(a * c, node[q]) for a, node in terms for q, c in items]
+        for c, (leaf, leaf_den) in terms:
+            if not leaf:
+                continue
+            term_den = den * leaf_den
+            if term_den != acc_den:
+                q, r = divmod(acc_den, term_den)
+                if r:
+                    # gcd(acc_den, term_den) == gcd(term_den, r): a gcd of
+                    # short numbers when the running denominator is long
+                    g = gcd(term_den, r)
+                    up = term_den // g
+                    acc = [x * up for x in acc]
+                    q = acc_den // g
+                    acc_den *= up
+                c *= q
+            for t, x in leaf:
+                acc[t] += c * x
+    return acc, acc_den
+
+
+def _ivec(n: int, parts):
+    """``_isum(n, parts)`` in scaled form."""
+    return _reduce(_isum(n, parts))
 
 
 class _Record:
@@ -175,8 +216,7 @@ class Matrix(_Record):
     _rows: tuple   # the scaled rows; canonical, so == and hash compare the entries
 
     def __init__(self, rows: int, cols: int, entries: Sequence):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
+        _check_shape(rows, cols)
         ent = tuple(map(rat, entries))
         if len(ent) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(ent)}")
@@ -214,11 +254,13 @@ class Matrix(_Record):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, tuple(ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        _check_shape(n, n)
+        return cls._of([(((i, 1),), 1) for i in range(n)], n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        _check_shape(rows, cols)
+        return cls._of((((), 1),) * rows, cols)
 
     # -- access -------------------------------------------------------------
 
@@ -262,8 +304,8 @@ class Matrix(_Record):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        return Matrix.from_rows([_times(other._columns, other.rows, r) for r in self._rows],
-                                cols=other.cols)
+        return Matrix._of([_ivec(other.cols, ((1, other._rows, (r,)),)) for r in self._rows],
+                          other.cols)
 
     def apply(self, vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
         """Matrix times coordinate vector."""
@@ -280,7 +322,7 @@ class Matrix(_Record):
     @cached_property
     def _columns(self) -> tuple:
         """The columns in scaled form, built on first use: a depth-1 tensor
-        whose contraction with a vector (``core._isum``) is ``apply``."""
+        whose contraction with a vector (``_isum``) is ``apply``."""
         return _transpose(self._rows, self.cols)
 
     def transpose(self) -> "Matrix":
@@ -309,6 +351,11 @@ class Matrix(_Record):
             raise ValueError("shape mismatch")
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    if rows < 0 or cols < 0:
+        raise ValueError("negative matrix dimensions")
+
+
 def _times(rows, cols: int, v) -> tuple[Fraction, ...]:
     """The matrix of scaled rows ``rows`` (``cols`` columns) times the scaled vector
     ``v``: one integer dot product per row, over the product of the denominators."""
@@ -332,8 +379,11 @@ def _transpose(vectors, n: int) -> tuple:
 
 
 def _column_matrix(columns, rows: int) -> Matrix:
-    """The `Matrix` with ``rows`` rows whose columns are the scaled vectors ``columns``."""
-    return Matrix._of(_transpose(columns, rows), len(columns))
+    """The `Matrix` with ``rows`` rows whose columns are the scaled vectors
+    ``columns``; it keeps them, canonical, as its ``_columns``."""
+    m = Matrix._of(_transpose(columns, rows), len(columns))
+    m.__dict__["_columns"] = tuple(columns)
+    return m
 
 
 def as_matrix(value, cols: int) -> Matrix:
@@ -443,19 +493,19 @@ def _solutions(reduced, columns, n: int) -> list[list[Fraction]]:
     return list(out.values())
 
 
-def _kernel_vectors(reduced, cols: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Null-space basis from the reduced rows and pivots of ``_eliminate``,
-    one vector per free column f in increasing order: e_f less the solution
-    for column f."""
-    pivots = set(reduced[1])
-    free = [f for f in range(cols) if f not in pivots]
+def _kernel_vectors(reduced, free, cols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Null-space vectors from the reduced rows and pivots of ``_eliminate``
+    of a matrix with ``cols`` columns, one per column f of ``free``, a list
+    of its free columns: e_f less the solution for column f."""
     return tuple(tuple(ONE if k == f else -x if x else x for k, x in enumerate(v))
                  for f, v in zip(free, _solutions(reduced, free, cols)))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
     """Null-space basis built from the rref free columns, in increasing order."""
-    return Subspace._of(m.cols, _kernel_vectors(_eliminate(m._rows, m.cols), m.cols))
+    reduced = _eliminate(m._rows, m.cols)
+    free = [f for f in range(m.cols) if f not in reduced[1]]
+    return Subspace._of(m.cols, _kernel_vectors(reduced, free, m.cols))
 
 
 def image_basis(m: Matrix) -> Subspace:

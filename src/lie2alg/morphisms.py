@@ -11,7 +11,7 @@ Composition convention: ``compose(first, second)`` applies ``first`` and then
 A morphism stores the columns of phi0 and phi1 and its correction once, in
 the scaled-integer form of ``core``: the public constructor scales its
 `Fraction` data, and ``compose`` and ``inverse`` build their results on
-that form with ``core._isum`` and hand it to ``Morphism._of``.  The public
+that form with ``linalg._isum`` and hand it to ``Morphism._of``.  The public
 ``phi0``, ``phi1`` and ``Phi`` are views built on first read, and
 ``verify_morphism`` checks the equations on the scaled form, so `Fraction`s
 appear only at the API boundary.

@@ -38,9 +38,13 @@ from lie2alg.cohomology import (
 )
 from lie2alg.core import _scale_tensor, perm_sign
 from lie2alg.linalg import _scale, basis_vec, image_basis, invert, kernel_basis, solve
-from lie2alg.linalg import vec_add, vec_scale, vec_sub, vec_zero
+from lie2alg.linalg import vec_add, vec_sub, vec_zero
 
 F = Fraction
+
+
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
 
 
 def oracle_delta(f: Cochain, rep: Representation) -> Cochain:
