@@ -13,7 +13,7 @@ from itertools import combinations, product
 
 import pytest
 
-from lie2alg import Matrix, normal_form
+from lie2alg import LieAlgebra, Matrix, adjoint_rep, normal_form, sl2, so3
 from lie2alg.builders import catalog_pairs, lie_algebra, random_algebra, representation
 from lie2alg.classify import decompose, extract_triple
 from lie2alg.cohomology import (
@@ -33,16 +33,29 @@ F = Fraction
 
 
 def transported_rep():
-    """The representation of a transported algebra's quadruple: g = so3 or
-    sl2 in a basis with fractional structure constants, acting through
-    matrices with denominators up to 224."""
+    """The representation of a transported algebra's quadruple: a 3-dim g
+    in a basis with fractional structure constants, acting through matrices
+    with denominators up to 224."""
     L = random_algebra(9)
     return extract_triple(L, decompose(L)).rep
 
 
+def scaled_direct_sum_rep():
+    """The adjoint representation of so3 + sl2 (dim 6) in a basis scaled by
+    rationals, so that every structure constant has its own denominator."""
+    parts, n = (so3(), sl2()), 6
+    old = [[[F(0)] * n for _ in range(n)] for _ in range(n)]
+    for off, p in zip((0, 3), parts):
+        for i, j, t in product(range(3), repeat=3):
+            old[off + i][off + j][off + t] = p.sc[i][j][t]
+    d = [F(1, 2), F(3), F(-2, 3), F(1), F(5, 4), F(-7, 5)]
+    return adjoint_rep(LieAlgebra(n, [[[d[i] * d[j] / d[t] * old[i][j][t] for t in range(n)]
+                                       for j in range(n)] for i in range(n)]))
+
+
 def catalog_and_transported():
     reps = [rep for _, _, _, rep in catalog_pairs(max_dim_g=6, max_dim_v=6)]
-    return reps + [transported_rep()]
+    return reps + [transported_rep(), scaled_direct_sum_rep()]
 
 
 # ---------------------------------------------------------------------------
