@@ -203,6 +203,15 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
     return Quadruple(g, dec.u_basis.dim, rep, jtilde)
 
 
+def _checked(mor: Morphism, failure: str, iso: bool = False) -> Morphism:
+    """``mor``, built by the package, once ``verify_morphism`` passes (and, with
+    ``iso``, it is an isomorphism); else a RuntimeError naming ``failure``: a bug."""
+    report = verify_morphism(mor)
+    if not report.passed or iso and not is_isomorphism(mor):
+        raise RuntimeError(f"{failure}: {report.lines()}")
+    return mor
+
+
 # ---------------------------------------------------------------------------
 # transport of structure
 # ---------------------------------------------------------------------------
@@ -268,17 +277,14 @@ def transport(
         jac_new[key] = _ivec(n1, parts)
 
     out = TwoTermAlgebra._of(n0, n1, d_new, b00_new, b01_new, _alternating(n0, 3, jac_new))
-    mor = Morphism._of(L, out, (P0, P1, C))
     report = verify(out)
     if not report.passed:
         # the structure of L carries over exactly, so this is a bug unless L
         # itself breaks the precondition
         error = RuntimeError if verify(L).passed else ValueError
         raise error(f"transported algebra failed verification: {report.lines()}")
-    mreport = verify_morphism(mor)
-    if not mreport.passed:
-        raise RuntimeError(f"transport produced an invalid morphism: {mreport.lines()}")
-    return out, mor
+    return out, _checked(Morphism._of(L, out, (P0, P1, C)),
+                         "transport produced an invalid morphism")
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +337,7 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
         Phi[i, j] = _ivec(n1, ((1, k_coords, (s,)), (1, u, (S.b00[i][j],))))
     Phi = _alternating(n0, 2, Phi)
     mor = Morphism._of(L, target, (dec.coords0._columns, dec.f._columns, Phi))
-    report = verify_morphism(mor)
-    if not report.passed or not is_isomorphism(mor):
-        raise RuntimeError(f"normalizing morphism failed verification: {report.lines()}")
-    return target, q, mor._scaled
+    return target, q, _checked(mor, "normalizing morphism failed verification", iso=True)._scaled
 
 
 def _quadruple(L: TwoTermAlgebra) -> Quadruple:
@@ -520,18 +523,13 @@ def certify_isomorphism(
                         {key: _scale(value) for key, value in witness.values.items()})
     mor_nf = Morphism._of(nf_l.algebra, nf_m.algebra, (block_diag(chi, f_u)._columns,
                                                        block_diag(t_v, f_u)._columns, corr))
-    report = verify_morphism(mor_nf)
-    if not report.passed:
-        raise RuntimeError(f"certificate morphism failed verification: {report.lines()}")
+    _checked(mor_nf, "certificate morphism failed verification")
 
     inv_m = inverse(nf_m.morphism)
     if inv_m is None:
         raise RuntimeError("normalizing morphism is not invertible")
-    result = compose(compose(nf_l.morphism, mor_nf), inv_m)
-    final = verify_morphism(result)
-    if not final.passed or not is_isomorphism(result):
-        raise RuntimeError(f"assembled isomorphism failed verification: {final.lines()}")
-    return result
+    return _checked(compose(compose(nf_l.morphism, mor_nf), inv_m),
+                    "assembled isomorphism failed verification", iso=True)
 
 
 class QuadrupleMaps(NamedTuple):

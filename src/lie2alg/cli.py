@@ -4,7 +4,7 @@ Subcommands: verify, normalize, invariants, cohomology, compare, example,
 random, compose, transport.  Exit codes: 0 pass/success, 1 semantic failure
 (equations fail, not isomorphic, bad certification maps), 2 input error
 (unreadable file, malformed document, structural violation), 3 internal
-error (a self-check of the package failed: a bug, not the input).
+error (a self-check failed: a bug, not the input; or memory ran out).
 
 Every command that writes an algebra re-verifies it first and refuses, with
 exit 3, to write one that fails: the package built it, so that is a bug.
@@ -61,7 +61,7 @@ _EXIT_CODES = """exit codes:
   0  pass / success
   1  semantic failure: equations fail, not isomorphic, bad certification maps
   2  input error: unreadable or malformed document, structural violation, usage
-  3  internal error: a self-check of lie2alg failed (a bug, not the input)"""
+  3  internal error: a self-check of lie2alg failed (a bug), or out of memory"""
 
 
 def _say(args, text: str) -> None:
@@ -178,11 +178,9 @@ def cmd_example(args) -> int:
         k = parse_rational(args.k, "--k")
         L = skeletal_string(g, k)
         doc = _checked_algebra_document(L, name=f"skeletal-string {args.lie} k={args.k}")
-    elif args.name == "zero":
+    else:   # zero: argparse's choices admit no other name
         L = TwoTermAlgebra.zero(args.n0, args.n1)
         doc = _checked_algebra_document(L, name=f"zero {args.n0}+{args.n1}")
-    else:
-        raise DocumentError(f"unknown example {args.name!r}")
     _emit(args, doc)
     return 0
 
@@ -297,9 +295,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (LieMorphismError, IntertwinerError, InvertibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -308,6 +303,9 @@ def main(argv=None) -> int:
         return 2
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("internal error: out of memory", file=sys.stderr)
         return 3
 
 

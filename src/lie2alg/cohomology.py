@@ -23,9 +23,10 @@ query builds a dense matrix but ``delta_matrix``, their view.
 
 Tensor contractions run on the scaled integers of ``core``: a Lie algebra
 stores its structure constants in that form, a representation and a
-cochain keep theirs, built on first use, and the Jacobi identity, the
-representation law and the Lie-morphism condition are the same signed
-``linalg._isum`` sums the verifiers of ``core`` and ``morphisms`` check.
+cochain keep theirs, built on first use.  The Jacobi identity, the
+representation law, the Lie-morphism condition and the intertwiner law
+are signed parts, checked on basis tuples by ``core._first_failure``, the
+walker of the verifiers of ``core`` and ``morphisms``.
 
 Matrix flattening convention: increasing tuples ordered lexicographically,
 V index fastest.
@@ -57,7 +58,7 @@ from .core import (
     Tensor3,
     _alternating,
     _bracket_defect_parts,
-    _isum,
+    _first_failure,
     _ivec,
     _jacobi_parts,
     _mixed_jacobi_parts,
@@ -99,9 +100,9 @@ class LieAlgebra(_Record):
         checked as the public constructor checks them."""
         for pair in _pair_violations(sc):
             raise ValueError(f"structure constants not antisymmetric at {pair}")
-        for (i, j, k) in combinations(range(dim), 3):
-            if any(_isum(dim, _jacobi_parts(sc, i, j, k))[0]):
-                raise ValueError(f"Jacobi identity fails at ({i}, {j}, {k})")
+        if failure := _first_failure("jacobi", dim, (
+                (ijk, _jacobi_parts(sc, *ijk)) for ijk in combinations(range(dim), 3))):
+            raise ValueError(f"Jacobi identity fails at {failure.args}")
         return super()._of(dim, sc)
 
     @cached_property
@@ -132,10 +133,10 @@ class Representation(_Record):
             raise ValueError("need one rho matrix per basis element")
         self.__dict__.update(g=g, dimV=dimV, rho=tuple(mats))
         sc, (r, rt) = self.g._scaled, self._scaled
-        for i, j in combinations(range(self.g.dim), 2):
-            for l in range(self.dimV):
-                if any(_isum(self.dimV, _mixed_jacobi_parts(sc, r, rt, i, j, l))[0]):
-                    raise ValueError(f"representation law fails at ({i}, {j})")
+        if failure := _first_failure("representation", dimV, (
+                ((i, j), _mixed_jacobi_parts(sc, r, rt, i, j, l))
+                for i, j in combinations(range(g.dim), 2) for l in range(dimV))):
+            raise ValueError(f"representation law fails at {failure.args}")
 
     @cached_property
     def _scaled(self) -> tuple:
@@ -367,8 +368,9 @@ def is_lie_morphism(psi: Matrix, g: LieAlgebra, h: LieAlgebra) -> bool:
     if psi.rows != h.dim or psi.cols != g.dim:
         return False
     u = psi._columns
-    return not any(any(_isum(h.dim, _bracket_defect_parts(u, g._scaled, h._scaled, i, j))[0])
-                   for i, j in combinations(range(g.dim), 2))
+    return _first_failure("lie-morphism", h.dim, (
+        ((i, j), _bracket_defect_parts(u, g._scaled, h._scaled, i, j))
+        for i, j in combinations(range(g.dim), 2))) is None
 
 
 def pullback_representation(rep: Representation, psi: Matrix, g: LieAlgebra) -> Representation:
@@ -384,15 +386,15 @@ def pullback_representation(rep: Representation, psi: Matrix, g: LieAlgebra) -> 
 
 
 def is_intertwiner(t: Matrix, rep_source: Representation, pullback: Representation) -> bool:
-    """t(rho(x) v) = (pullback rho)(x) t(v) on all basis x of the common g."""
+    """t(rho(x) v) = (pullback rho)(x) t(v) on all basis x of the common g and v."""
     if rep_source.g != pullback.g:
         return False
     if t.rows != pullback.dimV or t.cols != rep_source.dimV:
         return False
-    for i in range(rep_source.g.dim):
-        if t @ rep_source.rho[i] != pullback.rho[i] @ t:
-            return False
-    return True
+    u, r, r_pulled = t._columns, rep_source._scaled[0], pullback._scaled[0]
+    return _first_failure("intertwiner", t.rows, (
+        ((i, l), ((1, u, (r[i][l],)), (-1, r_pulled[i], (u[l],))))
+        for i in range(rep_source.g.dim) for l in range(t.cols))) is None
 
 
 def cohomologous(

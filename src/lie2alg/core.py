@@ -23,14 +23,16 @@ first read, and every tensor contraction runs on the scaled form.  One
 kernel, ``linalg._isum``, sums signed contractions of scaled tensors with
 scaled vectors (a basis argument is an index into the tensor).  The Jacobi,
 mixed-Jacobi (representation) and bracket-defect laws are written once here
-as such signed parts, shared by the verifiers and by the Lie algebra,
-representation and Lie-morphism checks of ``cohomology``; the pipeline (``classify``, ``morphisms``,
-``builders``) builds new algebras and morphisms with the same kernel, so
-`Fraction`s appear only at the API boundary: in the public views and in
-the discrepancy of a reported failure.  Because all structure maps are
-multilinear, checking the five defining equations on basis tuples is
-sufficient; the verifier walks tuples in lexicographic order and reports
-the first failure per equation, so reports are deterministic.
+as such signed parts.  Because all structure maps are multilinear, a law
+holds when it holds on basis tuples, and one walker, ``_first_failure``,
+checks every law of the package there, in lexicographic order, naming the
+first failing tuple, so reports are deterministic: the equations of both
+verifiers (their report built by ``_report``) and the Lie algebra,
+representation, Lie-morphism and intertwiner checks of ``cohomology``.
+The pipeline (``classify``, ``morphisms``, ``builders``) builds new
+algebras and morphisms with the same kernel, so `Fraction`s appear only
+at the API boundary: in the public views and in the discrepancy of a
+reported failure.
 """
 
 from __future__ import annotations
@@ -471,12 +473,21 @@ def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:
 
 def _first_failure(equation, n, checks) -> EquationFailure | None:
     """The first (args, parts) of ``checks`` whose signed sum ``_isum(n, parts)``
-    is nonzero, as a failure whose discrepancy is that sum."""
+    is nonzero, as a failure whose discrepancy is that sum: every law is walked here."""
     for args, parts in checks:
         total = _isum(n, parts)
         if any(total[0]):
             return EquationFailure(equation, args, _unscale(_reduce(total), n))
     return None
+
+
+def _report(equations, structure, checks) -> VerificationReport:
+    """The report of ``verify`` or ``verify_morphism``: the ``structure`` errors
+    alone if any, else the first failure of each of ``equations`` on its ``checks``."""
+    if structure:
+        return VerificationReport(equations, structure, ())
+    return VerificationReport(equations, (), tuple(
+        f for eq in equations if (f := _first_failure(eq, *checks[eq])) is not None))
 
 
 def verify(L: TwoTermAlgebra) -> VerificationReport:
@@ -495,14 +506,10 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
 
 
 def _verify(L: TwoTermAlgebra) -> VerificationReport:
-    structure = structure_violations(L)
-    if structure:
-        return VerificationReport(ALGEBRA_EQUATIONS, structure, ())
-
     n0, n1 = L.n0, L.n1
     S = L._scaled
     d, b00, b01, b01t, jac = S
-    checks = {
+    return _report(ALGEBRA_EQUATIONS, structure_violations(L), {
         # d([e_i, f_j]) = [e_i, d(f_j)]
         EQ_D_BRACKET: (n0, (
             ((i, j), ((1, d, (b01[i][j],)), (-1, b00[i], (d[j],))))
@@ -527,10 +534,7 @@ def _verify(L: TwoTermAlgebra) -> VerificationReport:
         EQ_COHERENCE: (n1, (
             (quad, _coherence_parts(S, quad))
             for quad in combinations(range(n0), 4))),
-    }
-    failures = tuple(f for eq in ALGEBRA_EQUATIONS
-                     if (f := _first_failure(eq, *checks[eq])) is not None)
-    return VerificationReport(ALGEBRA_EQUATIONS, (), failures)
+    })
 
 
 def coherence_lhs(L: TwoTermAlgebra, args: tuple[int, int, int, int]) -> Vec:

@@ -6,8 +6,9 @@ identical outputs, bit for bit.  The one exact accumulation form of the
 package lives here too: the scaled vector, integer numerators over one
 denominator (``_scale``).  A `Matrix` stores only its rows in that form
 (``Matrix._of`` takes them as they are), and builds its scaled columns and
-`Fraction` ``entries`` on first use (``_column_matrix`` keeps the columns
-it is built from).  ``apply`` takes one integer dot product per scaled row
+`Fraction` ``entries`` on first use (``transpose`` keeps the rows of its
+source as its columns, so ``_column_matrix`` keeps the columns it is
+built from).  ``apply`` takes one integer dot product per scaled row
 (``_times``); ``@`` contracts the rows of its left operand with those of
 its right one by ``_isum``, the integer kernel of every tensor contraction.
 All elimination is one routine on scaled rows, ``_eliminate``:
@@ -326,13 +327,15 @@ class Matrix(_Record):
         return _transpose(self._rows, self.cols)
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self._columns, self.rows)
+        """The transpose, which keeps the rows of this matrix as its columns."""
+        out = Matrix._of(self._columns, self.rows)
+        out.__dict__["_columns"] = self._rows
+        return out
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        # [self | other] is the transpose of the matrix whose rows are the columns of both
-        return Matrix._of(self._columns + other._columns, self.rows).transpose()
+        return _column_matrix(self._columns + other._columns, self.rows)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -381,9 +384,7 @@ def _transpose(vectors, n: int) -> tuple:
 def _column_matrix(columns, rows: int) -> Matrix:
     """The `Matrix` with ``rows`` rows whose columns are the scaled vectors
     ``columns``; it keeps them, canonical, as its ``_columns``."""
-    m = Matrix._of(_transpose(columns, rows), len(columns))
-    m.__dict__["_columns"] = tuple(columns)
-    return m
+    return Matrix._of(columns, rows).transpose()
 
 
 def as_matrix(value, cols: int) -> Matrix:

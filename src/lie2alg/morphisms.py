@@ -30,9 +30,9 @@ from .core import (
     _SHUFFLES,
     _bracket_defect_parts,
     _column_matrix,
-    _first_failure,
     _ivec,
     _pair_violations,
+    _report,
     _scale_tensor,
     _unscale_tensor,
     tensor,
@@ -101,12 +101,9 @@ def verify_morphism(m: Morphism) -> VerificationReport:
     """
     src, tgt = m.source, m.target
     u0, w1, Phi = m._scaled   # phi(e_i), phi(f_j), Phi(e_i, e_j)
-    structure = tuple(f"Phi antisymmetry violated at {p}" for p in _pair_violations(Phi))
-    if structure:
-        return VerificationReport(MORPHISM_EQUATIONS, structure, ())
-
     S, T = src._scaled, tgt._scaled
-    checks = {
+    structure = tuple(f"Phi antisymmetry violated at {p}" for p in _pair_violations(Phi))
+    return _report(MORPHISM_EQUATIONS, structure, {
         # phi0(d(f_j)) = d'(phi1(f_j))
         EQ_CHAIN_MAP: (tgt.n0, (
             ((j,), ((1, u0, (S.d[j],)), (-1, T.d, (w1[j],))))
@@ -126,10 +123,7 @@ def verify_morphism(m: Morphism) -> VerificationReport:
         EQ_JACOBIATOR_COMPAT: (tgt.n1, (
             (tri, _jacobiator_parts(S, T, u0, w1, Phi, tri))
             for tri in combinations(range(src.n0), 3))),
-    }
-    failures = tuple(f for eq in MORPHISM_EQUATIONS
-                     if (f := _first_failure(eq, *checks[eq])) is not None)
-    return VerificationReport(MORPHISM_EQUATIONS, (), failures)
+    })
 
 
 def _jacobiator_parts(S, T, u0, w1, Phi, tri: tuple[int, int, int]) -> list:

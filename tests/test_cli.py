@@ -266,6 +266,16 @@ class TestCohomology:
         assert code == 2
         assert "n1 = 0" in err
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, so3_doc):
+        # a large enough cochain space exhausts memory; stand in for that
+        # without allocating
+        def exhausted(_):
+            raise MemoryError
+
+        monkeypatch.setattr("lie2alg.cli.cmd_cohomology", exhausted)
+        code, out, err = run(capsys, "cohomology", so3_doc, "adjoint", "8")
+        assert (code, out, err) == (3, "", "internal error: out of memory\n")
+
 
 class TestCompare:
     def test_distinguished(self, capsys):

@@ -33,6 +33,7 @@ from lie2alg.cohomology import (
     _elimination,
     cochain_to_vec,
     increasing_tuples,
+    is_intertwiner,
     is_lie_morphism,
     vec_to_cochain,
 )
@@ -580,6 +581,17 @@ def oracle_rep_error(g, mats):
     return None
 
 
+def oracle_is_intertwiner(t, source, target):
+    """Entrywise `Fraction` check of t rho(e_i) == rho'(e_i) t for every
+    basis e_i; False when t is not a map from source's space to target's."""
+    n, m = t.rows, t.cols
+    if (n, m) != (target.dimV, source.dimV):
+        return False
+    return all(sum((t[r, k] * a[k, c] for k in range(m)), F(0))
+               == sum((b[r, k] * t[k, c] for k in range(n)), F(0))
+               for a, b in zip(source.rho, target.rho) for r in range(n) for c in range(m))
+
+
 def oracle_is_lie_morphism(psi, g, h):
     cols = [psi.column(i) for i in range(g.dim)]
     return all(naive_apply(psi, g.sc[i][j]) == naive_bracket(h.sc, cols[i], cols[j])
@@ -632,7 +644,8 @@ def raises_message(build):
 class TestLawsAgainstOracle:
     """The Lie algebra, representation and Lie-morphism checks report the
     same first failing tuple as plain `Fraction` loops, on so3 + sl2 and its
-    representations under basis changes with large prime denominators."""
+    representations under basis changes with large prime denominators; the
+    intertwiner check agrees with them on the catalog."""
 
     def test_lie_algebra_first_failure(self):
         rng = random.Random(71)
@@ -701,6 +714,32 @@ class TestLawsAgainstOracle:
                 want = oracle_is_lie_morphism(psi, source, target)
                 assert is_lie_morphism(psi, source, target) == want
                 seen.add(want)
+        assert seen == {True, False}
+
+    def test_intertwiner_against_oracle(self):
+        """Every catalog representation up to dimension 4 against its own
+        pullback and against its conjugate by a random invertible t, with t,
+        t perturbed in one entry and maps of the wrong shape; on an abelian
+        algebra, whose representations are all zero, also against the one
+        where only the last basis element acts, as the identity."""
+        rng = random.Random(75)
+        seen = set()
+        for g_name, g, _, rep in catalog_pairs(max_dim_g=4, max_dim_v=4):
+            n = rep.dimV
+            pulled = pullback_representation(rep, Matrix.identity(g.dim), g)
+            t = rational_basis(rng, n)
+            t_inv = invert(t)
+            conj = Representation(g, n, tuple(t @ m @ t_inv for m in rep.rho))
+            cases = [(Matrix.identity(n), pulled), (t, pulled), (t, conj),
+                     (perturbed(t, rng), conj), (Matrix.identity(n + 1), pulled),
+                     (Matrix.zero(n, n + 1), pulled), (Matrix.zero(n + 1, n), conj)]
+            if g_name.startswith("abelian"):
+                last = (Matrix.zero(n, n),) * (g.dim - 1) + (Matrix.identity(n),)
+                cases.append((t, Representation(g, n, last)))
+            for u, target in cases:
+                want = oracle_is_intertwiner(u, rep, target)
+                assert is_intertwiner(u, rep, target) == want
+                seen.add((u.rows, u.cols) == (n, n) and want)
         assert seen == {True, False}
 
 

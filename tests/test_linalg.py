@@ -495,6 +495,22 @@ class TestShapeChecks:
         assert Matrix.zero(0, 3).transpose() == Matrix.zero(3, 0)
         assert Matrix.zero(2, 0).transpose() == Matrix.zero(0, 2)
 
+    def test_transpose_and_hstack_keep_their_columns(self):
+        """``transpose`` and ``hstack`` give the matrix ``from_rows`` builds
+        entry by entry, and keep its scaled columns as they build it."""
+        rng = random.Random(23)
+        primes = primes_of_50_digits(rng, 40)
+        for r, c, c2 in ((3, 4, 2), (1, 5, 1), (4, 1, 3), (0, 3, 2), (3, 0, 2), (2, 3, 0)):
+            a = [[F(rng.randint(-9, 9), primes.pop() if rng.random() < 0.3 else 1)
+                  for _ in range(c)] for _ in range(r)]
+            b = [[F(rng.randint(-3, 3)) for _ in range(c2)] for _ in range(r)]
+            ma, mb = M(a) if r else Matrix.zero(0, c), M(b) if r else Matrix.zero(0, c2)
+            for out, rows, cols in ((ma.transpose(), ref_columns(a, c), r),
+                                    (ma.hstack(mb), [u + v for u, v in zip(a, b)], c + c2)):
+                ref = Matrix.from_rows(rows, cols=cols)
+                assert out == ref and out._rows == ref._rows
+                assert vars(out).get("_columns") == ref._columns
+
     def test_internal_builds_hold_fractions(self):
         m = M([[1, 2], [3, 4]])
         for out in (m + m, m - m, -m, 3 * m, m @ m, m.transpose(), m.hstack(m), m.vstack(m),
