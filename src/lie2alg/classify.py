@@ -460,7 +460,8 @@ def invariants(L: TwoTermAlgebra) -> InvariantVector:
         cohomology_h1=h_dims[1],
         cohomology_h2=h_dims[2],
         cohomology_h3=h_dims[3],
-        jtilde_is_coboundary=is_coboundary(q.jtilde, q.rep) is not None,
+        # J~ is a cocycle (Quadruple checks it), so it is a coboundary when H3 = 0
+        jtilde_is_coboundary=h_dims[3] == 0 or is_coboundary(q.jtilde, q.rep) is not None,
     )
 
 

@@ -10,9 +10,10 @@ denominator (``_scale``).  A `Matrix` stores only its rows in that form
 source as its columns, so ``_column_matrix`` keeps the columns it is
 built from).  ``apply`` takes one integer dot product per scaled row
 (``_times``); ``@`` contracts the rows of its left operand with those of
-its right one by ``_isum``, the integer kernel of every tensor contraction.
-All elimination is one routine on scaled rows, ``_eliminate``:
-fraction-free sparse Gauss-Jordan, whose work follows the nonzeros.
+its right one by ``_isum``, the integer kernel of every tensor contraction,
+one loop for all arities with no list of terms.  All elimination is one
+routine on scaled rows, ``_eliminate``: fraction-free sparse Gauss-Jordan,
+whose work follows the nonzeros; ``rank`` skips its back-substitution.
 """
 
 from __future__ import annotations
@@ -114,35 +115,40 @@ def _isum(n: int, parts) -> tuple[list[int], int]:
     arguments (e_i1, ..., e_ik), and its contraction with v1..vk is the sum
     of v1[i1] * ... * vk[ik] * tensor[i1]...[ik].
 
-    Coefficients multiply as ints; each nonzero leaf vector of the tensor is
-    one term whose denominator (the product of the vectors' denominators and
-    the leaf's) is merged into the running denominator once.  The result is
-    not reduced.
+    Only the leading vectors expand, into (coefficient, node) prefixes (for
+    one vector just (sign, tensor)), and the last vector's entries index the
+    leaves of each node: one loop for every arity, no list of terms.  Each
+    nonzero leaf is one term: its coefficient is a product of ints and its
+    denominator (the vectors' and the leaf's) is merged into the running one
+    once.  The result is not reduced.
     """
     acc, acc_den = [0] * n, 1
     for sign, tensor, vectors in parts:
-        items, den = vectors[0]
-        terms = [(sign * c, tensor[p]) for p, c in items]
-        for items, vden in vectors[1:]:
+        last, den = vectors[-1]
+        nodes = [(sign, tensor)]
+        for items, vden in vectors[:-1]:
             den *= vden
-            terms = [(a * c, node[q]) for a, node in terms for q, c in items]
-        for c, (leaf, leaf_den) in terms:
-            if not leaf:
-                continue
-            term_den = den * leaf_den
-            if term_den != acc_den:
-                q, r = divmod(acc_den, term_den)
-                if r:
-                    # gcd(acc_den, term_den) == gcd(term_den, r): a gcd of
-                    # short numbers when the running denominator is long
-                    g = gcd(term_den, r)
-                    up = term_den // g
-                    acc = [x * up for x in acc]
-                    q = acc_den // g
-                    acc_den *= up
-                c *= q
-            for t, x in leaf:
-                acc[t] += c * x
+            nodes = [(a * c, node[j]) for a, node in nodes for j, c in items]
+        for a, node in nodes:
+            for j, c in last:
+                leaf, leaf_den = node[j]
+                if not leaf:
+                    continue
+                c *= a
+                term_den = den * leaf_den
+                if term_den != acc_den:
+                    q, r = divmod(acc_den, term_den)
+                    if r:
+                        # gcd(acc_den, term_den) == gcd(term_den, r): a gcd of
+                        # short numbers when the running denominator is long
+                        g = gcd(term_den, r)
+                        up = term_den // g
+                        acc = [x * up for x in acc]
+                        q = acc_den // g
+                        acc_den *= up
+                    c *= q
+                for t, x in leaf:
+                    acc[t] += c * x
     return acc, acc_den
 
 
@@ -343,7 +349,7 @@ class Matrix(_Record):
         return Matrix._of(self._rows + other._rows, self.cols)
 
     def rank(self) -> int:
-        return len(_eliminate(self._rows, self.cols)[1])
+        return len(_forward(self._rows, self.cols))
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
         return Matrix._of([_reduce(([dict(self._rows[i][0]).get(j, 0) for j in col_indices],
@@ -440,18 +446,10 @@ def _combine(r: dict, p: dict, c: int) -> dict:
     return {k: x // g for k, x in out.items()} if g > 1 else out
 
 
-def _eliminate(rows, cols: int) -> tuple[tuple, tuple[int, ...]]:
-    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
-
-    ``rows`` are scaled rows of ``cols`` columns, read without their
-    denominators, which do not change the row space.  Returns the nonzero
-    rows of the rref in scaled form and the pivot columns.  In each column,
-    of the rows starting there the sparsest is the pivot and is subtracted
-    from the others (``_combine``); a second pass, last pivot first, clears
-    the columns above the pivots.  The rref is unique, so the pivot choice
-    does not show, and a primitive row with pivot x_p > 0 is the scaled form
-    of its rref row: its denominator is x_p / gcd(x_p, x_1, ..., x_m) = x_p.
-    """
+def _forward(rows, cols: int) -> dict:
+    """The forward pass of ``_eliminate``, pivot column -> its primitive row in
+    echelon form, whose pivots ``Matrix.rank`` counts: in each column, of the rows
+    starting there the sparsest is the pivot and is subtracted from the others."""
     lead = {}   # first nonzero column -> the rows that start there
     for items, _ in rows:
         if r := dict(items):
@@ -465,6 +463,21 @@ def _eliminate(rows, cols: int) -> tuple[tuple, tuple[int, ...]]:
             for r in cands:
                 if r is not p and (r := _combine(r, p, c)):
                     lead.setdefault(min(r), []).append(r)
+    return done
+
+
+def _eliminate(rows, cols: int) -> tuple[tuple, tuple[int, ...]]:
+    """Fraction-free Gauss-Jordan elimination of sparse integer rows.
+
+    ``rows`` are scaled rows of ``cols`` columns, read without their
+    denominators, which do not change the row space.  Returns the nonzero
+    rows of the rref in scaled form and the pivot columns.  The forward pass
+    is ``_forward``; back-substitution, last pivot first, then clears the
+    columns above the pivots.  The rref is unique, so the pivot choice does
+    not show, and a primitive row with pivot x_p > 0 is the scaled form of
+    its rref row: its denominator is x_p / gcd(x_p, x_1, ..., x_m) = x_p.
+    """
+    done = _forward(rows, cols)
     pivots = tuple(done)
     for c in reversed(pivots):
         p = done[c]

@@ -3,11 +3,11 @@
 Both run on the one scaled vector form of ``linalg`` (integer numerators
 over one denominator): ``Matrix.apply`` and ``Matrix.__matmul__`` take one
 integer dot product per scaled row of the matrix, and tensor contractions
-sum scaled vectors (``core._isum``).  Here every result is checked against
-a naive sum of `Fraction` products on seeded inputs with large coprime
-denominators, denominators with shared factors, negative entries, sums
-that cancel exactly, sparse matrices, all-zero rows and columns, and empty
-axes.
+sum scaled vectors (``linalg._isum``), one signed part or several of mixed
+arity.  Here every result is checked against a naive sum of `Fraction`
+products on seeded inputs with large coprime denominators, denominators
+with shared factors, negative entries, sums that cancel exactly, sparse
+matrices, all-zero rows and columns, zero leaves, and empty axes.
 """
 
 import itertools
@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+from lie2alg.core import _isum, _reduce, _scale, _scale_tensor
 from lie2alg.linalg import Matrix
 from test_core import isum_contract
 
@@ -138,6 +139,56 @@ class TestAgainstNaiveSums:
             # the same sums as a contraction of the rows (as a tensor) with v
             tensor = tuple(tuple(col) for col in zip(*rows))
             assert_exact(isum_contract(tensor, [v], len(rows)), zero)
+
+    def test_signed_sums_of_mixed_arity(self, kind):
+        # the law walker's calls: several signed parts of 1, 2 and 3 vectors,
+        # with zero leaves, zero vectors, empty last vectors, then the same
+        # sum with each part cancelled by a rescaled twin
+        rng = random.Random(f"signed-{kind}")
+        dens = DENOMINATORS[kind]
+        arities = set()
+        for _ in range(150):
+            n = rng.randint(0, 4)
+            parts = []
+            for _ in range(rng.randint(1, 4)):
+                shape = tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 3)))
+                vectors = [(F(0),) * k if rng.random() < 0.15 else entries(rng, dens, k)
+                           for k in shape]
+                tensor = tensor_with_zero_leaves(rng, dens, shape, n)
+                parts.append((rng.choice((1, -1)), tensor, vectors))
+                arities.add(len(shape))
+            want = [F(0)] * n
+            for sign, t, vs in parts:
+                want = [w + sign * x for w, x in zip(want, naive_contract(t, vs, n))]
+            assert signed_isum(n, parts) == _scale(want)
+            twins = []
+            for sign, t, vs in parts:
+                c = entry(rng, dens, zero_share=0) * rng.choice((1, 7, F(1, 9)))
+                twins.append((-sign, multiplied(t, c), [tuple(x / c for x in vs[0]), *vs[1:]]))
+            rng.shuffle(twins)
+            assert signed_isum(n, parts + twins) == ((), 1)
+        assert arities == {1, 2, 3}
+
+
+def tensor_with_zero_leaves(rng, dens, shape, n):
+    """A random tensor of ``shape`` with leaves of length ``n``, a quarter of
+    them zero."""
+    if not shape:
+        return (F(0),) * n if rng.random() < 0.25 else entries(rng, dens, n)
+    return tuple(tensor_with_zero_leaves(rng, dens, shape[1:], n) for _ in range(shape[0]))
+
+
+def multiplied(tensor, c):
+    """``tensor`` with every entry times ``c``."""
+    if tensor and not isinstance(tensor[0], tuple):
+        return tuple(c * x for x in tensor)
+    return tuple(multiplied(t, c) for t in tensor)
+
+
+def signed_isum(n, parts):
+    """``_reduce(_isum(...))`` of (sign, tensor, vectors) parts given in `Fraction`s."""
+    return _reduce(_isum(n, [(sign, _scale_tensor(t, len(vs)), [_scale(v) for v in vs])
+                             for sign, t, vs in parts]))
 
 
 class TestEmptyAxes:

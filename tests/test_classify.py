@@ -25,6 +25,7 @@ from lie2alg import (
     identity_morphism,
     invariants,
     inverse,
+    is_coboundary,
     is_cocycle,
     is_isomorphism,
     normal_form,
@@ -305,6 +306,17 @@ class TestInvariants:
     def test_deterministic(self):
         L = random_algebra(42)
         assert invariants(L) == invariants(L)
+
+    def test_coboundary_flag_matches_solve(self):
+        # with H3 = 0 the flag is set without a solve; it must agree with one
+        seen = set()
+        for seed in range(60):
+            L = random_algebra(seed)
+            inv = invariants(L)
+            q = classify._quadruple(L)
+            assert inv.jtilde_is_coboundary == (is_coboundary(q.jtilde, q.rep) is not None)
+            seen.add((inv.cohomology_h3 == 0, inv.jtilde_is_coboundary))
+        assert seen == {(True, True), (False, True), (False, False)}
 
 
 class TestDistinguish:

@@ -391,6 +391,8 @@ class TestEliminationAgainstDenseReference:
             assert (red, pivots) == dense_rref(m)
             # the scaled rows it keeps are the canonical ones of its entries
             assert red._rows == tuple(map(_scale, red.to_rows()))
+            # rank counts the pivots of the forward pass alone, on m and its transpose
+            assert m.rank() == m.transpose().rank() == len(pivots)
 
     def test_solve(self):
         rng = random.Random(2)
