@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
-from .linalg import Matrix, ZERO, _invertible, block_diag, rat, vec_zero
+from .linalg import Matrix, ZERO, _invertible, _reduce, block_diag, rat, vec_zero
 from .core import (TwoTermAlgebra, _ZERO_SCALED, _alternating, _scale, _scale_tensor, verify,
                    zero_tensor)
 from .morphisms import Morphism
@@ -250,11 +250,14 @@ def _verified(L: TwoTermAlgebra) -> TwoTermAlgebra:
 
 def killing_form(g: LieAlgebra) -> Matrix:
     """K(x, y) = trace(ad x · ad y) on basis pairs: K(e_i, e_j) is the sum
-    over s, t of sc[i][s][t] * sc[j][t][s]."""
-    n, sc = g.dim, g.sc
-    return Matrix.from_rows([[sum((sc[i][s][t] * sc[j][t][s] for s in range(n) for t in range(n)
-                                   if sc[i][s][t]), ZERO) for j in range(n)] for i in range(n)],
-                            cols=n)
+    over s, t of sc[i][s][t] * sc[j][t][s], summed on integers over den**2,
+    each stored constant's numerator over den, the lcm of their denominators."""
+    n = g.dim
+    den = math.lcm(*[d for plane in g._scaled for _, d in plane])
+    sc = [[{t: x * (den // d) for t, x in items} for items, d in plane] for plane in g._scaled]
+    return Matrix._of([_reduce(([sum([x * sc[j][t].get(s, 0) for s in range(n)
+                                      for t, x in sc[i][s].items()]) for j in range(n)], den * den))
+                       for i in range(n)], n)
 
 
 def cartan_cocycle(g: LieAlgebra, k=1) -> Cochain:

@@ -26,6 +26,8 @@ from that decomposition unless one is kept).  A value is kept only on the
 argument of the call that computed it and never refers back to that
 algebra, so an algebra built by the pipeline (a normal form, say) is
 classified afresh, and an algebra is still freed by reference counting.
+The one value shared is a report: a normal form equal to its input (an
+algebra already in standard shape) keeps the input's "verify" report.
 The public ``decompose`` and ``extract_triple`` are not cached.
 
 A full search for a Lie algebra isomorphism is deliberately out of scope:
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations, product
+from math import lcm
 from typing import NamedTuple
 
 from .linalg import (
@@ -43,6 +46,7 @@ from .linalg import (
     Subspace,
     _Record,
     _eliminate,
+    _forward,
     _invertible,
     _kernel_vectors,
     as_matrix,
@@ -234,6 +238,13 @@ def transport(
     is a bug, RuntimeError.  A ``correction`` that is not antisymmetric
     raises ValueError naming its first bad pair.
     """
+    return _transport(L, phi0, phi1,
+                      lambda: _scale_tensor(tensor(correction, (L.n0, L.n0, L.n1)), 2))
+
+
+def _transport(L: TwoTermAlgebra, phi0, phi1, scaled_correction) -> tuple:
+    """``transport`` of the correction ``scaled_correction()`` returns in
+    scaled form, called once phi0 and phi1 pass their checks."""
     phi0, phi1 = as_matrix(phi0, L.n0), as_matrix(phi1, L.n1)
     if phi0.rows != phi0.cols or phi0.rows != L.n0:
         raise InvertibilityError("phi0 must be square of size n0")
@@ -245,8 +256,7 @@ def transport(
         raise InvertibilityError("phi0 is singular")
     if inv1 is None:
         raise InvertibilityError("phi1 is singular")
-    corr = tensor(correction, (L.n0, L.n0, L.n1))
-    C = _scale_tensor(corr, 2)
+    C = scaled_correction()
     for pair in _pair_violations(C):
         raise ValueError(f"correction antisymmetry violated at {pair}")
 
@@ -319,7 +329,10 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
     one already."""
     dec = decompose(L)
     q = L._kept("quadruple", extract_triple, L, dec)
-    target = normal_form_algebra(q)
+    target = _standard_shape(q)
+    if target == L:   # a new object; verify depends on the value alone
+        target._kept("verify", verify, L)
+    _verified(target)
 
     gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
     n0, n1 = L.n0, L.n1
@@ -430,8 +443,13 @@ def _series_dims(g: LieAlgebra, pairs) -> tuple[int, ...]:
 
 def center_dim(g: LieAlgebra) -> int:
     """The dimension of the kernel of all ad(e_i) at once: dim g minus the
-    rank of their stacked rows."""
-    return g.dim - Matrix._of([row for i in range(g.dim) for row in g.ad(i)._rows], g.dim).rank()
+    rank of their stacked matrices, counted on the transpose, whose row s
+    is ([e_s, e_i])_i = -([e_i, e_s])_i: a plane of the stored structure
+    constants over its common denominator."""
+    n, dens = g.dim, [lcm(*[d for _, d in plane]) for plane in g._scaled]
+    return n - len(_forward([([(i * n + t, x * (den // d)) for i, (items, d) in enumerate(plane)
+                               for t, x in items], den) for plane, den in zip(g._scaled, dens)],
+                            n * n))
 
 
 def invariants(L: TwoTermAlgebra) -> InvariantVector:

@@ -26,11 +26,11 @@ from .cohomology import (
 )
 from .classify import (
     InvertibilityError,
+    _transport,
     certify_isomorphism,
     distinguish,
     invariants,
     normal_form,
-    transport,
 )
 from .builders import (
     RandomProfile,
@@ -43,6 +43,7 @@ from .builders import (
 )
 from .documents import (
     DocumentError,
+    _transport_maps,
     algebra_to_document,
     dumps,
     load_algebra,
@@ -52,7 +53,6 @@ from .documents import (
     morphism_to_document,
     parse_rational,
     save_document,
-    transport_from_document,
 )
 from . import morphisms as morphism_ops
 
@@ -210,8 +210,8 @@ def cmd_transport(args) -> int:
     if not verify(L).passed:
         _say(args, "input algebra fails verification")
         return 1
-    phi0, phi1, Phi = transport_from_document(load_document(args.maps), L)
-    out, mor = transport(L, phi0, phi1, Phi)
+    phi0, phi1, Phi = _transport_maps(load_document(args.maps), L)
+    out, mor = _transport(L, phi0, phi1, lambda: Phi)
     _emit(args, _checked_algebra_document(out))
     if args.out_morphism:
         save_document(args.out_morphism, morphism_to_document(mor))

@@ -327,7 +327,7 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
     rows, cols = _delta_rows(f.n - 1, rep)
     ratios = map(Fraction.as_integer_ratio, cochain_to_vec(f))
     x = _solve(rows, [(((0, p),) if p else (), q) for p, q in ratios], cols, 1)
-    return None if x is None else vec_to_cochain(f.n - 1, f.g, f.dimV, x[0])
+    return None if x is None else vec_to_cochain(f.n - 1, f.g, f.dimV, _unscale(x[0], cols))
 
 
 def cohomology_dim(n: int, rep: Representation) -> int:

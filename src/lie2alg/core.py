@@ -495,8 +495,9 @@ def verify(L: TwoTermAlgebra) -> VerificationReport:
 
     Multilinearity makes basis checks sufficient, so no random sampling is
     involved.  Tuple ranges follow the symmetries of each equation: all
-    (n0 x n1) pairs, all (n1 x n1) pairs, strictly increasing triples,
-    n1 x increasing pairs, and strictly increasing 4-tuples.  Each equation
+    (n0 x n1) pairs, (n1 x n1) pairs i <= j (the law is symmetric in i, j),
+    strictly increasing triples, n1 x increasing pairs, and strictly
+    increasing 4-tuples.  Each equation
     is written as lhs - rhs, a signed sum of contractions, and evaluated on
     the algebra's scaled-integer form; a `Fraction` is built only for the
     discrepancy of a reported failure.  The report is kept on the algebra
@@ -514,10 +515,10 @@ def _verify(L: TwoTermAlgebra) -> VerificationReport:
         EQ_D_BRACKET: (n0, (
             ((i, j), ((1, d, (b01[i][j],)), (-1, b00[i], (d[j],))))
             for i in range(n0) for j in range(n1))),
-        # [d(f_i), f_j] = [f_i, d(f_j)] = -[d(f_j), f_i]
+        # [d(f_i), f_j] = [f_i, d(f_j)] = -[d(f_j), f_i]: symmetric in (i, j)
         EQ_D_SYMMETRY: (n1, (
             ((i, j), ((1, b01t[j], (d[i],)), (1, b01t[i], (d[j],))))
-            for i in range(n1) for j in range(n1))),
+            for i in range(n1) for j in range(i, n1))),
         # d(J(e_i,e_j,e_k)) = [e_i,[e_j,e_k]] - [[e_i,e_j],e_k] - [e_j,[e_i,e_k]]
         EQ_JACOBI_DEFECT: (n0, (
             ((i, j, k), ((1, d, (jac[i][j][k],)), *_jacobi_parts(b00, i, j, k)))

@@ -230,11 +230,16 @@ def transport_to_document(phi0: Matrix, phi1: Matrix, Phi) -> dict:
 
 
 def transport_from_document(doc: dict, L: TwoTermAlgebra):
+    phi0, phi1, Phi = _transport_maps(doc, L)
+    return phi0, phi1, _unscale_tensor(Phi, 2, L.n1)
+
+
+def _transport_maps(doc: dict, L: TwoTermAlgebra):
+    """``transport_from_document``, its correction left in scaled form."""
     _check_header(doc, "transport")
     phi0 = Matrix._of(_read(doc.get("phi0"), (L.n0, L.n0), "phi0"), L.n0)
     phi1 = Matrix._of(_read(doc.get("phi1"), (L.n1, L.n1), "phi1"), L.n1)
-    Phi = _read(doc.get("Phi"), (L.n0, L.n0, L.n1), "Phi")
-    return phi0, phi1, _unscale_tensor(Phi, 2, L.n1)
+    return phi0, phi1, _read(doc.get("Phi"), (L.n0, L.n0, L.n1), "Phi")
 
 
 # ---------------------------------------------------------------------------

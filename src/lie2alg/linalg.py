@@ -14,6 +14,7 @@ its right one by ``_isum``, the integer kernel of every tensor contraction,
 one loop for all arities with no list of terms.  All elimination is one
 routine on scaled rows, ``_eliminate``: fraction-free sparse Gauss-Jordan,
 whose work follows the nonzeros; ``rank`` skips its back-substitution.
+``solve`` and ``invert`` read scaled columns off the reduced rows (``_solve``).
 """
 
 from __future__ import annotations
@@ -494,25 +495,17 @@ def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     return Matrix._of(reduced + (((), 1),) * (m.rows - len(pivots)), m.cols), pivots
 
 
-def _solutions(reduced, columns, n: int) -> list[list[Fraction]]:
-    """For each column c of ``columns``, the rref entries at c of the reduced
-    rows of ``_eliminate`` placed at their pivots: the solution of a @ x =
-    (column c), a the first ``n`` columns, with the free unknowns zero."""
-    rows, pivots = reduced
-    out = {c: [ZERO] * n for c in columns}
-    for p, (items, den) in zip(pivots, rows):
-        for k, x in items:
-            if k in out:
-                out[k][p] = Fraction(x, den)
-    return list(out.values())
-
-
 def _kernel_vectors(reduced, free, cols: int) -> tuple[tuple[Fraction, ...], ...]:
     """Null-space vectors from the reduced rows and pivots of ``_eliminate``
     of a matrix with ``cols`` columns, one per column f of ``free``, a list
-    of its free columns: e_f less the solution for column f."""
-    return tuple(tuple(ONE if k == f else -x if x else x for k, x in enumerate(v))
-                 for f, v in zip(free, _solutions(reduced, free, cols)))
+    of its free columns: e_f less the rref entries at f placed at their pivots."""
+    rows, pivots = reduced
+    out = {f: [ONE if k == f else ZERO for k in range(cols)] for f in free}
+    for p, (items, den) in zip(pivots, rows):
+        for k, x in items:
+            if k in out:
+                out[k][p] = Fraction(-x, den)
+    return tuple(map(tuple, out.values()))
 
 
 def kernel_basis(m: Matrix) -> Subspace:
@@ -539,31 +532,39 @@ def complement(s: Subspace) -> Subspace:
     return Subspace._of(n, tuple([basis_vec(n, p - k) for p in pivots if p >= k]))
 
 
-def _solve(a_rows, b_rows, cols: int, width: int) -> list[list[Fraction]] | None:
-    """The columns of the solution x of a @ x = b with free unknowns zero, or
-    None, for ``a`` (``cols`` columns) and ``b`` (``width``) given by scaled
-    rows: [a | b] eliminated with row i over the product of its denominators."""
-    reduced = _eliminate([([(k, x * db) for k, x in ai] + [(cols + j, y * da) for j, y in bi], 1)
-                          for (ai, da), (bi, db) in zip(a_rows, b_rows)], cols + width)
-    if reduced[1] and reduced[1][-1] >= cols:
+def _solve(a_rows, b_rows, cols: int, width: int) -> list | None:
+    """The scaled columns of the solution x of a @ x = b with free unknowns
+    zero, or None, for ``a`` (``cols`` columns) and ``b`` (``width``) given by
+    scaled rows: [a | b] eliminated with row i over the product of its
+    denominators, each column its numerators over the lcm of the pivots."""
+    rows, pivots = _eliminate([([(k, x * db) for k, x in ai] + [(cols + j, y * da) for j, y in bi],
+                                1) for (ai, da), (bi, db) in zip(a_rows, b_rows)], cols + width)
+    if pivots and pivots[-1] >= cols:
         return None
-    return _solutions(reduced, range(cols, cols + width), cols)
+    den = lcm(*[d for _, d in rows])
+    out = [[0] * cols for _ in range(width)]
+    for p, (items, d) in zip(pivots, rows):
+        for k, x in items:
+            if k >= cols:
+                out[k - cols][p] = x * (den // d)
+    return [_reduce((col, den)) for col in out]
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution of a @ x = b, or None if inconsistent.
 
     Free variables are set to zero, which pins the solution uniquely.
-    ``b`` may have several columns; they are solved simultaneously.
+    ``b`` may have several columns; they are solved simultaneously, and
+    the result keeps their scaled columns (``_solve``).
     """
     if a.rows != b.rows:
         raise ValueError("a and b must have the same number of rows")
     x = _solve(a._rows, b._rows, a.cols, b.cols)
-    return None if x is None else Matrix.from_columns(x, rows=a.cols)
+    return None if x is None else _column_matrix(x, a.cols)
 
 
 def invert(m: Matrix) -> Matrix | None:
-    """Exact inverse of a square matrix, or None if singular."""
+    """Exact inverse of a square matrix (``solve`` against I), or None if singular."""
     if m.rows != m.cols:
         raise ValueError("only square matrices can be inverted")
     return solve(m, Matrix.identity(m.rows))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations
 
-from .linalg import Matrix, _invertible, _Record, as_matrix, invert
+from .linalg import Matrix, _Record, _forward, as_matrix, invert
 from .core import (
     Tensor3,
     TwoTermAlgebra,
@@ -169,5 +169,7 @@ def inverse(m: Morphism) -> Morphism | None:
 
 
 def is_isomorphism(m: Morphism) -> bool:
-    """True iff both graded components of the linear part are invertible."""
-    return _invertible(m.phi0) and _invertible(m.phi1)
+    """True iff both graded components of the linear part are invertible:
+    square, with a pivot (``linalg._forward``) for each column it stores."""
+    return all(len(cols) == n == len(_forward(cols, n))
+               for cols, n in zip(m._scaled[:2], (m.target.n0, m.target.n1)))

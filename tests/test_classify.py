@@ -2,15 +2,18 @@ import gc
 import random
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from lie2alg import (
     Cochain,
     IntertwinerError,
+    LieAlgebra,
     InvertibilityError,
     LieMorphismError,
     Matrix,
+    Morphism,
     Quadruple,
     TwoTermAlgebra,
     adjoint_rep,
@@ -24,10 +27,13 @@ from lie2alg import (
     homology_dims,
     identity_morphism,
     invariants,
+    invert,
     inverse,
     is_coboundary,
     is_cocycle,
     is_isomorphism,
+    killing_form,
+    lie_algebra,
     normal_form,
     normal_form_algebra,
     quaternion_example,
@@ -41,8 +47,9 @@ from lie2alg import (
     verify_morphism,
 )
 from lie2alg import classify, core
-from lie2alg.builders import (catalog_pairs, random_antisymmetric_correction, random_cocycle,
-                               random_invertible)
+from lie2alg.builders import (catalog_pairs, lie_algebra_names, random_antisymmetric_correction,
+                               random_cocycle, random_invertible)
+from lie2alg.classify import center_dim
 from lie2alg.core import zero_tensor
 from lie2alg.linalg import _Record, is_zero_vec
 
@@ -516,7 +523,7 @@ class TestPerAlgebraStore:
         checks = counting(monkeypatch, core, "_verify")
         decs = counting(monkeypatch, classify, "decompose")
         triples = counting(monkeypatch, classify, "extract_triple")
-        targets = counting(monkeypatch, classify, "normal_form_algebra")
+        targets = counting(monkeypatch, classify, "_standard_shape")
         morphism_checks = counting(monkeypatch, classify, "verify_morphism")
 
         report = verify(L)
@@ -566,7 +573,7 @@ class TestPerAlgebraStore:
         twin = TwoTermAlgebra(L.n0, L.n1, L.d, L.b00, L.b01, L.jac)
         assert twin == L and twin is not L
         assert stored(twin) == {}
-        targets = counting(monkeypatch, classify, "normal_form_algebra")
+        targets = counting(monkeypatch, classify, "_standard_shape")
         again = normal_form(twin)
         assert len(targets) == 1 and again.algebra is not res.algebra
         assert again.algebra == res.algebra and again.quadruple == res.quadruple
@@ -635,6 +642,141 @@ class TestPerAlgebraStore:
         assert stored(L) == kept_on_l
         assert set(stored(again.algebra)) == {"verify"}
         assert split_normal_form(A) == again.quadruple
+
+    def test_normal_form_of_a_normal_form_verifies_each_value_once(self, monkeypatch):
+        # normal_form(A) of a standard shape A builds a target equal to A:
+        # that value was verified when A was built, so it is not walked again;
+        # random_algebra(0) is a standard shape itself, the others are not
+        for seed in (0, 3, 9, 14):
+            L = random_algebra(seed)
+            L = TwoTermAlgebra(L.n0, L.n1, L.d, L.b00, L.b01, L.jac)   # nothing kept yet
+            checks = counting(monkeypatch, core, "_verify")
+            verify(L)
+            A = normal_form(L).algebra
+            again = normal_form(A)
+            assert again.algebra == A and again.algebra is not A
+            assert verify(again.algebra) is verify(A)
+            assert len(checks) == len(set(checks)) == (1 if seed == 0 else 2)
+            monkeypatch.undo()
+
+
+def fraction_killing_form(g):
+    """The `Fraction` loop ``killing_form`` ran before it summed on scaled
+    integers: K(e_i, e_j) = sum over s, t of sc[i][s][t] * sc[j][t][s]."""
+    n, sc = g.dim, g.sc
+    return Matrix.from_rows([[sum((sc[i][s][t] * sc[j][t][s] for s in range(n) for t in range(n)
+                                   if sc[i][s][t]), F(0)) for j in range(n)] for i in range(n)],
+                            cols=n)
+
+
+def rebased(g, p):
+    """g in the basis of the columns of the invertible matrix ``p``:
+    [p e_i, p e_j] written back in that basis, entry by entry."""
+    n, inv = g.dim, invert(p)
+    cols = [p.column(i) for i in range(n)]
+
+    def bracket(x, y):
+        return [sum((x[a] * y[b] * g.sc[a][b][t] for a in range(n) for b in range(n)), F(0))
+                for t in range(n)]
+    return LieAlgebra(n, [[inv.apply(bracket(cols[i], cols[j])) for j in range(n)]
+                          for i in range(n)])
+
+
+def direct_sum(*names):
+    """The direct sum of catalog algebras, block by block."""
+    parts = [lie_algebra(name) for name in names]
+    n = sum(p.dim for p in parts)
+    sc = [[[0] * n for _ in range(n)] for _ in range(n)]
+    off = 0
+    for p in parts:
+        for i, j, t in product(range(p.dim), repeat=3):
+            sc[off + i][off + j][off + t] = p.sc[i][j][t]
+        off += p.dim
+    return LieAlgebra(n, sc)
+
+
+def rescaled_catalog():
+    """Every catalog algebra up to dimension 4 (and abelian0) and three
+    direct sums with a center, each in its own basis, in a basis scaled by
+    distinct 20-digit primes over one another, and in a random rational
+    basis."""
+    rng = random.Random(24)
+    primes = [10**19 + k for k in (51, 87, 91, 97, 99)]   # 20-digit primes
+    out = []
+    sums = [direct_sum("so3", "abelian1"), direct_sum("nonabelian2", "abelian1"),
+            direct_sum("heisenberg3", "nonabelian2")]
+    for g in [lie_algebra(name) for name in ("abelian0", *lie_algebra_names(4))] + sums:
+        n = g.dim
+        scale = [F(primes[i], primes[(i + 1) % n]) * rng.choice((-1, 1)) for i in range(n)]
+        diagonal = Matrix.from_rows([[scale[i] if i == j else 0 for j in range(n)]
+                                     for i in range(n)], cols=n)
+        out += [g, rebased(g, diagonal)]
+        while n:
+            p = Matrix.from_rows([[F(rng.randint(-4, 4), rng.choice((1, 3, 7, 11)))
+                                   for _ in range(n)] for _ in range(n)], cols=n)
+            if invert(p) is not None:
+                out.append(rebased(g, p))
+                break
+    return out
+
+
+def graded_map_morphisms():
+    """Morphisms between zero algebras of shapes up to 3 + 3, so any graded
+    map is one: square and not, of full rank and not, with coprime
+    50-digit denominators in some."""
+    rng = random.Random(25)
+    big = [10**49 + k for k in (9, 13, 19, 33, 57)]   # pairwise coprime, 50 digits
+
+    def draw(rows, cols):
+        kind = rng.randrange(3)
+        if kind == 0 and rows and cols:   # rank at most 1
+            u, v = ([rng.randint(-3, 3) for _ in range(k)] for k in (rows, cols))
+            return Matrix.from_rows([[a * b for b in v] for a in u], cols=cols)
+        den = (lambda: rng.choice(big)) if kind == 1 else (lambda: 1)
+        return Matrix.from_rows([[F(rng.randint(-3, 3), den()) for _ in range(cols)]
+                                 for _ in range(rows)], cols=cols)
+
+    out = []
+    for _ in range(150):
+        n0, n1 = rng.randint(0, 3), rng.randint(0, 3)
+        m0, m1 = (rng.choice((k, k, rng.randint(0, 3))) for k in (n0, n1))
+        out.append(Morphism(TwoTermAlgebra.zero(n0, n1), TwoTermAlgebra.zero(m0, m1),
+                            draw(m0, n0), draw(m1, n1), zero_tensor((n0, n0, m1))))
+    return out
+
+
+class TestScaledInvariantsAgainstViews:
+    """``killing_form``, ``center_dim`` and ``is_isomorphism`` read the stored
+    scaled form; each must equal the value computed on `Fraction` entries or
+    `Matrix` views."""
+
+    def test_killing_form_against_the_fraction_loop(self):
+        algebras = rescaled_catalog()
+        assert any(not killing_form(g).is_zero() for g in algebras)
+        for g in algebras:
+            assert killing_form(g) == fraction_killing_form(g)
+
+    def test_center_dim_against_the_stacked_ad_views(self):
+        seen = set()
+        for g in rescaled_catalog():
+            stacked = Matrix.from_rows([g.ad(i).row(t) for i in range(g.dim)
+                                        for t in range(g.dim)], cols=g.dim)
+            assert center_dim(g) == g.dim - stacked.rank()
+            seen.add((g.dim, center_dim(g)))
+        # abelian, centerless and Heisenberg centers and those of the sums occur
+        assert {(3, 3), (3, 0), (3, 1), (2, 0), (0, 0), (4, 1), (3, 1), (5, 1)} <= seen
+
+    def test_is_isomorphism_against_the_ranks_of_the_views(self):
+        outcomes = set()
+        for m in graded_map_morphisms():
+            want = all(x.rows == x.cols == x.rank() for x in (m.phi0, m.phi1))
+            assert is_isomorphism(m) == want
+            outcomes.add((want, m.phi0.rows == m.phi0.cols, m.phi0.rank() == min(
+                m.phi0.rows, m.phi0.cols)))
+        # invertible, square and singular, and non-square of full rank
+        assert {(True, True, True), (False, True, False), (False, False, True)} <= outcomes
+        for seed in (0, 6):
+            assert is_isomorphism(normal_form(random_algebra(seed)).morphism)
 
 
 def test_type_hints_of_exported_records_resolve():

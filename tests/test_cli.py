@@ -496,6 +496,32 @@ class TestComposeTransport:
 
         assert verify_morphism(load_morphism(str(mor_path))).passed
 
+    def test_transport_writes_the_library_transport(self, capsys, tmp_path):
+        # the command hands the correction it read, in scaled form, straight
+        # to the transport body: both documents must be those of the public
+        # transport of the maps the public reader returns
+        from lie2alg.documents import transport_from_document
+
+        rng = random.Random(31)
+        for seed in (2, 5, 12):
+            L = random_algebra(seed)
+            Phi = [[[0] * L.n1 for _ in range(L.n0)] for _ in range(L.n0)]
+            for i, j in combinations(range(L.n0), 2):
+                Phi[i][j] = [Fraction(rng.randint(-3, 3), rng.choice((1, 3, 999_953)))
+                             for _ in range(L.n1)]
+                Phi[j][i] = [-x for x in Phi[i][j]]
+            doc = transport_to_document(random_invertible(rng, L.n0, 2),
+                                        random_invertible(rng, L.n1, 2), Phi)
+            paths = [tmp_path / f"{name}{seed}.json" for name in ("A", "T", "out", "mor")]
+            save_document(str(paths[0]), algebra_to_document(L))
+            save_document(str(paths[1]), doc)
+            code, _, err = run(capsys, "transport", *map(str, paths[:2]), "--out", str(paths[2]),
+                               "--out-morphism", str(paths[3]))
+            assert (code, err) == (0, "")
+            M, mor = transport(L, *transport_from_document(doc, L))
+            assert paths[2].read_text() == dumps(_checked_algebra_document(M))
+            assert paths[3].read_text() == dumps(morphism_to_document(mor))
+
     def test_transport_names_a_bad_correction(self, capsys, tmp_path):
         from lie2alg import Matrix
         from lie2alg.documents import transport_to_document

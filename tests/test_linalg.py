@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -425,6 +426,69 @@ class TestEliminationAgainstDenseReference:
                                                         for x in m.entries]).rref()
             assert rref(m) == (Matrix(m.rows, m.cols, [F(int(x.p), int(x.q)) for x in red]),
                                tuple(pivots))
+
+
+@functools.lru_cache(maxsize=None)
+def coprime_systems():
+    """(a, b) pairs whose entries have as denominators products of two of
+    twenty 50-digit primes: square, tall and wide, one a singular square
+    whose second row is the first over another prime."""
+    rng = random.Random(7)
+    primes = primes_of_50_digits(rng, 20)
+
+    def draw(rows, cols):
+        return Matrix.from_rows([[F(rng.randint(-9, 9) or 1, math.prod(rng.sample(primes, 2)))
+                                  for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+    out = [(draw(n, m), draw(n, w)) for n, m, w in ((1, 1, 1), (2, 2, 2), (3, 3, 2), (4, 2, 1),
+                                                     (2, 4, 2), (3, 3, 3))]
+    row, c = draw(1, 3).row(0), primes.pop()
+    singular = Matrix.from_rows([row, [x / c for x in row], draw(1, 3).row(0)])
+    return out + [(singular, draw(3, 1))]
+
+
+class TestScaledSolutions:
+    """``solve`` and ``invert`` read each solution column off the reduced
+    rows as a scaled vector (``_solve``); the matrix they return must equal
+    the dense `Fraction` reference and keep those columns canonical."""
+
+    def check(self, x, want):
+        assert x == want
+        if x is not None:
+            assert x._columns == tuple(_scale(want.column(j)) for j in range(want.cols))
+
+    def test_solve(self):
+        rng = random.Random(8)
+        systems = list(coprime_systems())
+        for a in oracle_matrices():
+            systems += [(a, a @ random_matrix(rng, a.cols, 2)), (a, random_matrix(rng, a.rows, 1)),
+                        (a, Matrix.zero(a.rows, 0))]
+        systems += [(Matrix.zero(0, 3), Matrix.zero(0, 2)), (Matrix.zero(2, 0), Matrix.zero(2, 1)),
+                    (Matrix.zero(2, 0), M([[1], [0]])), (M([[1, 1], [2, 2]]), M([[1], [3]]))]
+        outcomes = set()
+        for a, b in systems:
+            x = solve(a, b)
+            self.check(x, dense_solve(a, b))
+            if x is not None:
+                assert a @ x == b
+            outcomes.add(x is None)
+        assert outcomes == {True, False}
+        # an inconsistent system among those with big coprime denominators
+        assert any(solve(a, b) is None for a, b in coprime_systems())
+
+    def test_invert(self):
+        rng = random.Random(9)
+        square = [m for m in oracle_matrices() if m.rows == m.cols]
+        square += [a for a, _ in coprime_systems() if a.rows == a.cols]
+        square += [random_matrix(rng, n, 1) @ random_matrix(rng, 1, n) for n in (2, 3)]
+        square += [Matrix.zero(3, 3), Matrix.identity(4)]
+        for m in square:
+            inv = invert(m)
+            self.check(inv, dense_solve(m, Matrix.identity(m.rows)))
+            if inv is not None:
+                assert inv @ m == Matrix.identity(m.rows) == m @ inv
+        assert {invert(m) is None for m in square} == {True, False}
+        assert invert(coprime_systems()[-1][0]) is None
 
 
 class TestMatrixBasics:

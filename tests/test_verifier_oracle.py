@@ -328,6 +328,22 @@ class TestVerifyAgainstOracle:
             report = assert_same_algebra_report(random_structure(rng, DENOMINATORS[kind], n0, n1))
             assert not report.structure_errors
 
+    @pytest.mark.parametrize("kind", sorted(DENOMINATORS))
+    def test_d_symmetry_failures_against_all_pairs(self, kind):
+        # verify walks d-bracket-symmetry on the pairs i <= j only, the oracle
+        # on all n1 x n1 pairs: perturbing d or b01 must give the same first
+        # failure, both off the diagonal and on it
+        rng = random.Random(f"d-symmetry-{kind}")
+        firsts = set()
+        for seed in LARGE_SEEDS:
+            L = random_algebra(seed)
+            for perturb in (perturb_d, perturb_b01) * 4:
+                report = assert_same_algebra_report(perturb(L, rng, DENOMINATORS[kind]))
+                if failure := report.failure_for(EQ_D_SYMMETRY):
+                    i, j = failure.args
+                    firsts.add("i < j" if i < j else "i = j" if i == j else "i > j")
+        assert firsts == {"i < j", "i = j"}
+
     @pytest.mark.parametrize("where", ["b00", "jac"])
     def test_antisymmetry_violations(self, where):
         rng = random.Random(f"antisymmetry-{where}")
