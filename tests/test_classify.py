@@ -9,8 +9,8 @@ import pytest
 from lie2alg import (
     Cochain,
     IntertwinerError,
-    LieAlgebra,
     InvertibilityError,
+    LieAlgebra,
     LieMorphismError,
     Matrix,
     Morphism,
