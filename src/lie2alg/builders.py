@@ -225,7 +225,12 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
 
 
 def _standard_shape(q: Quadruple) -> TwoTermAlgebra:
-    """The algebra ``normal_form_algebra`` returns, not yet verified."""
+    """The algebra ``normal_form_algebra`` returns, not yet verified.  It
+    keeps ``q``, checked when it was built, as its "quadruple": extracting
+    the quadruple of a standard shape gives back the one it was built from,
+    so ``normal_form``, ``split_normal_form``, ``invariants`` and
+    ``skeleton`` of it read ``q`` instead.  ``q`` does not refer back to
+    the shape."""
     gdim, u, v = q.g.dim, q.dim_u, q.rep.dimV
     n0, n1 = gdim + u, v + u
 
@@ -237,7 +242,9 @@ def _standard_shape(q: Quadruple) -> TwoTermAlgebra:
                       for jv in range(n1)) for i in range(n0))
     jac = _alternating(n0, 3, {key: _scale(q.jtilde.values[key])
                                for key in combinations(range(gdim), 3)})
-    return TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
+    shape = TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
+    shape._kept("quadruple", lambda: q)
+    return shape
 
 
 def _verified(L: TwoTermAlgebra) -> TwoTermAlgebra:

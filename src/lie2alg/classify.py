@@ -24,11 +24,16 @@ algebra and the maps of its isomorphism, verified once, under
 "normal_form" (it decomposes the algebra itself, and extracts the quadruple
 from that decomposition unless one is kept).  A value is kept only on the
 argument of the call that computed it and never refers back to that
-algebra, so an algebra built by the pipeline (a normal form, say) is
-classified afresh, and an algebra is still freed by reference counting.
-The one value shared is a report: a normal form equal to its input (an
-algebra already in standard shape) keeps the input's "verify" report.
-The public ``decompose`` and ``extract_triple`` are not cached.
+algebra, so an algebra is still freed by reference counting.  Two values
+are shared.  A standard shape keeps the quadruple it was built from under
+"quadruple" (``builders._standard_shape``): extracting the quadruple of
+that shape gives it back, so ``normal_form`` of a normal form decomposes
+it afresh, for the isomorphism, but extracts nothing, and
+``split_normal_form``, ``invariants`` and ``skeleton`` of it read the
+quadruple already checked.  That quadruple does not refer back to the
+shape.  And a normal form equal to its input (an algebra already in
+standard shape) keeps the input's "verify" report.  The public
+``decompose`` and ``extract_triple`` are not cached.
 
 A full search for a Lie algebra isomorphism is deliberately out of scope:
 the module certifies user-supplied maps and refutes via invariants.
@@ -354,7 +359,8 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
 
 
 def _quadruple(L: TwoTermAlgebra) -> Quadruple:
-    """The quadruple of L, extracted once per algebra object and kept on it."""
+    """The quadruple of L, extracted once per algebra object and kept on it,
+    or the one a standard shape keeps from the start."""
     return L._kept("quadruple", lambda: extract_triple(L, decompose(L)))
 
 

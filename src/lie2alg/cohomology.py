@@ -148,7 +148,11 @@ class Representation(_Record):
 
     def rho_vec(self, x) -> Matrix:
         """rho of an arbitrary coordinate vector of g."""
-        x = _scale_arg(x, self.g.dim)
+        return self._rho(_scale_arg(x, self.g.dim))
+
+    def _rho(self, x) -> Matrix:
+        """rho of the scaled vector ``x`` of g: each column l the contraction
+        of rt[l] with x."""
         return _column_matrix([_ivec(self.dimV, ((1, c, (x,)),)) for c in self._scaled[1]],
                               self.dimV)
 
@@ -320,10 +324,13 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
 
     Deterministic: the primitive is the solve() solution with free
     coefficients zeroed, of the rows of delta_{n-1} with f as a column.
-    Degree must be at least 1 (there is no complex below degree 0).
+    Degree must be at least 1 (there is no complex below degree 0), and f
+    must live on rep's algebra and coefficients, as for ``delta``.
     """
     if f.n < 1:
         raise ValueError("is_coboundary needs degree >= 1")
+    if f.g != rep.g or f.dimV != rep.dimV:
+        raise ValueError("cochain and representation live on different data")
     rows, cols = _delta_rows(f.n - 1, rep)
     ratios = map(Fraction.as_integer_ratio, cochain_to_vec(f))
     x = _solve(rows, [(((0, p),) if p else (), q) for p, q in ratios], cols, 1)
@@ -377,12 +384,12 @@ def pullback_representation(rep: Representation, psi: Matrix, g: LieAlgebra) -> 
     """The representation of g on rep's space obtained by composing with psi.
 
     Valid whenever psi is a Lie algebra morphism g -> rep.g; the constructor
-    re-checks the representation law.
+    re-checks the representation law.  Its matrices are rho of the scaled
+    columns of psi.
     """
     if psi.rows != rep.g.dim or psi.cols != g.dim:
         raise ValueError("psi shape incompatible with the pullback")
-    mats = tuple(rep.rho_vec(psi.column(i)) for i in range(g.dim))
-    return Representation(g, rep.dimV, mats)
+    return Representation(g, rep.dimV, tuple(map(rep._rho, psi._columns)))
 
 
 def is_intertwiner(t: Matrix, rep_source: Representation, pullback: Representation) -> bool:
@@ -431,10 +438,15 @@ def cohomologous(
 def _transfer_difference(J: Cochain, K: Cochain, psi: Matrix, t: Matrix) -> Cochain:
     """The cochain t(J(x_1..x_n)) - K(psi x_1, .., psi x_n) on J's algebra,
     whose coboundary primitives witness J and K as cohomologous over
-    (psi, t)."""
-    cols = [psi.column(i) for i in range(J.g.dim)]
-    return Cochain(J.n, J.g, K.dimV, {
-        key: vec_sub(t.apply(J.values[key]), K.evaluate([cols[i] for i in key]))
+    (psi, t): each value one contraction of the scaled columns of t and psi,
+    unscaled once for the `Fraction` storage of a cochain.  The shapes are
+    the caller's to check."""
+    if not J.n:   # K takes no argument to contract
+        return Cochain._of(0, J.g, K.dimV, {(): vec_sub(t.apply(J.values[()]), K.values[()])})
+    u, cols = t._columns, psi._columns
+    return Cochain._of(J.n, J.g, K.dimV, {
+        key: _unscale(_ivec(K.dimV, ((1, u, (_scale(J.values[key]),)),
+                                     (-1, K._scaled, [cols[i] for i in key]))), K.dimV)
         for key in increasing_tuples(J.g.dim, J.n)})
 
 

@@ -259,7 +259,8 @@ def _json(value, newline: str) -> str:
         return encode_basestring_ascii(value)
     inner = newline + "  "
     if isinstance(value, (list, tuple)):
-        items = [_json(v, inner) for v in value]
+        items = [encode_basestring_ascii(v) if isinstance(v, str) else _json(v, inner)
+                 for v in value]
         return f"[{inner}{f',{inner}'.join(items)}{newline}]" if items else "[]"
     if isinstance(value, dict):
         items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in value.items()]

@@ -190,8 +190,10 @@ class _Record:
         """``compute(*args)``, once per object: the one store of results
         computed from a record, under "verify", "quadruple" and "normal_form"
         on a `TwoTermAlgebra` and ("delta", n) and ("rref", n) on a
-        `Representation`.  No kept value refers back to its record, so it is
-        still freed by reference counting; an equal record keeps its own."""
+        `Representation`.  A standard shape keeps the quadruple it was built
+        from under "quadruple" from the start.  No kept value refers back to
+        its record, so it is still freed by reference counting; an equal
+        record keeps its own."""
         kept = self.__dict__.setdefault("_kept_results", {})
         if key not in kept:
             kept[key] = compute(*args)
@@ -401,9 +403,10 @@ def as_matrix(value, cols: int) -> Matrix:
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    top = a.hstack(Matrix.zero(a.rows, b.cols))
-    bottom = Matrix.zero(b.rows, a.cols).hstack(b)
-    return top.vstack(bottom)
+    """[[a, 0], [0, b]] from its scaled columns: a's, then b's with their
+    rows shifted past a's."""
+    return _column_matrix(a._columns + tuple([(tuple([(t + a.rows, x) for t, x in items]), den)
+                                              for items, den in b._columns]), a.rows + b.rows)
 
 
 class Subspace(_Record):

@@ -47,8 +47,9 @@ from lie2alg import (
     verify_morphism,
 )
 from lie2alg import classify, core
-from lie2alg.builders import (catalog_pairs, lie_algebra_names, random_antisymmetric_correction,
-                               random_cocycle, random_invertible)
+from lie2alg.builders import (_standard_shape, catalog_pairs, lie_algebra_names,
+                               random_antisymmetric_correction, random_cocycle, random_invertible,
+                               trivial_rep)
 from lie2alg.classify import center_dim
 from lie2alg.core import zero_tensor
 from lie2alg.linalg import _Record, is_zero_vec
@@ -629,19 +630,24 @@ class TestPerAlgebraStore:
         first = normal_form(L)
         A = first.algebra
         kept_on_l = stored(L)
-        # the produced algebra holds only the report of verify on itself
-        assert set(stored(A)) == {"verify"}
+        # the produced algebra holds the report of verify on itself and the
+        # quadruple it was built from, which is L's
+        assert set(stored(A)) == {"verify", "quadruple"}
+        assert stored(A)["quadruple"] is first.quadruple
         decs = counting(monkeypatch, classify, "decompose")
         triples = counting(monkeypatch, classify, "extract_triple")
         again = normal_form(A)
-        assert len(decs) == 1 and len(triples) == 1
+        # decomposed afresh for the isomorphism; the quadruple is not extracted
+        assert len(decs) == 1 and len(triples) == 0
         assert again.algebra == A and again.algebra is not A
+        assert again.quadruple is first.quadruple
         assert set(stored(A)) == {"verify", "quadruple", "normal_form"}
         # entries are written on the argument alone: L keeps what it had, and
-        # the new target holds only the report verify kept on it
+        # the new target holds the report verify kept on it and its quadruple
         assert stored(L) == kept_on_l
-        assert set(stored(again.algebra)) == {"verify"}
+        assert set(stored(again.algebra)) == {"verify", "quadruple"}
         assert split_normal_form(A) == again.quadruple
+        assert len(decs) == 1 and len(triples) == 0
 
     def test_normal_form_of_a_normal_form_verifies_each_value_once(self, monkeypatch):
         # normal_form(A) of a standard shape A builds a target equal to A:
@@ -658,6 +664,62 @@ class TestPerAlgebraStore:
             assert verify(again.algebra) is verify(A)
             assert len(checks) == len(set(checks)) == (1 if seed == 0 else 2)
             monkeypatch.undo()
+
+
+def shape_quadruples():
+    """Every catalog pair up to dimension 3 with a zero and a seeded random
+    cocycle, the zero algebra, each with dim U 0, 1 and 2."""
+    rng = random.Random(25)
+    pairs = [(g, rep) for _, g, _, rep in catalog_pairs(max_dim_g=3, max_dim_v=3)]
+    pairs.append((lie_algebra("abelian0"), trivial_rep(lie_algebra("abelian0"), 0)))
+    for g, rep in pairs:
+        for jtilde in (Cochain.zero(3, g, rep.dimV), random_cocycle(rng, rep, 3)):
+            for dim_u in range(3):
+                yield Quadruple(g, dim_u, rep, jtilde)
+
+
+class TestExtractionInvertsTheStandardShape:
+    """A standard shape keeps the quadruple it was built from, because
+    extracting the quadruple of that shape gives it back: checked here on
+    shapes rebuilt from their views, which keep nothing."""
+
+    def test_extract_triple_of_a_fresh_shape_is_its_quadruple(self):
+        nonzero = 0
+        for q in shape_quadruples():
+            shape = _standard_shape(q)
+            assert stored(shape) == {"quadruple": q}
+            T = TwoTermAlgebra(shape.n0, shape.n1, shape.d, shape.b00, shape.b01, shape.jac)
+            assert T == shape and stored(T) == {}
+            assert verify(T).passed
+            assert extract_triple(T, decompose(T)) == q
+            nonzero += not q.jtilde.is_zero()
+        assert nonzero >= 30
+
+    def test_kept_and_extracted_quadruples_give_the_same_results(self):
+        for k, q in enumerate(shape_quadruples()):
+            if k % 5:
+                continue
+            shape = normal_form_algebra(q)
+            T = TwoTermAlgebra(shape.n0, shape.n1, shape.d, shape.b00, shape.b01, shape.jac)
+            assert split_normal_form(shape) is q and split_normal_form(T) == q
+            assert invariants(shape) == invariants(T)
+            assert skeleton(shape) == skeleton(T)
+            a, b = normal_form(shape), normal_form(T)
+            assert a.quadruple is q and b.quadruple == q
+            assert a.algebra == b.algebra == shape and a.morphism == b.morphism
+
+    def test_a_kept_quadruple_does_not_keep_the_shape_alive(self):
+        gc.disable()
+        try:
+            q = normal_form(random_algebra(5)).quadruple
+            shape = normal_form_algebra(q)
+            normal_form(shape)
+            assert stored(shape)["quadruple"] is q
+            ref = weakref.ref(shape)
+            del shape
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def fraction_killing_form(g):

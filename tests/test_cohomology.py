@@ -31,6 +31,7 @@ from lie2alg import (
 from lie2alg.builders import abelian, catalog_pairs, lie_algebra, representation
 from lie2alg.cohomology import (
     _elimination,
+    _transfer_difference,
     cochain_to_vec,
     increasing_tuples,
     is_intertwiner,
@@ -768,9 +769,14 @@ class TestRecordPreconditions:
         (lambda: delta(Cochain.zero(1, sl2(), 1), trivial_rep(so3())), "different data"),
         (lambda: pullback_representation(adjoint_rep(so3()), Matrix.identity(2), so3()),
          "psi shape"),
+        (lambda: is_coboundary(Cochain(1, so3(), 1, {(0,): (1,)}), trivial_rep(abelian(1))),
+         "different data"),
+        (lambda: is_coboundary(Cochain(2, so3(), 1, {(0, 1): (1,)}), adjoint_rep(so3())),
+         "different data"),
     ], ids=["quadruple-dim-u", "quadruple-other-algebra", "quadruple-not-cocycle",
             "rep-matrix-size", "rep-matrix-count", "cochain-key", "cochain-value-length",
-            "evaluate-arity", "delta-dim-v", "delta-algebra", "pullback-psi-shape"])
+            "evaluate-arity", "delta-dim-v", "delta-algebra", "pullback-psi-shape",
+            "is-coboundary-algebra", "is-coboundary-dim-v"])
     def test_raises_value_error(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
@@ -786,3 +792,82 @@ class TestRecordPreconditions:
             cohomologous(Cochain.zero(3, g, 1), Cochain.zero(degree_k, g, 1), Matrix.identity(3),
                          Matrix.identity(1), trivial_rep(g, source_dim),
                          trivial_rep(g, pullback_dim))
+
+    def test_cohomologous_in_degree_zero(self):
+        # the transfer difference of degree 0 is built, and is_coboundary refuses it
+        g = so3()
+        with pytest.raises(ValueError, match="is_coboundary needs degree >= 1"):
+            cohomologous(Cochain(0, g, 1, {(): (1,)}), Cochain(0, g, 1, {(): (2,)}),
+                         Matrix.identity(3), Matrix.identity(1), trivial_rep(g), trivial_rep(g))
+
+
+def primes_from(start):
+    """The primes from ``start`` on, by trial division."""
+    n = start
+    while True:
+        if all(n % k for k in range(2, int(n ** 0.5) + 1)):
+            yield n
+        n += 1
+
+
+def prime_matrix(rng, primes, rows, cols, invertible=False):
+    """A matrix whose nonzero entries lie over two primes drawn from
+    ``primes``, distinct from those of every other draw; invertible when asked."""
+    p, q = next(primes), next(primes)
+    while True:
+        m = Matrix.from_rows([[F(rng.randint(-9, 9), rng.choice((p, q))) for _ in range(cols)]
+                              for _ in range(rows)], cols=cols)
+        if not invertible or invert(m) is not None:
+            return m
+
+
+def fraction_transfer_difference(J, K, psi, t):
+    """The `Fraction` form ``_transfer_difference`` replaced."""
+    cols = [psi.column(i) for i in range(J.g.dim)]
+    return Cochain(J.n, J.g, K.dimV, {
+        key: vec_sub(t.apply(J.values[key]), K.evaluate([cols[i] for i in key]))
+        for key in increasing_tuples(J.g.dim, J.n)})
+
+
+class TestScaledHelpersAgainstFractionForms:
+    """``pullback_representation`` and ``_transfer_difference`` contract
+    scaled columns; they equal the `Fraction` forms they replaced."""
+
+    def test_pullback_against_rho_vec(self):
+        rng, primes = random.Random(251), primes_from(101)
+        h = LieAlgebra(6, so3_plus_sl2())
+        project = Matrix.from_rows([basis_vec(6, i) for i in range(3)])   # onto so3
+        cases = [(project, h, rep) for rep in (adjoint_rep(so3()), trivial_rep(so3(), 2))]
+        for _, g, _, rep in catalog_pairs(max_dim_g=3, max_dim_v=3):
+            p = prime_matrix(rng, primes, g.dim, g.dim, invertible=True)
+            # p is an isomorphism from g in the basis of its columns onto g
+            cases += [(Matrix.identity(g.dim), g, rep),
+                      (p, LieAlgebra(g.dim, change_basis(g.sc, p)), rep)]
+        for psi, source, rep in cases:
+            assert is_lie_morphism(psi, source, rep.g)
+            pulled = pullback_representation(rep, psi, source)
+            want = tuple(rep.rho_vec(psi.column(i)) for i in range(source.dim))
+            assert pulled.rho == want and pulled.g is source and pulled.dimV == rep.dimV
+            assert [m._columns for m in pulled.rho] == [m._columns for m in want]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_transfer_difference_against_the_fraction_form(self, n):
+        rng, primes = random.Random(252 + n), primes_from(101)
+        h = LieAlgebra(6, so3_plus_sl2())
+        for source, target in ((so3(), so3()), (sl2(), h), (abelian(4), sl2())):
+            for dim_j, dim_k in ((1, 1), (2, 3), (3, 1), (0, 2), (2, 0)):
+                psi = prime_matrix(rng, primes, target.dim, source.dim)
+                t = prime_matrix(rng, primes, dim_k, dim_j)
+                J = random_prime_cochain(rng, primes, n, source, dim_j)
+                K = random_prime_cochain(rng, primes, n, target, dim_k)
+                got = _transfer_difference(J, K, psi, t)
+                want = fraction_transfer_difference(J, K, psi, t)
+                assert got == want and got.values == want.values
+
+
+def random_prime_cochain(rng, primes, n, g, dim_v):
+    """A cochain whose nonzero values lie over two primes drawn from ``primes``."""
+    p, q = next(primes), next(primes)
+    return Cochain(n, g, dim_v, {key: [F(rng.randint(-9, 9), rng.choice((p, q)))
+                                       for _ in range(dim_v)]
+                                 for key in increasing_tuples(g.dim, n)})

@@ -542,6 +542,9 @@ def test_dumps_is_json_with_indent_2(value):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 1.9, -0.0,
-                                   [], {}, [[]], {"a": {}}, "é \x00\"\\", (1, (2,))])
+                                   [], {}, [[]], {"a": {}}, "é \x00\"\\", (1, (2,)),
+                                   [""], [[], "a"], ["a", ["b", "c"], [["1/2", ""]], "é"],
+                                   {"x": [["-3/7", "0"], ["1", "é\n"]], "y": ["z"]},
+                                   ("a", ("b",)), [1, "a", None, ["b", 2.5]]])
 def test_dumps_is_json_with_indent_2_on_edge_values(value):
     assert dumps(value) == json.dumps(value, indent=2) + "\n"

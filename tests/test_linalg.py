@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from lie2alg.linalg import (
     Subspace,
     _invertible,
     _scale,
+    _transpose,
     block_diag,
     complement,
     image_basis,
@@ -507,6 +509,24 @@ class TestMatrixBasics:
     def test_block_diag(self):
         out = block_diag(Matrix.identity(2), M([[5]]))
         assert out == M([[1, 0, 0], [0, 1, 0], [0, 0, 5]])
+
+    def test_block_diag_against_zero_block_stacks(self):
+        # every pair of shapes up to 3 x 3, 0-sized blocks included, over
+        # distinct 50-digit primes: equal to the stacks of zero blocks it
+        # replaced, and keeping the same canonical scaled columns
+        rng = random.Random(25)
+        primes = primes_of_50_digits(rng, 6)
+        for ra, ca, rb, cb in itertools.product(range(4), repeat=4):
+            p, q = rng.sample(primes, 2)
+            a, b = (Matrix.from_rows([[F(rng.randint(-9, 9), den) for _ in range(c)]
+                                      for _ in range(r)], cols=c)
+                    for r, c, den in ((ra, ca, p), (rb, cb, q)))
+            want = a.hstack(Matrix.zero(a.rows, b.cols)).vstack(
+                Matrix.zero(b.rows, a.cols).hstack(b))
+            got = block_diag(a, b)
+            assert (got.rows, got.cols) == (ra + rb, ca + cb)
+            assert got == want and hash(got) == hash(want) and got.entries == want.entries
+            assert got._columns == want._columns == _transpose(want._rows, want.cols)
 
     def test_subspace_rejects_dependent(self):
         with pytest.raises(ValueError):
