@@ -66,7 +66,7 @@ def qim(p: Quaternion) -> Quaternion:
     return (ZERO, p[1], p[2], p[3])
 
 
-_QUAT_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?([ijk]?)")
+_QUAT_TERM = re.compile(r"([+-]?)([0-9]+(?:/[0-9]+)?)?([ijk]?)")
 
 
 def parse_quaternion(text: str) -> Quaternion:
@@ -162,7 +162,7 @@ def lie_algebra(name: str) -> LieAlgebra:
     'so3', 'sl2'."""
     if name in _FIXED_ALGEBRAS:
         return _FIXED_ALGEBRAS[name]()
-    m = re.fullmatch(r"abelian(\d+)", name)
+    m = re.fullmatch(r"abelian([0-9]+)", name)
     if m:
         return abelian(int(m.group(1)))
     raise ValueError(f"unknown Lie algebra {name!r}")
@@ -185,7 +185,7 @@ def representation(g: LieAlgebra, name: str) -> Representation:
         return rep
     if name == "trivial":
         return trivial_rep(g, 1)
-    m = re.fullmatch(r"trivial(\d+)", name)
+    m = re.fullmatch(r"trivial([0-9]+)", name)
     if m:
         return trivial_rep(g, int(m.group(1)))
     if name == "adjoint":
@@ -225,12 +225,8 @@ def normal_form_algebra(q: Quadruple) -> TwoTermAlgebra:
 
 
 def _standard_shape(q: Quadruple) -> TwoTermAlgebra:
-    """The algebra ``normal_form_algebra`` returns, not yet verified.  It
-    keeps ``q``, checked when it was built, as its "quadruple": extracting
-    the quadruple of a standard shape gives back the one it was built from,
-    so ``normal_form``, ``split_normal_form``, ``invariants`` and
-    ``skeleton`` of it read ``q`` instead.  ``q`` does not refer back to
-    the shape."""
+    """The algebra ``normal_form_algebra`` returns, not yet verified, marked
+    by ``_built_from`` as built from ``q``."""
     gdim, u, v = q.g.dim, q.dim_u, q.rep.dimV
     n0, n1 = gdim + u, v + u
 
@@ -242,8 +238,16 @@ def _standard_shape(q: Quadruple) -> TwoTermAlgebra:
                       for jv in range(n1)) for i in range(n0))
     jac = _alternating(n0, 3, {key: _scale(q.jtilde.values[key])
                                for key in combinations(range(gdim), 3)})
-    shape = TwoTermAlgebra._of(n0, n1, d, b00, b01, jac)
+    return _built_from(q, TwoTermAlgebra._of(n0, n1, d, b00, b01, jac))
+
+
+def _built_from(q: Quadruple, shape: TwoTermAlgebra) -> TwoTermAlgebra:
+    """``shape``, the standard shape of ``q``, keeping ``q`` (checked when it
+    was built) under "quadruple" and "built from": its quadruple, and the
+    mark that it is its own normal form, so that ``classify`` neither
+    decomposes nor rebuilds it.  ``q`` does not refer back to the shape."""
     shape._kept("quadruple", lambda: q)
+    shape._kept("built from", lambda: q)
     return shape
 
 

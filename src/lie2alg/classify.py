@@ -25,15 +25,14 @@ algebra and the maps of its isomorphism, verified once, under
 from that decomposition unless one is kept).  A value is kept only on the
 argument of the call that computed it and never refers back to that
 algebra, so an algebra is still freed by reference counting.  Two values
-are shared.  A standard shape keeps the quadruple it was built from under
-"quadruple" (``builders._standard_shape``): extracting the quadruple of
-that shape gives it back, so ``normal_form`` of a normal form decomposes
-it afresh, for the isomorphism, but extracts nothing, and
-``split_normal_form``, ``invariants`` and ``skeleton`` of it read the
-quadruple already checked.  That quadruple does not refer back to the
-shape.  And a normal form equal to its input (an algebra already in
-standard shape) keeps the input's "verify" report.  The public
-``decompose`` and ``extract_triple`` are not cached.
+are shared.  A standard shape the package built keeps the quadruple it was
+built from (``builders._built_from``), which ``invariants`` and
+``skeleton`` of it read, and is its own normal form: ``normal_form`` of it
+returns the identity, verified once, onto a new record on its structure,
+and ``split_normal_form`` of it rebuilds nothing.  Any other algebra, one
+equal to such a shape included, is decomposed.  And a normal form equal to
+its input keeps the input's "verify" report.  The public ``decompose`` and
+``extract_triple`` are not cached.
 
 A full search for a Lie algebra isomorphism is deliberately out of scope:
 the module certifies user-supplied maps and refutes via invariants.
@@ -95,7 +94,7 @@ from .cohomology import (
     _transfer_difference,
     is_intertwiner,
 )
-from .builders import _standard_shape, _verified, killing_form, normal_form_algebra
+from .builders import _built_from, _standard_shape, _verified, killing_form, normal_form_algebra
 
 
 class InvertibilityError(ValueError):
@@ -330,15 +329,29 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
 def _normal_form(L: TwoTermAlgebra) -> tuple:
     """(target, quadruple, the scaled form of the isomorphism) of the normal
     form of L: nothing that refers back to L, so that it can be kept on L.
-    The quadruple is extracted from the same decomposition unless L keeps
-    one already."""
-    dec = decompose(L)
-    q = L._kept("quadruple", extract_triple, L, dec)
-    target = _standard_shape(q)
+    A standard shape built from q is its own normal form: the target is a
+    new record on L's stored structure and the maps are the identity.  Any
+    other L is decomposed, and the quadruple is extracted from that
+    decomposition unless L keeps one already."""
+    q = L._kept("built from")
+    if q is None:
+        dec = decompose(L)
+        q = L._kept("quadruple", extract_triple, L, dec)
+        target, maps = _standard_shape(q), _normalizing_maps(L, dec)
+    else:   # the base `_of` keeps the fields as given, L's `_scaled` included
+        target = _built_from(q, super(TwoTermAlgebra, TwoTermAlgebra)._of(L.n0, L.n1, L._scaled))
+        maps = (Matrix.identity(L.n0)._columns, Matrix.identity(L.n1)._columns,
+                _alternating(L.n0, 2, {}))
     if target == L:   # a new object; verify depends on the value alone
         target._kept("verify", verify, L)
     _verified(target)
+    mor = Morphism._of(L, target, maps)
+    return target, q, _checked(mor, "normalizing morphism failed verification", iso=True)._scaled
 
+
+def _normalizing_maps(L: TwoTermAlgebra, dec: Decomposition) -> tuple:
+    """The scaled (phi0, phi1, Phi) of the isomorphism from L onto the
+    standard shape of the quadruple read off ``dec``."""
     gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
     n0, n1 = L.n0, L.n1
     S = L._scaled
@@ -353,9 +366,7 @@ def _normal_form(L: TwoTermAlgebra) -> tuple:
         # [e_i, h_j] - [g_j, h_i], where e_i = g_i + (the image part of e_i)
         s = _ivec(n1, ((1, S.b01[i], (h[j],)), (-1, S.b01, (g_std[j], h[i]))))
         Phi[i, j] = _ivec(n1, ((1, k_coords, (s,)), (1, u, (S.b00[i][j],))))
-    Phi = _alternating(n0, 2, Phi)
-    mor = Morphism._of(L, target, (dec.coords0._columns, dec.f._columns, Phi))
-    return target, q, _checked(mor, "normalizing morphism failed verification", iso=True)._scaled
+    return dec.coords0._columns, dec.f._columns, _alternating(n0, 2, Phi)
 
 
 def _quadruple(L: TwoTermAlgebra) -> Quadruple:
@@ -371,14 +382,16 @@ def skeleton(L: TwoTermAlgebra) -> TwoTermAlgebra:
 
 
 def split_normal_form(L: TwoTermAlgebra) -> Quadruple:
-    """The quadruple of an algebra already in standard shape: the one L
-    keeps (``_quadruple``), read off a standard shape in identity
-    coordinates.  Raises ValueError unless L is bit-for-bit
-    ``normal_form_algebra`` of it, which is then verified on L itself.
+    """The quadruple of an algebra already in standard shape: the one L was
+    built from, or else the one L keeps (``_quadruple``), when L is then
+    bit-for-bit ``normal_form_algebra`` of it (else ValueError).  L itself
+    is then verified.
     """
-    q = _quadruple(L)
-    if _standard_shape(q) != L:
-        raise ValueError("not a standard-shape algebra")
+    q = L._kept("built from")
+    if q is None:
+        q = _quadruple(L)
+        if _standard_shape(q) != L:
+            raise ValueError("not a standard-shape algebra")
     _verified(L)
     return q
 

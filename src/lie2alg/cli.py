@@ -3,8 +3,9 @@
 Subcommands: verify, normalize, invariants, cohomology, compare, example,
 random, compose, transport.  Exit codes: 0 pass/success, 1 semantic failure
 (equations fail, not isomorphic, bad certification maps), 2 input error
-(unreadable file, malformed document, structural violation), 3 internal
-error (a self-check failed: a bug, not the input; or memory ran out).
+(unreadable file, malformed document, structural violation, a count or
+degree past the largest index), 3 internal error (a self-check failed: a
+bug, not the input; or memory ran out).
 
 Every command that writes an algebra re-verifies it first and refuses, with
 exit 3, to write one that fails: the package built it, so that is a bug.
@@ -60,7 +61,8 @@ from . import morphisms as morphism_ops
 _EXIT_CODES = """exit codes:
   0  pass / success
   1  semantic failure: equations fail, not isomorphic, bad certification maps
-  2  input error: unreadable or malformed document, structural violation, usage
+  2  input error: unreadable or malformed document, structural violation, usage,
+     a number past the largest index
   3  internal error: a self-check of lie2alg failed (a bug), or out of memory"""
 
 
@@ -132,6 +134,8 @@ def cmd_cohomology(args) -> int:
     g = _load_lie_algebra(args.path)
     rep = representation(g, args.rep)
     n = args.degree
+    if n > sys.maxsize:   # H^n = 0 there, but, as for a size, no index reaches n
+        raise OverflowError(f"degree {n} is larger than the largest index {sys.maxsize}")
     dim = cohomology_dim(n, rep)
     print(f"dim H^{n} = {dim}")
     if args.basis:
@@ -298,7 +302,7 @@ def main(argv=None) -> int:
     except (LieMorphismError, IntertwinerError, InvertibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:   # an overflow: a count past any index
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -158,7 +158,8 @@ class Representation(_Record):
 
 
 def increasing_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(combinations(range(dim), n))
+    """The basis keys of n-cochains on g, dim g = dim: none when n > dim."""
+    return tuple(combinations(range(dim), n)) if n <= dim else ()
 
 
 class Cochain(_Record):

@@ -186,18 +186,19 @@ class _Record:
         out.__dict__.update(zip(cls._fields, values))
         return out
 
-    def _kept(self, key, compute, *args):
+    def _kept(self, key, compute=None, *args):
         """``compute(*args)``, once per object: the one store of results
         computed from a record, under "verify", "quadruple" and "normal_form"
         on a `TwoTermAlgebra` and ("delta", n) and ("rref", n) on a
         `Representation`.  A standard shape keeps the quadruple it was built
-        from under "quadruple" from the start.  No kept value refers back to
-        its record, so it is still freed by reference counting; an equal
-        record keeps its own."""
+        from under "quadruple" and "built from" from the start.  With no
+        ``compute``, the value kept under ``key`` or None.  No kept value
+        refers back to its record, so it is still freed by reference
+        counting; an equal record keeps its own."""
         kept = self.__dict__.setdefault("_kept_results", {})
-        if key not in kept:
+        if key not in kept and compute is not None:
             kept[key] = compute(*args)
-        return kept[key]
+        return kept.get(key)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

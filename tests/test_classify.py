@@ -47,6 +47,8 @@ from lie2alg import (
     verify_morphism,
 )
 from lie2alg import classify, core
+from lie2alg.documents import (algebra_from_document, algebra_to_document, dumps, loads,
+                               morphism_to_document)
 from lie2alg.builders import (_standard_shape, catalog_pairs, lie_algebra_names,
                                random_antisymmetric_correction, random_cocycle, random_invertible,
                                trivial_rep)
@@ -559,7 +561,8 @@ class TestPerAlgebraStore:
         # a quadruple read without the normal form keeps nothing next to it
         A = normal_form(random_algebra(3)).algebra
         split_normal_form(A)
-        assert set(stored(A)) <= {"verify", "quadruple"}
+        normal_form(A)
+        assert set(stored(A)) == {"verify", "quadruple", "built from", "normal_form"}
         L = random_algebra(3)
         invariants(L)
         assert set(stored(L)) <= {"verify", "quadruple"}
@@ -617,37 +620,48 @@ class TestPerAlgebraStore:
             for record in (res.morphism, res.quadruple, res.quadruple.g, res.quadruple.jtilde):
                 assert "_kept_results" not in vars(record)
         for L in algebras:
-            assert set(stored(L)) <= {"verify", "quadruple", "normal_form"}
+            assert set(stored(L)) <= {"verify", "quadruple", "built from", "normal_form"}
+        # only the shapes the package built are marked, and L is not one
+        assert {"built from" in stored(L) for L in algebras[::2]} == {False}
+        assert {"built from" in stored(L) for L in algebras[1::2]} == {True}
         delta_keys = {(kind, n) for kind in ("delta", "rref") for n in range(5)}
         assert set().union(*(stored(rep) for rep in reps)) <= delta_keys
         assert any(stored(rep) for rep in reps)
         doc = _Record._kept.__doc__
-        assert all(f'"{key}"' in doc for key in ("verify", "quadruple", "normal_form"))
+        assert all(f'"{key}"' in doc for key in ("verify", "quadruple", "built from", "normal_form"))
         assert '("delta", n)' in doc and '("rref", n)' in doc
 
-    def test_normal_form_of_a_normal_form_is_classified_afresh(self, monkeypatch):
+    def test_normal_form_of_a_normal_form_is_the_identity(self, monkeypatch):
         L = random_algebra(9)
         first = normal_form(L)
         A = first.algebra
         kept_on_l = stored(L)
         # the produced algebra holds the report of verify on itself and the
-        # quadruple it was built from, which is L's
-        assert set(stored(A)) == {"verify", "quadruple"}
-        assert stored(A)["quadruple"] is first.quadruple
+        # quadruple it was built from, which is L's, also as its mark
+        assert set(stored(A)) == {"verify", "quadruple", "built from"}
+        assert stored(A)["quadruple"] is stored(A)["built from"] is first.quadruple
         decs = counting(monkeypatch, classify, "decompose")
         triples = counting(monkeypatch, classify, "extract_triple")
+        shapes = counting(monkeypatch, classify, "_standard_shape")
+        morphism_checks = counting(monkeypatch, classify, "verify_morphism")
         again = normal_form(A)
-        # decomposed afresh for the isomorphism; the quadruple is not extracted
-        assert len(decs) == 1 and len(triples) == 0
+        # neither decomposed nor rebuilt: the identity onto a new record on
+        # A's stored structure, checked once
+        assert len(decs) == len(triples) == len(shapes) == 0 and len(morphism_checks) == 1
         assert again.algebra == A and again.algebra is not A
+        assert again.algebra._scaled is A._scaled
+        assert again.morphism.source is A and again.morphism == identity_morphism(A)
         assert again.quadruple is first.quadruple
-        assert set(stored(A)) == {"verify", "quadruple", "normal_form"}
+        assert set(stored(A)) == {"verify", "quadruple", "built from", "normal_form"}
         # entries are written on the argument alone: L keeps what it had, and
-        # the new target holds the report verify kept on it and its quadruple
+        # the new target holds A's report, its quadruple and the same mark
         assert stored(L) == kept_on_l
-        assert set(stored(again.algebra)) == {"verify", "quadruple"}
-        assert split_normal_form(A) == again.quadruple
-        assert len(decs) == 1 and len(triples) == 0
+        assert stored(again.algebra) == {"verify": verify(A), "quadruple": first.quadruple,
+                                         "built from": first.quadruple}
+        assert normal_form(A).morphism == again.morphism and len(morphism_checks) == 1
+        assert split_normal_form(A) is again.quadruple
+        assert split_normal_form(again.algebra) is again.quadruple
+        assert len(decs) == len(triples) == len(shapes) == 0
 
     def test_normal_form_of_a_normal_form_verifies_each_value_once(self, monkeypatch):
         # normal_form(A) of a standard shape A builds a target equal to A:
@@ -687,7 +701,7 @@ class TestExtractionInvertsTheStandardShape:
         nonzero = 0
         for q in shape_quadruples():
             shape = _standard_shape(q)
-            assert stored(shape) == {"quadruple": q}
+            assert stored(shape) == {"quadruple": q, "built from": q}
             T = TwoTermAlgebra(shape.n0, shape.n1, shape.d, shape.b00, shape.b01, shape.jac)
             assert T == shape and stored(T) == {}
             assert verify(T).passed
@@ -720,6 +734,50 @@ class TestExtractionInvertsTheStandardShape:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def built_shapes():
+    """Shapes the package built: every catalog pair up to dimension 4 with a
+    seeded random cocycle and dim U 0 to 3, then the normal forms of
+    ``random_algebra(0..99)``."""
+    rng = random.Random(26)
+    for _, g, _, rep in catalog_pairs(4, 4):
+        for dim_u in range(4):
+            yield normal_form_algebra(Quadruple(g, dim_u, rep, random_cocycle(rng, rep, 2)))
+    for seed in range(100):
+        yield normal_form(random_algebra(seed)).algebra
+
+
+class TestTheNormalFormOfABuiltShape:
+    """A shape the package built answers ``normal_form`` and
+    ``split_normal_form`` from the quadruple it was built from; an equal
+    copy read through ``documents`` keeps nothing and takes the decomposing
+    path, which must give the same answer byte for byte."""
+
+    def test_the_kept_answer_is_the_decomposed_one(self, monkeypatch):
+        count = 0
+        for shape in built_shapes():
+            copy = algebra_from_document(loads(dumps(algebra_to_document(shape))))
+            assert copy == shape and stored(copy) == {}
+            decs = counting(monkeypatch, classify, "decompose")
+            ours = normal_form(shape)
+            assert decs == [] and split_normal_form(shape) is ours.quadruple
+            theirs = normal_form(copy)
+            assert len(decs) == 1 and "built from" not in stored(copy)
+            assert ours.quadruple == theirs.quadruple == split_normal_form(copy)
+            assert (dumps(morphism_to_document(ours.morphism))
+                    == dumps(morphism_to_document(theirs.morphism)))
+            monkeypatch.undo()
+            count += 1
+        assert count >= 250
+
+    def test_split_still_rejects_an_algebra_that_keeps_an_extracted_quadruple(self):
+        for seed in (3, 5, 9):
+            L = random_algebra(seed)
+            invariants(L)
+            assert set(stored(L)) == {"verify", "quadruple"}
+            with pytest.raises(ValueError, match="not a standard-shape algebra"):
+                split_normal_form(L)
 
 
 def fraction_killing_form(g):

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import sys
 import tempfile
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -38,6 +39,22 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture()
+def so3_doc(tmp_path):
+    """so3 as an algebra document with n1 = 0, as ``cohomology`` reads it."""
+    from lie2alg import Matrix, so3
+    from lie2alg.core import zero_tensor
+
+    g = so3()
+    L = TwoTermAlgebra(
+        3, 0, Matrix.zero(3, 0), g.sc,
+        zero_tensor((3, 0, 0)), zero_tensor((3, 3, 3, 0)),
+    )
+    path = tmp_path / "so3.json"
+    save_document(str(path), algebra_to_document(L, name="so3"))
+    return str(path)
 
 
 class TestVerify:
@@ -217,20 +234,6 @@ class TestInvariants:
 
 
 class TestCohomology:
-    @pytest.fixture()
-    def so3_doc(self, tmp_path):
-        from lie2alg import Matrix, so3
-        from lie2alg.core import zero_tensor
-
-        g = so3()
-        L = TwoTermAlgebra(
-            3, 0, Matrix.zero(3, 0), g.sc,
-            zero_tensor((3, 0, 0)), zero_tensor((3, 3, 3, 0)),
-        )
-        path = tmp_path / "so3.json"
-        save_document(str(path), algebra_to_document(L, name="so3"))
-        return str(path)
-
     def test_trivial_h3(self, capsys, so3_doc):
         code, out, _ = run(capsys, "cohomology", so3_doc, "trivial", "3")
         assert code == 0
@@ -265,6 +268,23 @@ class TestCohomology:
         code, _, err = run(capsys, "cohomology", data("quaternion.json"), "trivial", "1")
         assert code == 2
         assert "n1 = 0" in err
+
+    @pytest.mark.parametrize("degree", ["99999999999999999999", "9223372036854775808"])
+    def test_degree_past_the_largest_index_exits_2(self, capsys, so3_doc, degree):
+        code, out, err = run(capsys, "cohomology", so3_doc, "adjoint", degree)
+        assert (code, out) == (2, "")
+        assert err == f"error: degree {degree} is larger than the largest index {sys.maxsize}\n"
+
+    def test_oversized_representation_exits_2(self, capsys, so3_doc):
+        code, out, err = run(capsys, "cohomology", so3_doc, "trivial99999999999999999999", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("degree", ["4", "9223372036854775807"])
+    def test_degree_above_dim_g_is_zero(self, capsys, so3_doc, degree):
+        # C^n = 0 past dim g = 3, answered without building any n-tuple
+        code, out, err = run(capsys, "cohomology", so3_doc, "adjoint", degree, "--basis")
+        assert (code, out, err) == (0, f"dim H^{degree} = 0\n", "")
 
     def test_out_of_memory_exits_3(self, capsys, monkeypatch, so3_doc):
         # a large enough cochain space exhausts memory; stand in for that
@@ -383,6 +403,28 @@ class TestGeneration:
         code, out, err = run(capsys, "example", "quaternion", "--v", literal)
         assert (code, out) == (2, "")
         assert err == f"error: zero denominator in quaternion literal {literal!r}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("example", "zero", "--n0", "99999999999999999999", "--n1", "0"),
+        ("example", "skeletal-string", "--lie", "abelian99999999999999999999", "--k", "1"),
+    ])
+    def test_size_past_the_largest_index_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("cohomology", "{so3}", "trivial\u0663", "2"),
+        ("cohomology", "{so3}", "adjoint+trivial\u0663", "2"),
+        ("example", "skeletal-string", "--lie", "abelian\u0663"),
+        ("example", "quaternion", "--v", "\u0663i"),
+    ])
+    def test_non_ascii_digits_exit_2(self, capsys, so3_doc, argv):
+        # ARABIC-INDIC DIGIT THREE is a digit to int() and to the pattern
+        # \d, but not to a catalog name or a quaternion literal
+        code, out, err = run(capsys, *[a.replace("{so3}", so3_doc) for a in argv])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "\u0663" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [
         ("example", "zero", "--out", "{dir}"),
@@ -672,7 +714,6 @@ def test_cold_import_loads_no_dataclasses():
     # every command pays for what importing the cli loads; dataclasses (with
     # inspect, ast and dis under it) was about a third of that
     import subprocess
-    import sys
 
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     out = subprocess.run(
@@ -680,6 +721,44 @@ def test_cold_import_loads_no_dataclasses():
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
     ).stdout
     assert out == "False\n"
+
+
+def console_scripts(path):
+    """The ``name = "module:function"`` entries of the [project.scripts]
+    table of a pyproject.toml, read line by line: ``tomllib`` is new in
+    Python 3.11, and the package supports 3.10."""
+    scripts, table = {}, None
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            line = line.strip()
+            if line.startswith("["):
+                table = line
+            elif table == "[project.scripts]" and "=" in line:
+                name, value = (part.strip() for part in line.split("=", 1))
+                scripts[name] = value.strip('"')
+    return scripts
+
+
+def test_console_script_of_pyproject_runs_verify():
+    # the installed ``lie2alg`` command calls the function [project.scripts]
+    # names, as ``sys.exit(main())``: run that call on a document, as the
+    # install step of the CI workflow does, without installing
+    import subprocess
+
+    root = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    scripts = console_scripts(os.path.join(root, "pyproject.toml"))
+    if sys.version_info >= (3, 11):
+        import tomllib
+        with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+            assert tomllib.load(f)["project"]["scripts"] == scripts
+    assert scripts == {"lie2alg": "lie2alg.cli:main"}
+    module, _, function = scripts["lie2alg"].partition(":")
+    script = f"import sys; from {module} import {function}; sys.exit({function}())"
+    for argv, last in ((["--help"], "3  internal error"), (["verify", data("quaternion.json")], "PASS")):
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[-1].strip().startswith(last)
 
 
 # -- the exit-code contract under arbitrary input ------------------------------

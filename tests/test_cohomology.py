@@ -28,6 +28,7 @@ from lie2alg import (
     sl2,
     trivial_rep,
 )
+from lie2alg import cohomology as cohomology_module
 from lie2alg.builders import abelian, catalog_pairs, lie_algebra, representation
 from lie2alg.cohomology import (
     _elimination,
@@ -296,6 +297,23 @@ class TestCohomologyDims:
         g = so3()
         assert cohomology_dim(0, trivial_rep(g, 2)) == 2
         assert cohomology_dim(0, adjoint_rep(g)) == 0
+
+    def test_degrees_above_dim_g_are_zero_without_building_tuples(self, monkeypatch):
+        # C^n = 0 for n > dim g: no n-tuple is asked for, not even where
+        # ``combinations`` could not hold one
+        sizes = []
+        real = cohomology_module.combinations
+        monkeypatch.setattr(cohomology_module, "combinations",
+                            lambda pool, r: sizes.append(r) or real(pool, r))
+        for g in (abelian(0), abelian(2), so3(), sl2()):
+            for rep in (trivial_rep(g, 2), adjoint_rep(g)):
+                for n in (g.dim + 1, g.dim + 2, 2**62, 2**63 - 1, 2**63, 10**20):
+                    assert cohomology_dim(n, rep) == 0 and cohomology_basis(n, rep) == ()
+                # the degrees up to dim g answer as on a representation that kept nothing
+                fresh = Representation(g, rep.dimV, rep.rho)
+                assert ([cohomology_dim(n, rep) for n in range(g.dim + 1)]
+                        == [cohomology_dim(n, fresh) for n in range(g.dim + 1)])
+        assert max(sizes) <= 3
 
     def test_basis_spans(self):
         rep = trivial_rep(abelian(2), 1)
