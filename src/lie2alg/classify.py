@@ -9,6 +9,13 @@ between isomorphisms of algebras and isomorphisms of their classifying
 quadruples.  ``invariants`` computes a fingerprint of necessary conditions
 used by ``distinguish`` to refute isomorphism.
 
+The splitting L0 = g + im d, L1 = ker d + U comes from one elimination,
+the public ``linalg.rref`` of [d | I] on its scaled rows
+(``_splitting``): the bases, the coordinate changes coords0 and f, h, and
+the inverses coords0^-1 = [g | im d] and f^-1 = [ker d | U], which are
+those bases, are all read off it, in scaled form.  ``decompose`` builds its
+record from these pieces and keeps them; the pipeline reads them directly.
+
 ``transport``, ``extract_triple`` and ``normal_form`` build their tensors on
 the scaled-integer form of ``core`` (integer numerators, one denominator per
 vector, summed by ``linalg._isum``) and hand it to the algebras and
@@ -17,21 +24,23 @@ converts nothing; `Fraction`s appear only in the views of the public API.
 
 Results that are functions of an algebra are kept per algebra object,
 through the record's ``_kept``: ``verify`` keeps its report under
-"verify", the quadruple (one ``decompose`` and one ``extract_triple``) is
-kept under "quadruple" and shared by ``normal_form``, ``invariants``,
-``skeleton`` and ``split_normal_form``, and ``normal_form`` keeps its target
-algebra and the maps of its isomorphism, verified once, under
-"normal_form" (it decomposes the algebra itself, and extracts the quadruple
-from that decomposition unless one is kept).  A value is kept only on the
-argument of the call that computed it and never refers back to that
-algebra, so an algebra is still freed by reference counting.  Two values
-are shared.  A standard shape the package built keeps the quadruple it was
-built from (``builders._built_from``), which ``invariants`` and
-``skeleton`` of it read, and is its own normal form: ``normal_form`` of it
-returns the identity, verified once, onto a new record on its structure,
-and ``split_normal_form`` of it rebuilds nothing.  Any other algebra, one
-equal to such a shape included, is decomposed.  And a normal form equal to
-its input keeps the input's "verify" report.  The public ``decompose`` and
+"verify", the quadruple (one splitting and one extraction) is kept under
+"quadruple" and shared by ``normal_form``, ``invariants``, ``skeleton`` and
+``split_normal_form``, and ``normal_form`` keeps its target algebra, the
+maps of its isomorphism, verified once, and the inverses of its linear
+maps under "normal_form" (it splits the algebra itself, and extracts the
+quadruple from that splitting unless one is kept).  Each `Morphism` it
+returns keeps those inverses under "inverse", so ``morphisms.inverse`` of
+it eliminates nothing.  A value is kept only on the argument of the call
+that computed it and never refers back to that algebra, so an algebra is
+still freed by reference counting.  Two values are shared.  A standard
+shape the package built keeps the quadruple it was built from
+(``builders._built_from``), which ``invariants`` and ``skeleton`` of it
+read, and is its own normal form: ``normal_form`` of it returns the
+identity, verified once, onto a new record on its structure, and
+``split_normal_form`` of it rebuilds nothing.  Any other algebra, one equal
+to such a shape included, is split.  And a normal form equal to its input
+keeps the input's "verify" report.  The public ``decompose`` and
 ``extract_triple`` are not cached.
 
 A full search for a Lie algebra isomorphism is deliberately out of scope:
@@ -52,7 +61,7 @@ from .linalg import (
     _eliminate,
     _forward,
     _invertible,
-    _kernel_vectors,
+    _transpose,
     as_matrix,
     basis_vec,
     block_diag,
@@ -106,6 +115,23 @@ class InvertibilityError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class _Splitting(NamedTuple):
+    """A `Decomposition` in scaled form: the bases, which are the inverses
+    coords0^-1 = [g | im d] and f^-1 = [ker d | U], the columns of coords0,
+    f == coords1 and h, and the columns of the g rows of coords0 and of the
+    kernel rows of f."""
+
+    g: tuple
+    imd: tuple
+    ker: tuple
+    u: tuple
+    coords0: tuple
+    f: tuple
+    h: tuple
+    g_coords: tuple
+    k_coords: tuple
+
+
 class Decomposition(_Record):
     """A choice of complements: degree 0 splits into a Lie-algebra part and
     the image of d, degree 1 into the kernel of d and a transported copy U,
@@ -129,45 +155,76 @@ class Decomposition(_Record):
     coords1: Matrix
 
     @cached_property
-    def _scaled(self) -> tuple:
-        """(g basis, kernel basis, g coordinates, kernel coordinates, h) in
-        scaled form, built on first use: what ``extract_triple`` and
-        ``normal_form`` contract with."""
-        g, k = self.g_basis.dim, self.kerd_basis.dim
-        return (_scale_tensor(self.g_basis.basis, 1), _scale_tensor(self.kerd_basis.basis, 1),
-                self.coords0.submatrix(range(g), range(self.coords0.cols))._columns,
-                self.coords1.submatrix(range(k), range(self.coords1.cols))._columns,
-                self.h._columns)
+    def _scaled(self) -> _Splitting:
+        """The splitting in scaled form, what ``extract_triple`` contracts
+        with: the one ``decompose`` read the fields off, or else built from
+        the fields on first use."""
+        g, k, c0, c1 = self.g_basis.dim, self.kerd_basis.dim, self.coords0, self.coords1
+        return _Splitting(
+            *[_scale_tensor(s.basis, 1)
+              for s in (self.g_basis, self.imd_basis, self.kerd_basis, self.u_basis)],
+            c0._columns, self.f._columns, self.h._columns,
+            c0.submatrix(range(g), range(c0.cols))._columns,
+            c1.submatrix(range(k), range(c1.cols))._columns)
 
 
 def decompose(L: TwoTermAlgebra) -> Decomposition:
     """Deterministic decomposition via greedy standard-basis complements,
-    read off one row reduction, of [d | I].
+    read off one row reduction, of [d | I] (``_splitting``), which the
+    record keeps as its scaled form.
 
     Precondition: ``verify(L)`` passes.
     """
+    s = _splitting(L)
     n0, n1 = L.n0, L.n1
-    # rref([d | I]) = [E @ d | E] has a pivot in every row: first the r
-    # pivots of d, on the nonzero rows of rref(d), then rows zero on d's block
-    red, pivots = rref(L.d.hstack(Matrix.identity(n0)))
+    g_b, imd, kerd, u_b = (Subspace._of(n, tuple([_unscale(v, n) for v in basis]))
+                           for n, basis in ((n0, s.g), (n0, s.imd), (n1, s.ker), (n1, s.u)))
+    f = _column_matrix(s.f, n1)
+    dec = Decomposition._of(L, g_b, imd, kerd, u_b, f, _column_matrix(s.h, n1),
+                            _column_matrix(s.coords0, n0), f)
+    dec.__dict__["_scaled"] = s
+    return dec
+
+
+def _splitting(L: TwoTermAlgebra) -> _Splitting:
+    """The splitting of ``decompose``, read off rref([d | I]) on scaled rows.
+
+    rref([d | I]) = [E d | E] has a pivot in every row: first the r pivots
+    p_i of d, on the rows D_i of rref(d), then rows zero on d's block.
+    - U is spanned by the e_p, and im d by d(e_p): a free e_f is its kernel
+      vector plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}),
+      on which the row of rref(d) with pivot p vanishes.
+    - E sends d(e_p_i) to e_i and the e_c at the last pivots, the greedy
+      complement g of im d, to the rest: coords0 is E's last rows, then its
+      first r.
+    - The kernel vector of a free column f is e_f less D_i[f] at each p_i;
+      the kernel coordinates of x are its free entries, its U ones D x.
+    - d maps e_p_i onto im d's i-th basis vector, so h is E's first rows
+      placed at the rows p_i.
+    """
+    n0, n1 = L.n0, L.n1
+    red, pivots = rref(Matrix._of([(items + ((n1 + i, den),), den)
+                                   for i, (items, den) in enumerate(L.d._rows)], n1 + n0))
     r = sum(p < n1 for p in pivots)
-    imd = Subspace._of(n0, tuple([L.d.column(p) for p in pivots[:r]]))
-    free = [c for c in range(n1) if c not in pivots]
-    kerd = Subspace._of(n1, _kernel_vectors((red._rows, pivots), free, n1))
-    # U is the greedy complement of ker d: a free e_f is its kernel vector
-    # plus e_p with p < f, and no e_p is in span(ker d, e_0..e_{p-1}), on
-    # which the row of rref(d) with pivot p vanishes.
-    u_b = Subspace._of(n1, tuple([basis_vec(n1, p) for p in pivots[:r]]))
-    # E sends im d's basis to e_0..e_{r-1} and the e_c at the last pivots,
-    # the greedy complement g of im d, to the rest
-    g_b = Subspace._of(n0, tuple([basis_vec(n0, p - n1) for p in pivots[r:]]))
-    coords0 = red.submatrix([*range(r, n0), *range(r)], range(n1, n1 + n0))
-    # the kernel coordinates of x are its free entries, its U ones rref(d) @ x
-    coords1 = Matrix.identity(n1).submatrix(free, range(n1)).vstack(
-        red.submatrix(range(r), range(n1)))
-    # d maps U's basis onto im d's: h is U's basis times E's first r rows
-    h = u_b.matrix() @ red.submatrix(range(r), range(n1, n1 + n0))
-    return Decomposition._of(L, g_b, imd, kerd, u_b, coords1, h, coords0, coords1)
+    e_rows = [(tuple([(k - n1, x) for k, x in items if k >= n1]), den) for items, den in red._rows]
+    d_rows = [(tuple([(k, x) for k, x in items if k < n1]), den) for items, den in red._rows[:r]]
+    free = {f: j for j, f in enumerate(c for c in range(n1) if c not in pivots[:r])}
+    units = [(((f, 1),), 1) for f in free]
+    ker_rows = [(((free[c], 1),), 1) if c in free else None for c in range(n1)]
+    h_rows = [((), 1)] * n1
+    for p, (items, den), e in zip(pivots, d_rows, e_rows):
+        ker_rows[p] = (tuple([(free[k], -x) for k, x in items if k != p]), den)
+        h_rows[p] = e
+    return _Splitting(
+        tuple([(((p - n1, 1),), 1) for p in pivots[r:]]),
+        tuple([L._scaled.d[p] for p in pivots[:r]]),
+        _transpose(ker_rows, len(free)),
+        tuple([(((p, 1),), 1) for p in pivots[:r]]),
+        _transpose(e_rows[r:] + e_rows[:r], n0),
+        _transpose(units + d_rows, n1),
+        _transpose(h_rows, n0),
+        _transpose(e_rows[r:], n0),
+        _transpose(units, n1))
 
 
 def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
@@ -181,10 +238,15 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
     """
     if dec.source != L:
         raise ValueError("decomposition belongs to a different algebra")
-    gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
+    return _extract(L, dec._scaled)
+
+
+def _extract(L: TwoTermAlgebra, s: _Splitting) -> Quadruple:
+    """``extract_triple`` of L on the splitting ``s`` in scaled form."""
+    gdim, kdim = len(s.g), len(s.ker)
     n0, n1 = L.n0, L.n1
     S = L._scaled
-    G, K, g_coords, k_coords, h = dec._scaled
+    G, K, g_coords, k_coords, h = s.g, s.ker, s.g_coords, s.k_coords, s.h
 
     w = {(i, j): _ivec(n0, ((1, S.b00, (G[i], G[j])),))     # [x_i, x_j]
          for i, j in combinations(range(gdim), 2)}
@@ -208,7 +270,7 @@ def extract_triple(L: TwoTermAlgebra, dec: Decomposition) -> Quadruple:
         values[key] = _unscale(_ivec(kdim, ((1, k_coords, (_ivec(n1, parts),)),)), kdim)
     jtilde = Cochain(3, g, kdim, values)
 
-    return Quadruple(g, dec.u_basis.dim, rep, jtilde)
+    return Quadruple(g, len(s.u), rep, jtilde)
 
 
 def _checked(mor: Morphism, failure: str, iso: bool = False) -> Morphism:
@@ -316,63 +378,70 @@ def normal_form(L: TwoTermAlgebra) -> NormalFormResult:
     """The standard-shape algebra isomorphic to L, with an explicit verified
     isomorphism from L onto it.
 
-    Precondition: ``verify(L)`` passes.  Deterministic via ``decompose``;
-    idempotent on its own output up to structural equality.  The target
-    algebra, the quadruple and the maps of the isomorphism are computed and
-    verified once per algebra object and kept on it; each call returns a
-    new `Morphism` from L around them.
+    Precondition: ``verify(L)`` passes.  Deterministic via the splitting of
+    ``decompose``; idempotent on its own output up to structural equality.
+    The target algebra, the quadruple, the maps of the isomorphism and the
+    columns of the inverses of its phi0 and phi1 are computed and verified
+    once per algebra object and kept on it; each call returns a new
+    `Morphism` from L around them, which keeps those inverses for
+    ``inverse``.
     """
-    target, q, scaled = L._kept("normal_form", _normal_form, L)
-    return NormalFormResult(target, Morphism._of(L, target, scaled), q)
+    target, q, scaled, inverse_maps = L._kept("normal_form", _normal_form, L)
+    mor = Morphism._of(L, target, scaled)
+    mor._kept("inverse", lambda: inverse_maps)
+    return NormalFormResult(target, mor, q)
 
 
 def _normal_form(L: TwoTermAlgebra) -> tuple:
-    """(target, quadruple, the scaled form of the isomorphism) of the normal
-    form of L: nothing that refers back to L, so that it can be kept on L.
-    A standard shape built from q is its own normal form: the target is a
-    new record on L's stored structure and the maps are the identity.  Any
-    other L is decomposed, and the quadruple is extracted from that
-    decomposition unless L keeps one already."""
+    """(target, quadruple, the scaled form of the isomorphism, the columns
+    of the inverses of its phi0 and phi1) of the normal form of L: nothing
+    that refers back to L, so that it can be kept on L.  A standard shape
+    built from q is its own normal form: the target is a new record on L's
+    stored structure and the maps are the identity.  Any other L is split
+    (``_splitting``); the quadruple is extracted from that splitting unless
+    L keeps one already, and the inverses are its bases, [g | im d] and
+    [ker d | U]."""
     q = L._kept("built from")
     if q is None:
-        dec = decompose(L)
-        q = L._kept("quadruple", extract_triple, L, dec)
-        target, maps = _standard_shape(q), _normalizing_maps(L, dec)
+        s = _splitting(L)
+        q = L._kept("quadruple", _extract, L, s)
+        target, maps, inverse_maps = (_standard_shape(q), _normalizing_maps(L, s),
+                                      (s.g + s.imd, s.ker + s.u))
     else:   # the base `_of` keeps the fields as given, L's `_scaled` included
         target = _built_from(q, super(TwoTermAlgebra, TwoTermAlgebra)._of(L.n0, L.n1, L._scaled))
         maps = (Matrix.identity(L.n0)._columns, Matrix.identity(L.n1)._columns,
                 _alternating(L.n0, 2, {}))
+        inverse_maps = maps[:2]
     if target == L:   # a new object; verify depends on the value alone
         target._kept("verify", verify, L)
     _verified(target)
-    mor = Morphism._of(L, target, maps)
-    return target, q, _checked(mor, "normalizing morphism failed verification", iso=True)._scaled
+    mor = _checked(Morphism._of(L, target, maps), "normalizing morphism failed verification",
+                   iso=True)
+    return target, q, mor._scaled, inverse_maps
 
 
-def _normalizing_maps(L: TwoTermAlgebra, dec: Decomposition) -> tuple:
+def _normalizing_maps(L: TwoTermAlgebra, s: _Splitting) -> tuple:
     """The scaled (phi0, phi1, Phi) of the isomorphism from L onto the
-    standard shape of the quadruple read off ``dec``."""
-    gdim, kdim = dec.g_basis.dim, dec.kerd_basis.dim
+    standard shape of the quadruple read off the splitting ``s``: phi0 is
+    coords0 and phi1 is f."""
     n0, n1 = L.n0, L.n1
-    S = L._scaled
-    G, _, g_coords, k_coords, h = dec._scaled
-    g_std = [_ivec(n0, ((1, G, (c,)),)) for c in g_coords]   # the g part of e_i
-    # the U coordinates of degree 0 (coords0 past g) under kdim zero rows: in
-    # degree 1 of the normal form, V = ker d comes first
-    u = Matrix.zero(kdim, n0).vstack(dec.coords0.submatrix(range(gdim, n0), range(n0)))._columns
+    S, h = L._scaled, s.h
+    g_std = [_ivec(n0, ((1, s.g, (c,)),)) for c in s.g_coords]   # the g part of e_i
 
     Phi = {}
     for i, j in combinations(range(n0), 2):
-        # [e_i, h_j] - [g_j, h_i], where e_i = g_i + (the image part of e_i)
-        s = _ivec(n1, ((1, S.b01[i], (h[j],)), (-1, S.b01, (g_std[j], h[i]))))
-        Phi[i, j] = _ivec(n1, ((1, k_coords, (s,)), (1, u, (S.b00[i][j],))))
-    return dec.coords0._columns, dec.f._columns, _alternating(n0, 2, Phi)
+        # [e_i, h_j] - [g_j, h_i], where e_i = g_i + (the image part of e_i),
+        # in kernel coordinates, plus the U coordinates f(h(y)) of y = [e_i, e_j]
+        x = _ivec(n1, ((1, S.b01[i], (h[j],)), (-1, S.b01, (g_std[j], h[i]))))
+        hy = _ivec(n1, ((1, h, (S.b00[i][j],)),))
+        Phi[i, j] = _ivec(n1, ((1, s.k_coords, (x,)), (1, s.f, (hy,))))
+    return s.coords0, s.f, _alternating(n0, 2, Phi)
 
 
 def _quadruple(L: TwoTermAlgebra) -> Quadruple:
     """The quadruple of L, extracted once per algebra object and kept on it,
     or the one a standard shape keeps from the start."""
-    return L._kept("quadruple", lambda: extract_triple(L, decompose(L)))
+    return L._kept("quadruple", lambda: _extract(L, _splitting(L)))
 
 
 def skeleton(L: TwoTermAlgebra) -> TwoTermAlgebra:

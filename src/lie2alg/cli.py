@@ -14,6 +14,7 @@ exit 3, to write one that fails: the package built it, so that is a bug.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 
 from .core import TwoTermAlgebra, _rational_text, verify
@@ -222,6 +223,17 @@ def cmd_transport(args) -> int:
     return 0
 
 
+def _integer(text: str) -> int:
+    """An integer option or argument: ASCII [+-]?[0-9]+ only, where ``int``
+    also reads other decimal digits, underscores and spaces."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:   # past the limit on int-from-str digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer (ASCII digits only): {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="write the primary output document here")
@@ -253,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="Lie algebra cohomology dimensions")
     p.add_argument("path", help="algebra document with n1 = 0")
     p.add_argument("rep", help="trivial | trivialN | adjoint | sums joined with '+'")
-    p.add_argument("degree", type=int)
+    p.add_argument("degree", type=_integer)
     p.add_argument("--basis", action="store_true", help="also print representative cocycles")
     p.set_defaults(func=cmd_cohomology)
 
@@ -268,15 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--v", default="0", help="quaternion parameter, e.g. '1+2i+3j+5k'")
     p.add_argument("--lie", default="so3", help="catalog Lie algebra name")
     p.add_argument("--k", default="1", help="scaling of the skeletal-string cocycle")
-    p.add_argument("--n0", type=int, default=0)
-    p.add_argument("--n1", type=int, default=0)
+    p.add_argument("--n0", type=_integer, default=0)
+    p.add_argument("--n1", type=_integer, default=0)
     p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("random", parents=[out], help="write a seeded random algebra")
-    p.add_argument("--seed", type=int, default=0, help="seed for random generation")
+    p.add_argument("--seed", type=_integer, default=0, help="seed for random generation")
     p.add_argument("--algebras", help="comma-separated catalog names")
     p.add_argument("--reps", help="comma-separated representation names")
-    p.add_argument("--max-u", type=int, default=None)
+    p.add_argument("--max-u", type=_integer, default=None)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("compose", parents=[out], help="compose two morphism documents")

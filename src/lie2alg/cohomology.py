@@ -16,10 +16,13 @@ uniformly.
 
 Each differential is assembled once per representation from the nonzero
 terms of sc and rho into scaled rows, each summed on integers over one
-denominator and reduced once, and eliminated once; the ``Representation``
-keeps both, through the record's ``_kept``, under ("delta", n) and
-("rref", n).  ``delta`` takes one integer dot product per row, and no
-query builds a dense matrix but ``delta_matrix``, their view.
+denominator and reduced once, and eliminated once: a forward pass, whose
+pivots give its rank, and, for the queries that read vectors, the
+back-substitution of that same pass.  The ``Representation`` keeps all
+three, through the record's ``_kept``, under ("delta", n), ("forward", n)
+and ("rref", n); ``cohomology_dim`` reads ranks alone.  ``delta`` takes one
+integer dot product per row, and no query builds a dense matrix but
+``delta_matrix``, their view.
 
 Tensor contractions run on the scaled integers of ``core``: a Lie algebra
 stores its structure constants in that form, a representation and a
@@ -42,8 +45,9 @@ from math import lcm
 from .linalg import (
     Matrix,
     _Record,
+    _back_substitute,
     _column_matrix,
-    _eliminate,
+    _forward,
     _kernel_vectors,
     _reduce,
     _solve,
@@ -299,15 +303,21 @@ def delta_matrix(n: int, rep: Representation) -> Matrix:
     return Matrix._of(*_delta_rows(n, rep))
 
 
+def _forward_pass(n: int, rep: Representation) -> dict:
+    """``_forward`` of the rows of delta_n, pivot column -> its echelon row,
+    once per representation and kept on it: its rank is its length."""
+    return rep._kept(("forward", n), _forward, *_delta_rows(n, rep))
+
+
 def _elimination(n: int, rep: Representation) -> tuple[tuple, tuple[int, ...]]:
-    """``_eliminate`` of the rows of delta_n, once per representation and
-    kept on it."""
-    return rep._kept(("rref", n), _eliminate, *_delta_rows(n, rep))
+    """The rref of delta_n as ``_eliminate`` returns it: the kept forward
+    pass back-substituted, once per representation and kept on it."""
+    return rep._kept(("rref", n), _back_substitute, _forward_pass(n, rep))
 
 
 def _free_columns(n: int, rep: Representation) -> list[int]:
     """The free columns of delta_n, in increasing order."""
-    pivots = set(_elimination(n, rep)[1])
+    pivots = _forward_pass(n, rep)
     return [c for c in range(_delta_rows(n, rep)[1]) if c not in pivots]
 
 
@@ -339,9 +349,10 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
 
 
 def cohomology_dim(n: int, rep: Representation) -> int:
-    """dim ker(delta_n) - rank(delta_{n-1})."""
-    image_rank = len(_elimination(n - 1, rep)[1]) if n >= 1 else 0
-    return _delta_rows(n, rep)[1] - len(_elimination(n, rep)[1]) - image_rank
+    """dim ker(delta_n) - rank(delta_{n-1}), the ranks read off the forward
+    passes alone."""
+    image_rank = len(_forward_pass(n - 1, rep)) if n >= 1 else 0
+    return _delta_rows(n, rep)[1] - len(_forward_pass(n, rep)) - image_rank
 
 
 def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
@@ -356,12 +367,12 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
     free = _free_columns(n, rep)
     bounded = set()
     if n >= 1:
-        rows, image = _delta_rows(n - 1, rep)[0], {p: [] for p in _elimination(n - 1, rep)[1]}
+        rows, image = _delta_rows(n - 1, rep)[0], {p: [] for p in _forward_pass(n - 1, rep)}
         for i, c in enumerate(reversed(free)):
             for k, x in rows[c][0]:
                 if k in image:
                     image[k].append((i, x))
-        bounded = {free[-1 - i] for i in _eliminate([(v, 1) for v in image.values()], len(free))[1]}
+        bounded = {free[-1 - i] for i in _forward([(v, 1) for v in image.values()], len(free))}
     kept = [c for c in free if c not in bounded]
     return tuple(vec_to_cochain(n, rep.g, rep.dimV, v) for v in
                  _kernel_vectors(_elimination(n, rep), kept, _delta_rows(n, rep)[1]))

@@ -13,7 +13,8 @@ built from).  ``apply`` takes one integer dot product per scaled row
 its right one by ``_isum``, the integer kernel of every tensor contraction,
 one loop for all arities with no list of terms.  All elimination is one
 routine on scaled rows, ``_eliminate``: fraction-free sparse Gauss-Jordan,
-whose work follows the nonzeros; ``rank`` skips its back-substitution.
+whose work follows the nonzeros, a forward pass (``_forward``) and a
+back-substitution that leaves the pass as it is; ``rank`` runs the pass alone.
 ``solve`` and ``invert`` read scaled columns off the reduced rows (``_solve``).
 """
 
@@ -189,16 +190,20 @@ class _Record:
     def _kept(self, key, compute=None, *args):
         """``compute(*args)``, once per object: the one store of results
         computed from a record, under "verify", "quadruple" and "normal_form"
-        on a `TwoTermAlgebra` and ("delta", n) and ("rref", n) on a
-        `Representation`.  A standard shape keeps the quadruple it was built
-        from under "quadruple" and "built from" from the start.  With no
-        ``compute``, the value kept under ``key`` or None.  No kept value
-        refers back to its record, so it is still freed by reference
-        counting; an equal record keeps its own."""
+        on a `TwoTermAlgebra`, ("delta", n), ("forward", n) and ("rref", n)
+        on a `Representation`, and "inverse" on the `Morphism` of a normal
+        form: the columns of the inverses of its phi0 and phi1.  A standard
+        shape keeps the quadruple it was built from under "quadruple" and
+        "built from" from the start.  With no ``compute``, the value kept
+        under ``key`` or None, and no store is made.  No kept value refers
+        back to its record, so it is still freed by reference counting; an
+        equal record keeps its own."""
+        if compute is None:
+            return self.__dict__.get("_kept_results", {}).get(key)
         kept = self.__dict__.setdefault("_kept_results", {})
-        if key not in kept and compute is not None:
+        if key not in kept:
             kept[key] = compute(*args)
-        return kept.get(key)
+        return kept[key]
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -476,20 +481,27 @@ def _eliminate(rows, cols: int) -> tuple[tuple, tuple[int, ...]]:
 
     ``rows`` are scaled rows of ``cols`` columns, read without their
     denominators, which do not change the row space.  Returns the nonzero
-    rows of the rref in scaled form and the pivot columns.  The forward pass
-    is ``_forward``; back-substitution, last pivot first, then clears the
-    columns above the pivots.  The rref is unique, so the pivot choice does
-    not show, and a primitive row with pivot x_p > 0 is the scaled form of
-    its rref row: its denominator is x_p / gcd(x_p, x_1, ..., x_m) = x_p.
+    rows of the rref in scaled form and the pivot columns: the forward pass
+    ``_forward``, back-substituted by ``_back_substitute``.
     """
-    done = _forward(rows, cols)
-    pivots = tuple(done)
+    return _back_substitute(_forward(rows, cols))
+
+
+def _back_substitute(done: dict) -> tuple[tuple, tuple[int, ...]]:
+    """The rref of the forward pass ``done`` (``_forward``), which it leaves
+    as it is, as ``_eliminate`` returns it: last pivot first, the columns
+    above the pivots are cleared.  The rref is unique, so the pivot choice
+    does not show, and a primitive row with pivot x_p > 0 is the scaled
+    form of its rref row: its denominator is x_p / gcd(x_p, x_1, ..., x_m) = x_p.
+    """
+    out = dict(done)
+    pivots = tuple(out)
     for c in reversed(pivots):
-        p = done[c]
-        for k in [k for k in p if k > c and k in done]:
-            p = _combine(p, done[k], k)
-        done[c] = p if p[c] > 0 else {k: -x for k, x in p.items()}
-    return tuple([(tuple(sorted(done[c].items())), done[c][c]) for c in pivots]), pivots
+        p = out[c]
+        for k in [k for k in p if k > c and k in out]:
+            p = _combine(p, out[k], k)
+        out[c] = p if p[c] > 0 else {k: -x for k, x in p.items()}
+    return tuple([(tuple(sorted(out[c].items())), out[c][c]) for c in pivots]), pivots
 
 
 def rref(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:

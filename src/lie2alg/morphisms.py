@@ -11,7 +11,9 @@ Composition convention: ``compose(first, second)`` applies ``first`` and then
 A morphism stores the columns of phi0 and phi1 and its correction once, in
 the scaled-integer form of ``core``: the public constructor scales its
 `Fraction` data, and ``compose`` and ``inverse`` build their results on
-that form with ``linalg._isum`` and hand it to ``Morphism._of``.  The public
+that form with ``linalg._isum`` and hand it to ``Morphism._of``; a
+morphism of a normal form keeps the inverses of its linear maps
+("inverse", through the record's ``_kept``).  The public
 ``phi0``, ``phi1`` and ``Phi`` are views built on first read, and
 ``verify_morphism`` checks the equations on the scaled form, so `Fraction`s
 appear only at the API boundary.
@@ -154,13 +156,22 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
 
 
 def inverse(m: Morphism) -> Morphism | None:
-    """Inverse morphism, or None when the linear part is not invertible."""
-    if m.phi0.rows != m.phi0.cols or m.phi1.rows != m.phi1.cols:
-        return None
-    inv0, inv1 = invert(m.phi0), invert(m.phi1)
-    if inv0 is None or inv1 is None:
-        return None
-    x, v = inv0._columns, inv1._columns
+    """Inverse morphism, or None when the linear part is not invertible.
+
+    The inverses of phi0 and phi1 are ``invert``ed, unless ``m`` keeps
+    their columns under "inverse": the morphism of ``classify.normal_form``
+    does, as they are the bases its splitting already holds, so inverting
+    it eliminates nothing.
+    """
+    known = m._kept("inverse")
+    if known is None:
+        if m.phi0.rows != m.phi0.cols or m.phi1.rows != m.phi1.cols:
+            return None
+        inv0, inv1 = invert(m.phi0), invert(m.phi1)
+        if inv0 is None or inv1 is None:
+            return None
+        known = inv0._columns, inv1._columns
+    x, v = known
     Phi, n0, n1 = m._scaled[2], m.target.n0, m.target.n1
     # Phi^-1(x, y) = -phi1^-1(Phi(phi0^-1 x, phi0^-1 y))
     Psi = tuple(tuple(_ivec(n1, ((-1, v, (_ivec(n1, ((1, Phi, (x[i], x[j])),)),)),))

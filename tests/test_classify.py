@@ -46,9 +46,9 @@ from lie2alg import (
     verify,
     verify_morphism,
 )
-from lie2alg import classify, core
+from lie2alg import classify, core, linalg, morphisms
 from lie2alg.documents import (algebra_from_document, algebra_to_document, dumps, loads,
-                               morphism_to_document)
+                               morphism_from_document, morphism_to_document)
 from lie2alg.builders import (_standard_shape, catalog_pairs, lie_algebra_names,
                                random_antisymmetric_correction, random_cocycle, random_invertible,
                                trivial_rep)
@@ -524,8 +524,8 @@ class TestPerAlgebraStore:
         L = random_algebra(7)
         L = TwoTermAlgebra(L.n0, L.n1, L.d, L.b00, L.b01, L.jac)   # nothing kept yet
         checks = counting(monkeypatch, core, "_verify")
-        decs = counting(monkeypatch, classify, "decompose")
-        triples = counting(monkeypatch, classify, "extract_triple")
+        decs = counting(monkeypatch, classify, "_splitting")
+        triples = counting(monkeypatch, classify, "_extract")
         targets = counting(monkeypatch, classify, "_standard_shape")
         morphism_checks = counting(monkeypatch, classify, "verify_morphism")
 
@@ -546,8 +546,8 @@ class TestPerAlgebraStore:
 
     def test_invariants_first_then_normal_form(self, monkeypatch):
         L = random_algebra(12)
-        decs = counting(monkeypatch, classify, "decompose")
-        triples = counting(monkeypatch, classify, "extract_triple")
+        decs = counting(monkeypatch, classify, "_splitting")
+        triples = counting(monkeypatch, classify, "_extract")
         inv = invariants(L)
         assert set(stored(L)) == {"verify", "quadruple"}
         res = normal_form(L)
@@ -616,20 +616,22 @@ class TestPerAlgebraStore:
             extract_quadruple_maps(identity_morphism(res.algebra))
             algebras += [L, res.algebra]
             reps.append(res.quadruple.rep)
-            # the other records keep nothing
-            for record in (res.morphism, res.quadruple, res.quadruple.g, res.quadruple.jtilde):
+            # the morphism keeps the inverses of its maps, the other records nothing
+            assert set(stored(res.morphism)) == {"inverse"}
+            for record in (res.quadruple, res.quadruple.g, res.quadruple.jtilde):
                 assert "_kept_results" not in vars(record)
         for L in algebras:
             assert set(stored(L)) <= {"verify", "quadruple", "built from", "normal_form"}
         # only the shapes the package built are marked, and L is not one
         assert {"built from" in stored(L) for L in algebras[::2]} == {False}
         assert {"built from" in stored(L) for L in algebras[1::2]} == {True}
-        delta_keys = {(kind, n) for kind in ("delta", "rref") for n in range(5)}
+        delta_keys = {(kind, n) for kind in ("delta", "forward", "rref") for n in range(5)}
         assert set().union(*(stored(rep) for rep in reps)) <= delta_keys
         assert any(stored(rep) for rep in reps)
         doc = _Record._kept.__doc__
-        assert all(f'"{key}"' in doc for key in ("verify", "quadruple", "built from", "normal_form"))
-        assert '("delta", n)' in doc and '("rref", n)' in doc
+        assert all(f'"{key}"' in doc
+                   for key in ("verify", "quadruple", "built from", "normal_form", "inverse"))
+        assert all(f'("{kind}", n)' in doc for kind in ("delta", "forward", "rref"))
 
     def test_normal_form_of_a_normal_form_is_the_identity(self, monkeypatch):
         L = random_algebra(9)
@@ -640,8 +642,8 @@ class TestPerAlgebraStore:
         # quadruple it was built from, which is L's, also as its mark
         assert set(stored(A)) == {"verify", "quadruple", "built from"}
         assert stored(A)["quadruple"] is stored(A)["built from"] is first.quadruple
-        decs = counting(monkeypatch, classify, "decompose")
-        triples = counting(monkeypatch, classify, "extract_triple")
+        decs = counting(monkeypatch, classify, "_splitting")
+        triples = counting(monkeypatch, classify, "_extract")
         shapes = counting(monkeypatch, classify, "_standard_shape")
         morphism_checks = counting(monkeypatch, classify, "verify_morphism")
         again = normal_form(A)
@@ -759,7 +761,7 @@ class TestTheNormalFormOfABuiltShape:
         for shape in built_shapes():
             copy = algebra_from_document(loads(dumps(algebra_to_document(shape))))
             assert copy == shape and stored(copy) == {}
-            decs = counting(monkeypatch, classify, "decompose")
+            decs = counting(monkeypatch, classify, "_splitting")
             ours = normal_form(shape)
             assert decs == [] and split_normal_form(shape) is ours.quadruple
             theirs = normal_form(copy)
@@ -778,6 +780,69 @@ class TestTheNormalFormOfABuiltShape:
             assert set(stored(L)) == {"verify", "quadruple"}
             with pytest.raises(ValueError, match="not a standard-shape algebra"):
                 split_normal_form(L)
+
+
+class TestTheKeptInverse:
+    """The morphism of a normal form keeps the inverses of its phi0 and phi1,
+    the bases of the splitting: ``inverse`` of it eliminates nothing."""
+
+    def test_it_is_the_inverse_by_elimination(self, monkeypatch, oracle_algebras):
+        count = 0
+        for L in [*oracle_algebras[1][:30], *oracle_algebras[3][:30],
+                  normal_form(random_algebra(5)).algebra]:
+            nf = normal_form(L)
+            # an equal morphism read back through documents keeps nothing, so
+            # its inverse goes by elimination
+            copy = morphism_from_document(loads(dumps(morphism_to_document(nf.morphism))))
+            assert copy == nf.morphism and stored(copy) == {}
+            inverts = counting(monkeypatch, morphisms, "invert")
+            ours = inverse(nf.morphism)
+            assert inverts == []
+            theirs = inverse(copy)
+            assert len(inverts) == 2 and ours == theirs
+            assert compose(nf.morphism, ours) == identity_morphism(L)
+            assert compose(ours, nf.morphism) == identity_morphism(nf.algebra)
+            monkeypatch.undo()
+            count += 1
+        assert count == 61
+
+    def test_a_classify_item_inverts_only_in_transport(self, monkeypatch):
+        # the pipeline of one item of the classify benchmark: linalg.invert
+        # runs only inside transport (random_algebra's included), twice per
+        # call, and linalg.rref once per algebra that is split
+        depth, inside, outside = [0], [], []
+        real_transport, real_invert = classify._transport, linalg.invert
+
+        def transport_(*args):
+            depth[0] += 1
+            try:
+                return real_transport(*args)
+            finally:
+                depth[0] -= 1
+
+        def invert_(m):
+            (inside if depth[0] else outside).append(m)
+            return real_invert(m)
+
+        monkeypatch.setattr(classify, "_transport", transport_)
+        for module in (linalg, classify, morphisms):
+            monkeypatch.setattr(module, "invert", invert_)
+        for seed in (3, 11, 28):
+            rng = random.Random(seed)
+            L = random_algebra(seed)
+            transports = counting(monkeypatch, classify, "_transport")
+            splits = counting(monkeypatch, classify, "_splitting")
+            rrefs = counting(monkeypatch, classify, "rref")
+            M, mor = transport(L, random_invertible(rng, L.n0, 2), random_invertible(rng, L.n1, 2),
+                               random_antisymmetric_correction(rng, L.n0, L.n1, 2))
+            nf_l, nf_m = normal_form(L), normal_form(M)
+            assert normal_form(nf_l.algebra).algebra == nf_l.algebra
+            bridge = compose(compose(inverse(nf_l.morphism), mor), nf_m.morphism)
+            maps = extract_quadruple_maps(bridge)
+            assert certify_isomorphism(L, M, maps.tau, maps.f_u, maps.t_v) is not None
+            assert invariants(L) == invariants(M)
+            assert len(transports) == 1 and len(splits) == len(rrefs) == 2
+        assert outside == [] and len(inside) == 2 * 2 * 3
 
 
 def fraction_killing_form(g):

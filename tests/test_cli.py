@@ -426,6 +426,41 @@ class TestGeneration:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "\u0663" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, option, text", [
+        (("example", "zero", "--n0", "\u0662", "--n1", "1"), "--n0", "\u0662"),
+        (("example", "zero", "--n0", "1", "--n1", "1_0"), "--n1", "1_0"),
+        (("example", "zero", "--n0", " 2"), "--n0", " 2"),
+        (("random", "--seed", "\u0663"), "--seed", "\u0663"),
+        (("random", "--seed", "+-3"), "--seed", "+-3"),
+        (("random", "--max-u", "\u0661"), "--max-u", "\u0661"),
+        (("random", "--max-u", "1_0"), "--max-u", "1_0"),
+        (("cohomology", "{so3}", "trivial", "\u0663"), "degree", "\u0663"),
+        (("cohomology", "{so3}", "trivial", "0x3"), "degree", "0x3"),
+    ])
+    def test_integer_options_take_ascii_digits_only(self, capsys, so3_doc, argv, option, text):
+        # int() reads any Unicode decimal digit, underscores between digits
+        # and surrounding spaces; an integer option takes [+-]?[0-9]+ alone,
+        # and anything else is argparse's usage error, exit 2
+        with pytest.raises(SystemExit) as info:
+            main([a.replace("{so3}", so3_doc) for a in argv])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [err.splitlines()[-1]]
+        assert errors[0].endswith(f"error: argument {option}: invalid integer "
+                                  f"(ASCII digits only): {text!r}")
+
+    @pytest.mark.parametrize("argv, attrs", [
+        (("example", "zero", "--n0", "+2", "--n1", "007"), {"n0": 2, "n1": 7}),
+        (("random", "--seed", "-3", "--max-u", "1"), {"seed": -3, "max_u": 1}),
+        (("cohomology", "A", "trivial", "+2"), {"degree": 2}),
+    ])
+    def test_integer_options_parse_ascii_digits(self, argv, attrs):
+        from lie2alg.cli import build_parser
+
+        args = vars(build_parser().parse_args(list(argv)))
+        assert {k: args[k] for k in attrs} == attrs
+
     @pytest.mark.parametrize("argv", [
         ("example", "zero", "--out", "{dir}"),
         ("example", "zero", "--out", "{dir}/missing/zero.json"),

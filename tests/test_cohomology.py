@@ -171,6 +171,35 @@ class TestComplexCache:
                 _, pivots = _elimination(n, rep)
                 assert len(pivots) == delta_matrix(n, rep).rank(), (g_name, rep_name, n)
 
+    def test_each_degree_is_eliminated_once(self, monkeypatch):
+        # ranks read the kept forward pass alone; the vector queries
+        # back-substitute that same pass, which stays as it was kept
+        from lie2alg import linalg
+        from lie2alg.cohomology import _delta_rows
+
+        for g_name, g, rep_name, _ in catalog_pairs(max_dim_g=3, max_dim_v=3):
+            rep = representation(g, rep_name)
+            passes = []
+            real = linalg._forward
+
+            def forward(rows, cols):
+                passes.append(len(rows))
+                return real(rows, cols)
+
+            monkeypatch.setattr(cohomology_module, "_forward", forward)
+            dims = [cohomology_dim(n, rep) for n in range(g.dim + 1)]
+            assert len(passes) == g.dim + 1
+            assert not any(key[0] == "rref" for key in vars(rep)["_kept_results"])
+            kept = {n: vars(rep)["_kept_results"][("forward", n)] for n in range(g.dim + 1)}
+            fresh = {n: real(*_delta_rows(n, rep)) for n in kept}
+            bases = [cohomology_basis(n, rep) for n in range(g.dim + 1)]
+            # one more pass per degree >= 1: the image pivots on the free rows
+            assert len(passes) == 2 * (g.dim + 1) - 1
+            assert [len(b) for b in bases] == dims, (g_name, rep_name)
+            assert all(vars(rep)["_kept_results"][("forward", n)] is kept[n] == fresh[n]
+                       for n in kept)
+            monkeypatch.undo()
+
     def test_query_order_does_not_matter(self):
         for g_name, g, rep_name, _ in catalog_pairs(max_dim_g=4, max_dim_v=3):
             basis_first = representation(g, rep_name)
@@ -199,8 +228,11 @@ class TestComplexCache:
             assert cohomology_dim(2, rep) == 0 and cohomology_basis(1, rep) == ()
             primitive = Cochain(1, rep.g, 3, {(0,): (1, 2, 3), (2,): (0, 0, 5)})
             assert is_coboundary(delta(primitive, rep), rep) is not None
+            # ranks and the image pivots read the forward passes alone; only
+            # the kernel vectors of cohomology_basis(1) read a back-substitution
             assert set(vars(rep)["_kept_results"]) == {
-                ("delta", 0), ("delta", 1), ("delta", 2), ("rref", 0), ("rref", 1), ("rref", 2)}
+                ("delta", 0), ("delta", 1), ("delta", 2),
+                ("forward", 0), ("forward", 1), ("forward", 2), ("rref", 1)}
             ref = weakref.ref(rep)
             del rep
             assert ref() is None

@@ -1,11 +1,17 @@
 """Reference test for ``classify.decompose``.
 
 ``decompose`` reads all nine fields of a `Decomposition` off one row
-reduction, of [d | I].  This module keeps the construction it replaces,
-seven eliminations (the image and kernel of d, the complements of
-both, and three inversions), as an independent oracle and asserts equal
-fields on seeded random algebras, on every zero algebra up to 3+3, and on
-abelian algebras whose differential is zero, surjective or injective.
+reduction, of [d | I], on scaled rows (``classify._splitting``).  This
+module keeps the construction it replaces, seven eliminations (the image
+and kernel of d, the complements of both, and three inversions), as an
+independent oracle and asserts, on seeded random algebras, on every zero
+algebra up to 3+3, and on abelian algebras whose differential is zero,
+surjective or injective:
+- equal fields;
+- scaled pieces equal to the oracle's fields in scaled form, with bases
+  that are the inverses of its coords0 and f;
+- a normal form whose isomorphism is (coords0, f) and keeps exactly those
+  inverses.
 """
 
 import random
@@ -23,13 +29,13 @@ from lie2alg import (
     image_basis,
     invert,
     kernel_basis,
+    normal_form,
     random_algebra,
     skeletal_string,
     so3,
     verify,
 )
 from lie2alg import classify, linalg
-from lie2alg.builders import RandomProfile
 from lie2alg.core import zero_tensor
 
 
@@ -57,6 +63,15 @@ def assert_same_decomposition(L):
     got, want = decompose(L), oracle_decompose(L)
     for field in Decomposition._fields:
         assert getattr(got, field) == getattr(want, field), field
+    # the record keeps the pieces it was read off; the oracle's, built by
+    # hand, builds them from its fields
+    s = classify._splitting(L)
+    assert got._scaled == s == want._scaled
+    inverses = (invert(want.coords0)._columns, invert(want.f)._columns)
+    assert (s.g + s.imd, s.ker + s.u) == inverses
+    nf = normal_form(L)
+    assert (nf.morphism.phi0, nf.morphism.phi1) == (want.coords0, want.f)
+    assert nf.morphism._kept("inverse") == inverses
 
 
 def abelian_with_differential(d: Matrix) -> TwoTermAlgebra:
@@ -77,10 +92,9 @@ def random_differential(rng: random.Random, n0: int, n1: int, rank: int) -> Matr
 
 
 @pytest.mark.parametrize("max_dim_u", [0, 1, 2, 3])
-def test_random_algebras(max_dim_u):
-    profile = RandomProfile(max_dim_u=max_dim_u)
-    for seed in range(60):
-        assert_same_decomposition(random_algebra(seed, profile))
+def test_random_algebras(max_dim_u, oracle_algebras):
+    for L in oracle_algebras[max_dim_u]:
+        assert_same_decomposition(L)
 
 
 @pytest.mark.parametrize("n0", range(4))
