@@ -405,6 +405,8 @@ def random_algebra(seed: int, profile: RandomProfile | None = None) -> TwoTermAl
     The output is verified by construction (the transport step re-verifies).
     """
     profile = profile or DEFAULT_PROFILE
+    if profile.max_dim_u < 0:
+        raise ValueError(f"max_dim_u must be nonnegative, got {profile.max_dim_u}")
     rng = random.Random(seed)
     g = lie_algebra(rng.choice(profile.algebras))
     rep = representation(g, rng.choice(profile.representations))

@@ -295,9 +295,11 @@ def transport(
     The new differential, brackets and Jacobiator are the unique ones making
     (phi0, phi1, correction) a morphism; the new Jacobiator uses the already
     transported mixed bracket.  Each is built on scaled integers, one
-    ``linalg._isum`` per output vector.  Returns the new algebra and the
-    connecting morphism, which store that scaled form (their `Fraction`
-    views are built on first read); both are re-verified before returning.
+    ``linalg._isum`` per output vector; each x_a = phi0^-1(e_a) is bound
+    once into the rows [x_a, f_l] and correction(e_m, x_a), which the new
+    mixed bracket and Jacobiator contract with one vector.  Returns the new
+    algebra and the connecting morphism, which store that scaled form (their
+    `Fraction` views are built on first read); both are re-verified.
 
     Precondition: ``verify(L)`` passes; when it does not, the transported
     algebra fails its check with ValueError.  A failed check on a valid L
@@ -334,14 +336,17 @@ def _transport(L: TwoTermAlgebra, phi0, phi1, scaled_correction) -> tuple:
     dv = [_ivec(n0, ((1, S.d, (v,)),)) for v in V]
     d_new = tuple(_ivec(n0, ((1, P0, (w,)),)) for w in dv)
 
+    # bx[a][l] = [x_a, f_l] and cx[a][m] = corr(e_m, x_a) = -corr(x_a, e_m)
+    bx = [tuple(_ivec(n1, ((1, row, (x,)),)) for row in S.b01t) for x in X]
+    cx = [tuple(_ivec(n1, ((1, row, (x,)),)) for row in C) for x in X]
     pairs = list(combinations(range(n0), 2))
     w = {(a, b): _ivec(n0, ((1, S.b00, (X[a], X[b])),)) for a, b in pairs}   # [x_a, x_b]
-    c = {(a, b): _ivec(n1, ((1, C, (X[a], X[b])),)) for a, b in pairs}       # corr(x_a, x_b)
+    c = {(a, b): _ivec(n1, ((1, cx[b], (X[a],)),)) for a, b in pairs}        # corr(x_a, x_b)
     b00_new = _alternating(n0, 2, {
         p: _ivec(n0, ((1, P0, (w[p],)), (-1, d_new, (c[p],)))) for p in pairs})
 
-    b01_new = tuple(tuple(_ivec(n1, ((1, P1, (_ivec(n1, ((1, S.b01, (X[a], V[b])),)),)),
-                                     (1, C, (dv[b], X[a]))))
+    b01_new = tuple(tuple(_ivec(n1, ((1, P1, (_ivec(n1, ((1, bx[a], (V[b],)),)),)),
+                                     (1, cx[a], (dv[b],))))
                           for b in range(n1)) for a in range(n0))
 
     jac_new = {}
@@ -349,7 +354,7 @@ def _transport(L: TwoTermAlgebra, phi0, phi1, scaled_correction) -> tuple:
         parts = [(1, P1, (_ivec(n1, ((1, S.jac, tuple(X[k] for k in key)),)),))]
         for perm, sign in _SHUFFLES[1, 2]:
             a, y, z = (key[p] for p in perm)
-            parts += [(-sign, b01_new[a], (c[y, z],)), (-sign, C, (X[a], w[y, z]))]
+            parts += [(-sign, b01_new[a], (c[y, z],)), (sign, cx[a], (w[y, z],))]
         jac_new[key] = _ivec(n1, parts)
 
     out = TwoTermAlgebra._of(n0, n1, d_new, b00_new, b01_new, _alternating(n0, 3, jac_new))

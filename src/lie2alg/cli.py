@@ -193,9 +193,9 @@ def cmd_example(args) -> int:
 def cmd_random(args) -> int:
     profile = RandomProfile()
     if args.algebras:
-        profile = profile._replace(algebras=tuple(args.algebras.split(",")))
+        profile = profile._replace(algebras=args.algebras)
     if args.reps:
-        profile = profile._replace(representations=tuple(args.reps.split(",")))
+        profile = profile._replace(representations=args.reps)
     if args.max_u is not None:
         profile = profile._replace(max_dim_u=args.max_u)
     L = random_algebra(args.seed, profile)
@@ -232,6 +232,20 @@ def _integer(text: str) -> int:
         except ValueError:   # past the limit on int-from-str digits
             pass
     raise argparse.ArgumentTypeError(f"invalid integer (ASCII digits only): {text!r}")
+
+
+def _count(text: str) -> int:
+    """A nonnegative ``_integer``."""
+    if (value := _integer(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return value
+
+
+def _names(text: str) -> tuple[str, ...]:
+    """A comma-separated list of names, none of them empty."""
+    if "" in (names := tuple(text.split(","))):
+        raise argparse.ArgumentTypeError(f"empty name in comma-separated list: {text!r}")
+    return names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", parents=[out], help="write a seeded random algebra")
     p.add_argument("--seed", type=_integer, default=0, help="seed for random generation")
-    p.add_argument("--algebras", help="comma-separated catalog names")
-    p.add_argument("--reps", help="comma-separated representation names")
-    p.add_argument("--max-u", type=_integer, default=None)
+    p.add_argument("--algebras", type=_names, help="comma-separated catalog names")
+    p.add_argument("--reps", type=_names, help="comma-separated representation names")
+    p.add_argument("--max-u", type=_count)
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("compose", parents=[out], help="compose two morphism documents")

@@ -13,7 +13,10 @@ the scaled-integer form of ``core``: the public constructor scales its
 `Fraction` data, and ``compose`` and ``inverse`` build their results on
 that form with ``linalg._isum`` and hand it to ``Morphism._of``; a
 morphism of a normal form keeps the inverses of its linear maps
-("inverse", through the record's ``_kept``).  The public
+("inverse", through the record's ``_kept``).  A skew correction is fixed
+by its values on pairs i < j, so ``compose`` and ``inverse`` of skew ones
+compute only those; of a public ``Morphism`` whose ``Phi`` is not skew,
+every ordered pair.  The public
 ``phi0``, ``phi1`` and ``Phi`` are views built on first read, and
 ``verify_morphism`` checks the equations on the scaled form, so `Fraction`s
 appear only at the API boundary.
@@ -30,6 +33,7 @@ from .core import (
     TwoTermAlgebra,
     VerificationReport,
     _SHUFFLES,
+    _alternating,
     _bracket_defect_parts,
     _column_matrix,
     _ivec,
@@ -99,11 +103,14 @@ def verify_morphism(m: Morphism) -> VerificationReport:
     not re-checked here.  As in ``core.verify``, each equation is a signed
     sum of contractions on the scaled-integer forms of the morphism and its
     two algebras, and a `Fraction` is built only for the discrepancy of a
-    reported failure.
+    reported failure.  Each phi(e_i) is bound into the target's mixed
+    bracket once, B1[i][m] = [phi e_i, f_m]', so the terms [phi e_i, y]' of
+    two equations contract B1[i] with y alone.
     """
     src, tgt = m.source, m.target
     u0, w1, Phi = m._scaled   # phi(e_i), phi(f_j), Phi(e_i, e_j)
     S, T = src._scaled, tgt._scaled
+    B1 = tuple(tuple(_ivec(tgt.n1, ((1, row, (u,)),)) for row in T.b01t) for u in u0)
     structure = tuple(f"Phi antisymmetry violated at {p}" for p in _pair_violations(Phi))
     return _report(MORPHISM_EQUATIONS, structure, {
         # phi0(d(f_j)) = d'(phi1(f_j))
@@ -118,30 +125,41 @@ def verify_morphism(m: Morphism) -> VerificationReport:
         # Phi(d(f_l), e_i) = -Phi(e_i, d(f_l)), [f_l, e_i] = -[e_i, f_l] and
         # [phi f_l, phi e_i]' = -[phi e_i, phi f_l]'
         EQ_MIXED_DEFECT: (tgt.n1, (
-            ((l, i), ((-1, Phi[i], (S.d[l],)), (-1, T.b01, (u0[i], w1[l])),
+            ((l, i), ((-1, Phi[i], (S.d[l],)), (-1, B1[i], (w1[l],)),
                       (1, w1, (S.b01[i][l],))))
             for l in range(src.n1) for i in range(src.n0))),
         # compatibility of the Jacobiators through Phi
         EQ_JACOBIATOR_COMPAT: (tgt.n1, (
-            (tri, _jacobiator_parts(S, T, u0, w1, Phi, tri))
+            (tri, _jacobiator_parts(S, T, B1, u0, w1, Phi, tri))
             for tri in combinations(range(src.n0), 3))),
     })
 
 
-def _jacobiator_parts(S, T, u0, w1, Phi, tri: tuple[int, int, int]) -> list:
+def _jacobiator_parts(S, T, B1, u0, w1, Phi, tri: tuple[int, int, int]) -> list:
     """phi1(J(x,y,z)) - J'(phi x, phi y, phi z) minus the sum over
-    (1,2)-shuffles of sign * ([phi a, Phi(b,c)]' + Phi(a, [b,c]))."""
+    (1,2)-shuffles of sign * ([phi a, Phi(b,c)]' + Phi(a, [b,c])), where
+    B1[a] is [phi e_a, .]' on the target's degree-1 basis."""
     i, j, k = tri
     parts = [(1, w1, (S.jac[i][j][k],)), (-1, T.jac, (u0[i], u0[j], u0[k]))]
     for perm, sign in _SHUFFLES[1, 2]:
         a, b, c = (tri[p] for p in perm)
-        parts.append((-sign, T.b01, (u0[a], Phi[b][c])))
+        parts.append((-sign, B1[a], (Phi[b][c],)))
         parts.append((-sign, Phi[a], (S.b00[b][c],)))
     return parts
 
 
+def _correction(n: int, value, *made_from) -> tuple:
+    """The correction with leaf ``value(i, j)`` on each pair of range(n): on
+    pairs i < j alone, then made alternating, when every correction in
+    ``made_from`` is antisymmetric, and so ``value``; else on all n^2 pairs."""
+    if any(next(_pair_violations(t), None) for t in made_from):
+        return tuple(tuple(value(i, j) for j in range(n)) for i in range(n))
+    return _alternating(n, 2, {(i, j): value(i, j) for i, j in combinations(range(n), 2)})
+
+
 def compose(first: Morphism, second: Morphism) -> Morphism:
-    """Apply ``first``, then ``second``."""
+    """Apply ``first``, then ``second``; the correction on pairs i < j alone
+    when both are antisymmetric (``_correction``)."""
     if first.target != second.source:
         raise ValueError("compose: first.target must equal second.source")
     a0, a1, A = first._scaled
@@ -150,8 +168,8 @@ def compose(first: Morphism, second: Morphism) -> Morphism:
     u0 = tuple(_ivec(m0, ((1, b0, (c,)),)) for c in a0)
     w1 = tuple(_ivec(m1, ((1, b1, (c,)),)) for c in a1)
     # Psi(x, y) = Phi2(phi1 x, phi1 y) + phi2(Phi1(x, y))
-    Psi = tuple(tuple(_ivec(m1, ((1, B, (a0[i], a0[j])), (1, b1, (A[i][j],))))
-                      for j in range(n0)) for i in range(n0))
+    Psi = _correction(n0, lambda i, j: _ivec(m1, ((1, B, (a0[i], a0[j])), (1, b1, (A[i][j],)))),
+                      A, B)
     return Morphism._of(first.source, second.target, (u0, w1, Psi))
 
 
@@ -161,7 +179,8 @@ def inverse(m: Morphism) -> Morphism | None:
     The inverses of phi0 and phi1 are ``invert``ed, unless ``m`` keeps
     their columns under "inverse": the morphism of ``classify.normal_form``
     does, as they are the bases its splitting already holds, so inverting
-    it eliminates nothing.
+    it eliminates nothing.  The correction is computed on pairs i < j alone
+    when ``m``'s is antisymmetric (``_correction``).
     """
     known = m._kept("inverse")
     if known is None:
@@ -174,8 +193,8 @@ def inverse(m: Morphism) -> Morphism | None:
     x, v = known
     Phi, n0, n1 = m._scaled[2], m.target.n0, m.target.n1
     # Phi^-1(x, y) = -phi1^-1(Phi(phi0^-1 x, phi0^-1 y))
-    Psi = tuple(tuple(_ivec(n1, ((-1, v, (_ivec(n1, ((1, Phi, (x[i], x[j])),)),)),))
-                      for j in range(n0)) for i in range(n0))
+    Psi = _correction(n0, lambda i, j: _ivec(n1, (
+        (-1, v, (_ivec(n1, ((1, Phi, (x[i], x[j])),)),)),)), Phi)
     return Morphism._of(m.target, m.source, (x, v, Psi))
 
 

@@ -267,6 +267,10 @@ class TestRandomAlgebra:
         for seed in range(30):
             assert verify(random_algebra(seed)).passed
 
+    def test_negative_max_dim_u_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^max_dim_u must be nonnegative, got -1$"):
+            random_algebra(0, RandomProfile(max_dim_u=-1))
+
     def test_profile_restriction(self):
         profile = RandomProfile(algebras=("so3",), representations=("adjoint",), max_dim_u=0)
         L = random_algebra(5, profile)

@@ -450,6 +450,24 @@ class TestGeneration:
         assert errors[0].endswith(f"error: argument {option}: invalid integer "
                                   f"(ASCII digits only): {text!r}")
 
+    @pytest.mark.parametrize("argv, error", [
+        (("--max-u", "-1"), "argument --max-u: must be nonnegative: '-1'"),
+        (("--max-u", "-0002"), "argument --max-u: must be nonnegative: '-0002'"),
+        (("--algebras", ""), "argument --algebras: empty name in comma-separated list: ''"),
+        (("--reps", ""), "argument --reps: empty name in comma-separated list: ''"),
+        (("--algebras", "so3,,sl2"),
+         "argument --algebras: empty name in comma-separated list: 'so3,,sl2'"),
+        (("--reps", "adjoint,"), "argument --reps: empty name in comma-separated list: 'adjoint,'"),
+    ])
+    def test_random_profile_options_are_checked(self, capsys, argv, error):
+        # a negative --max-u once reached randrange and an empty list fell
+        # back to the default catalog; each is argparse's usage error, exit 2
+        with pytest.raises(SystemExit) as info:
+            main(["random", "--seed", "1", *argv])
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert err.splitlines()[-1] == f"lie2alg random: error: {error}"
+
     @pytest.mark.parametrize("argv, attrs", [
         (("example", "zero", "--n0", "+2", "--n1", "007"), {"n0": 2, "n1": 7}),
         (("random", "--seed", "-3", "--max-u", "1"), {"seed": -3, "max_u": 1}),

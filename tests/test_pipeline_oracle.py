@@ -483,22 +483,39 @@ class TestInvalidInputsAgainstOracle:
 
     @pytest.mark.parametrize("kind", sorted(DENOMINATORS))
     def test_compose_and_inverse_of_arbitrary_maps(self, kind):
-        # random linear maps and corrections that are not antisymmetric:
-        # neither morphism is valid, and every entry of Psi is computed
+        # random linear maps and corrections that are antisymmetric or not:
+        # a correction that is not, on either side of compose, or that has
+        # one nonzero diagonal leaf, makes every entry of Psi computed
         rng = random.Random(f"arbitrary-{kind}")
         dens = DENOMINATORS[kind]
         for n0, n1 in [(1, 1), (2, 3), (3, 2), (4, 3), (0, 2), (3, 0)]:
             L, M, N = (TwoTermAlgebra.zero(n0, n1) for _ in range(3))
 
-            def arbitrary(src, tgt):
-                Phi = [[[entry(rng, dens) if rng.random() < 0.7 else 0 for _ in range(n1)]
-                        for _ in range(n0)] for _ in range(n0)]
+            def arbitrary():
+                return [[[entry(rng, dens) if rng.random() < 0.7 else 0 for _ in range(n1)]
+                         for _ in range(n0)] for _ in range(n0)]
+
+            def skew():
+                return rational_correction(rng, n0, n1, dens)
+
+            def one_diagonal_leaf():
+                Phi = skew()
+                if n0 and n1:
+                    i = rng.randrange(n0)
+                    Phi[i][i][rng.randrange(n1)] = entry(rng, dens)
+                return Phi
+
+            def morphism(src, tgt, Phi):
                 return Morphism(src, tgt, rational_invertible(rng, n0, dens),
                                 rational_invertible(rng, n1, dens), Phi)
 
-            first, second = arbitrary(L, M), arbitrary(M, N)
-            assert_same(compose(first, second), oracle_compose(first, second))
-            assert_same(inverse(first), oracle_inverse(first))
+            for make_first, make_second in [(arbitrary, arbitrary), (skew, arbitrary),
+                                            (arbitrary, skew), (skew, one_diagonal_leaf),
+                                            (one_diagonal_leaf, skew), (skew, skew)]:
+                first = morphism(L, M, make_first())
+                second = morphism(M, N, make_second())
+                assert_same(compose(first, second), oracle_compose(first, second))
+                assert_same(inverse(first), oracle_inverse(first))
 
 
 class TestCertificateAgainstOracle:
