@@ -158,11 +158,11 @@ _FIXED_ALGEBRAS = {
 
 
 def lie_algebra(name: str) -> LieAlgebra:
-    """Catalog lookup: 'abelianN' (N >= 0), 'nonabelian2', 'heisenberg3',
-    'so3', 'sl2'."""
+    """Catalog lookup: 'abelianN' (N >= 0 without leading zeros),
+    'nonabelian2', 'heisenberg3', 'so3', 'sl2'."""
     if name in _FIXED_ALGEBRAS:
         return _FIXED_ALGEBRAS[name]()
-    m = re.fullmatch(r"abelian([0-9]+)", name)
+    m = re.fullmatch(r"abelian(0|[1-9][0-9]*)", name)
     if m:
         return abelian(int(m.group(1)))
     raise ValueError(f"unknown Lie algebra {name!r}")
@@ -175,8 +175,8 @@ def lie_algebra_names(max_dim: int = 4) -> tuple[str, ...]:
 
 
 def representation(g: LieAlgebra, name: str) -> Representation:
-    """Catalog lookup: 'trivial', 'trivialN', 'adjoint', and '+'-joined
-    direct sums such as 'adjoint+trivial1'."""
+    """Catalog lookup: 'trivial', 'trivialN' (N without leading zeros),
+    'adjoint', and '+'-joined direct sums such as 'adjoint+trivial1'."""
     if "+" in name:
         parts = name.split("+")
         rep = representation(g, parts[0])
@@ -185,7 +185,7 @@ def representation(g: LieAlgebra, name: str) -> Representation:
         return rep
     if name == "trivial":
         return trivial_rep(g, 1)
-    m = re.fullmatch(r"trivial([0-9]+)", name)
+    m = re.fullmatch(r"trivial(0|[1-9][0-9]*)", name)
     if m:
         return trivial_rep(g, int(m.group(1)))
     if name == "adjoint":
@@ -407,6 +407,9 @@ def random_algebra(seed: int, profile: RandomProfile | None = None) -> TwoTermAl
     profile = profile or DEFAULT_PROFILE
     if profile.max_dim_u < 0:
         raise ValueError(f"max_dim_u must be nonnegative, got {profile.max_dim_u}")
+    for field in ("algebras", "representations"):
+        if not (names := getattr(profile, field)):
+            raise ValueError(f"{field} must name at least one catalog entry, got {names!r}")
     rng = random.Random(seed)
     g = lie_algebra(rng.choice(profile.algebras))
     rep = representation(g, rng.choice(profile.representations))

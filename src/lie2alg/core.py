@@ -12,8 +12,10 @@ The bracket of two degree-1 elements vanishes for degree reasons and is not
 stored; the bracket extends to mixed arguments by [v, x] = -[x, v].
 
 Antisymmetry of ``b00``/``jac`` is stored redundantly (full tensors) and
-validated as an explicit verifier stage.  An algebra stores its structure
-once, in scaled integers, the one exact vector form of the package
+validated as an explicit verifier stage; ``_alternating`` builds such a
+tensor orbit by orbit, and the stage compares the leaves of each orbit
+entry by entry.  An algebra stores its structure once, in scaled integers,
+the one exact vector form of the package
 (``linalg._scale``): each leaf vector of a structure tensor as integer
 numerators over the lcm of its own denominators, and ``d`` as its columns
 in the same form.  The public constructor scales its `Fraction` data once;
@@ -41,7 +43,7 @@ import decimal
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
 
 from .linalg import (Matrix, _Record, _column_matrix, _isum, _ivec, _reduce, _scale, _unscale,
@@ -266,16 +268,31 @@ def _unscale_tensor(tensor, depth: int, n: int):
 def _alternating(n: int, slots: int, values: dict):
     """The scaled tensor of leaves ``slots`` indices deep over range(n) that
     is alternating in those indices and takes ``values`` on increasing
-    index tuples (every other leaf with a repeated index is zero)."""
-    signs = [(order, perm_sign(order)) for order in permutations(range(slots))]
-    leaves = {}
-    for key, v in values.items():
-        neg = _neg(v)
-        for order, sign in signs:
-            leaves[tuple(key[o] for o in order)] = v if sign == 1 else neg
-    grid = [leaves.get(idx, _ZERO_SCALED) for idx in product(range(n), repeat=slots)]
+    index tuples (every other leaf with a repeated index is zero).  Each
+    orbit is written into a row-major grid of zero leaves, a key's value at
+    its even permutations and one negation of it at its odd ones, and the
+    grid is cut into nested tuples; the 2- and 3-slot orbits of the
+    pipeline are written out."""
+    grid, m = [_ZERO_SCALED] * n ** slots, n * n
+    if slots == 2:
+        for (i, j), v in values.items():
+            grid[i * n + j], grid[j * n + i] = v, _neg(v)
+    elif slots == 3:
+        for (i, j, k), v in values.items():
+            neg = _neg(v)
+            grid[i * m + j * n + k], grid[i * m + k * n + j], grid[j * m + i * n + k] = v, neg, neg
+            grid[j * m + k * n + i], grid[k * m + i * n + j], grid[k * m + j * n + i] = v, v, neg
+    else:
+        even = [perm_sign(order) == 1 for order in permutations(range(slots))]
+        for key, v in values.items():
+            sides = (_neg(v), v)
+            for image, e in zip(permutations(key), even):
+                at = 0
+                for x in image:
+                    at = at * n + x
+                grid[at] = sides[e]
     for _ in range(slots - 1):
-        grid = [tuple(grid[i:i + n]) for i in range(0, len(grid), n or 1)]
+        grid = zip(*[iter(grid)] * n)           # consecutive runs of n, as tuples
     return tuple(grid)
 
 
@@ -449,21 +466,29 @@ def structure_violations(L: TwoTermAlgebra) -> tuple[str, ...]:
 def _pair_violations(t) -> Iterator[tuple[int, int]]:
     """The pairs i <= j, in lexicographic order, where the scaled 2-tensor
     ``t`` has t[i][j] != -t[j][i]: the one antisymmetry scan of b00, of
-    structure constants and of morphism corrections."""
-    for i in range(len(t)):
+    structure constants and of morphism corrections.  The two leaves are
+    compared entry by entry, with no negated leaf built."""
+    for i, row in enumerate(t):
         for j in range(i, len(t)):
-            if t[i][j] != _neg(t[j][i]):
+            (a, p), (b, q) = row[j], t[j][i]
+            if p != q or len(a) != len(b) or a and any(
+                    s != u or x != -y for (s, x), (u, y) in zip(a, b)):
                 yield i, j
 
 
 def _jac_violations(n0: int, jac) -> Iterator[tuple[int, int, int]]:
     """Index triples, in lexicographic order, where the scaled ``jac`` is not
     alternating: its leaf differs from zero on a repeated index, or from the
-    leaf of the sorted triple times the sign of the sort."""
-    bad = [(a, b, c) for a, b, c in product(range(n0), repeat=3)
-           if (a == b or b == c or a == c) and jac[a][b][c] != _ZERO_SCALED]
+    leaf of the sorted triple times the sign of the sort.  Odd leaves are
+    compared with jac[i][k][j], negated only when it is itself wrong."""
+    bad = [(a, b, c) for a in range(n0) for b in range(n0)
+           for c in (range(n0) if a == b else (a, b)) if jac[a][b][c] != _ZERO_SCALED]
     for i, j, k in combinations(range(n0), 3):
-        v, odd = jac[i][j][k], _neg(jac[i][j][k])
+        v, odd = jac[i][j][k], jac[i][k][j]
+        (e, p), (f, q) = v, odd     # the test of _pair_violations, written out as there
+        if p != q or len(e) != len(f) or e and any(
+                s != u or x != -y for (s, x), (u, y) in zip(e, f)):
+            odd = _neg(v)
         for (a, b, c), want in (((i, k, j), odd), ((j, i, k), odd), ((j, k, i), v),
                                 ((k, i, j), v), ((k, j, i), odd)):
             if jac[a][b][c] != want:

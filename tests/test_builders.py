@@ -245,6 +245,17 @@ class TestCatalog:
         with pytest.raises(ValueError):
             representation(g, "spin7")
 
+    def test_numbers_without_leading_zeros(self):
+        g = so3()
+        assert (lie_algebra("abelian0").dim, lie_algebra("abelian10").dim) == (0, 10)
+        assert (representation(g, "trivial0").dimV, representation(g, "trivial10").dimV) == (0, 10)
+        for name in ("abelian00", "abelian01", "abelian007"):
+            with pytest.raises(ValueError, match=f"^unknown Lie algebra '{name}'$"):
+                lie_algebra(name)
+        for name in ("trivial00", "trivial01", "adjoint+trivial01"):
+            with pytest.raises(ValueError, match="^unknown representation 'trivial0[01]'$"):
+                representation(g, name)
+
     def test_direct_sum_blocks(self):
         g = so3()
         rep = direct_sum_rep(adjoint_rep(g), trivial_rep(g, 1))
@@ -270,6 +281,12 @@ class TestRandomAlgebra:
     def test_negative_max_dim_u_is_rejected(self):
         with pytest.raises(ValueError, match=r"^max_dim_u must be nonnegative, got -1$"):
             random_algebra(0, RandomProfile(max_dim_u=-1))
+
+    @pytest.mark.parametrize("field", ["algebras", "representations"])
+    def test_empty_catalog_selection_is_rejected(self, field):
+        message = rf"^{field} must name at least one catalog entry, got \(\)$"
+        with pytest.raises(ValueError, match=message):
+            random_algebra(0, RandomProfile()._replace(**{field: ()}))
 
     def test_profile_restriction(self):
         profile = RandomProfile(algebras=("so3",), representations=("adjoint",), max_dim_u=0)

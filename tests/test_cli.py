@@ -112,6 +112,11 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error: ") and "d[0][0]: invalid rational" in err
 
+    def test_repeated_key_exits_2(self, capsys):
+        # without the check the last "n0" wins and this prints PASS
+        code, out, err = run(capsys, "verify", data("malformed/zero_2_1_repeated_n0.json"))
+        assert (code, out, err) == (2, "", "error: invalid JSON: repeated key 'n0'\n")
+
     def test_unreadable_exits_2(self, capsys):
         code, _, err = run(capsys, "verify", "/no/such/file.json")
         assert code == 2
@@ -425,6 +430,18 @@ class TestGeneration:
         code, out, err = run(capsys, *[a.replace("{so3}", so3_doc) for a in argv])
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "\u0663" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("cohomology", "{so3}", "trivial01", "1"), "unknown representation 'trivial01'"),
+        (("cohomology", "{so3}", "adjoint+trivial00", "2"), "unknown representation 'trivial00'"),
+        (("example", "skeletal-string", "--lie", "abelian007", "--k", "1"),
+         "unknown Lie algebra 'abelian007'"),
+        (("random", "--algebras", "abelian01"), "unknown Lie algebra 'abelian01'"),
+    ])
+    def test_catalog_numbers_with_leading_zeros_exit_2(self, capsys, so3_doc, argv, message):
+        # one spelling per catalog entry: trivial01 is not read as trivial1
+        code, out, err = run(capsys, *[a.replace("{so3}", so3_doc) for a in argv])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, option, text", [
         (("example", "zero", "--n0", "\u0662", "--n1", "1"), "--n0", "\u0662"),

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -35,6 +36,7 @@ from lie2alg.documents import (
 )
 
 F = Fraction
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 class TestRationalStrings:
@@ -200,6 +202,29 @@ class TestFiles:
     def test_invalid_json(self):
         with pytest.raises(DocumentError, match="invalid JSON"):
             loads("{not json")
+
+    def test_repeated_key_rejected(self):
+        # json alone keeps the last of two equal keys: this document would
+        # read as the valid 2+1 algebra it was copied from
+        with open(os.path.join(DATA, "malformed", "zero_2_1_repeated_n0.json")) as fh:
+            text = fh.read()
+        with pytest.raises(DocumentError, match=r"^invalid JSON: repeated key 'n0'$"):
+            loads(text)
+        with pytest.raises(DocumentError, match=r"^invalid JSON: repeated key 'b'$"):
+            loads('{"a": [{"b": 1, "c": 2, "b": 1}]}')
+        assert loads('{"a": {"b": 1}, "c": {"b": 2}}') == {"a": {"b": 1}, "c": {"b": 2}}
+
+    def test_byte_order_mark_named(self):
+        # decoding goes through one JSONDecoder, which does not make this check itself
+        with pytest.raises(DocumentError, match=r"^invalid JSON: Unexpected UTF-8 BOM \("):
+            loads("\ufeff{}")
+
+    def test_repeated_key_in_inline_source_rejected(self):
+        text = dumps(morphism_to_document(example27_automorphism("i")))
+        assert text.count('"kind": "algebra",') == 2
+        bad = text.replace('"kind": "algebra",', '"kind": "algebra", "kind": "algebra",', 1)
+        with pytest.raises(DocumentError, match=r"^invalid JSON: repeated key 'kind'$"):
+            loads(bad)
 
     def test_deep_nesting(self):
         depth = 50_000

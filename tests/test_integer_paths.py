@@ -25,8 +25,9 @@ from lie2alg.cohomology import (
     increasing_tuples,
     vec_to_cochain,
 )
-from lie2alg.core import _alternating, _jac_violations
+from lie2alg.core import _jac_violations
 from lie2alg.linalg import _eliminate, _scale, _scale_items, _transpose
+from test_alternating import reference_alternating
 from test_linalg import primes_of_50_digits, ref_mul
 
 F = Fraction
@@ -190,7 +191,8 @@ def test_column_matrix_keeps_the_columns_it_would_build():
 def reference_jac_violations(n0, jac):
     """The triples where jac differs from the alternating tensor of its
     values on increasing triples."""
-    ref = _alternating(n0, 3, {(i, j, k): jac[i][j][k] for i, j, k in combinations(range(n0), 3)})
+    ref = reference_alternating(n0, 3, {(i, j, k): jac[i][j][k]
+                                        for i, j, k in combinations(range(n0), 3)})
     return [idx for idx in product(range(n0), repeat=3)
             if jac[idx[0]][idx[1]][idx[2]] != ref[idx[0]][idx[1]][idx[2]]]
 
@@ -206,7 +208,7 @@ def test_jac_violations_match_the_alternating_reference():
         repeated = [t for t in triples if len(set(t)) < 3]
         for _ in range(20):
             values = {key: leaf() for key in combinations(range(n0), 3)}
-            jac = [[list(row) for row in plane] for plane in _alternating(n0, 3, values)]
+            jac = [[list(row) for row in plane] for plane in reference_alternating(n0, 3, values)]
             sites = rng.sample(triples, min(len(triples), rng.randint(0, 4)))
             for i, j, k in sites + rng.sample(repeated, min(len(repeated), rng.randint(0, 1))):
                 jac[i][j][k] = rng.choice([leaf(), ((), 1), jac[k][j][i], jac[i][j][k]])
