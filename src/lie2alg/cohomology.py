@@ -14,15 +14,12 @@ the size of a shuffle table.  Degree 0 is included with C_0 = V and
 (delta f)(x) = rho(x) f, so square-zero and dimension formulas hold
 uniformly.
 
-Each differential is assembled once per representation from the nonzero
-terms of sc and rho into scaled rows, each summed on integers over one
-denominator and reduced once, and eliminated once: a forward pass, whose
-pivots give its rank, and, for the queries that read vectors, the
-back-substitution of that same pass.  The ``Representation`` keeps all
-three, through the record's ``_kept``, under ("delta", n), ("forward", n)
-and ("rref", n); ``cohomology_dim`` reads ranks alone.  ``delta`` takes one
-integer dot product per row, and no query builds a dense matrix but
-``delta_matrix``, their view.
+A ``Representation`` keeps its cochain complex, one ``_Complex``, through
+the record's ``_kept`` under "complex".  Per degree it assembles delta_n
+once into scaled rows and eliminates it once, by one forward pass whose
+pivots give the rank; only the queries that read vectors back-substitute
+that pass.  ``delta`` takes one integer dot product per row, and no query
+builds a dense matrix but ``delta_matrix``, their view.
 
 Tensor contractions run on the scaled integers of ``core``: a Lie algebra
 stores its structure constants in that form, a representation and a
@@ -42,39 +39,11 @@ from functools import cached_property
 from itertools import combinations
 from math import lcm
 
-from .linalg import (
-    Matrix,
-    _Record,
-    _back_substitute,
-    _column_matrix,
-    _forward,
-    _kernel_vectors,
-    _reduce,
-    _solve,
-    _times,
-    as_matrix,
-    is_zero_vec,
-    vec,
-    vec_sub,
-    vec_zero,
-)
-from .core import (
-    Tensor3,
-    _alternating,
-    _bracket_defect_parts,
-    _first_failure,
-    _ivec,
-    _jacobi_parts,
-    _mixed_jacobi_parts,
-    _pair_violations,
-    _scale,
-    _scale_arg,
-    _scale_tensor,
-    _unscale,
-    _unscale_tensor,
-    perm_sign,
-    tensor,
-)
+from .linalg import (Matrix, _Record, _back_substitute, _column_matrix, _forward, _kernel_vectors,
+                     _reduce, _solve, _times, as_matrix, is_zero_vec, vec, vec_sub, vec_zero)
+from .core import (Tensor3, _alternating, _bracket_defect_parts, _first_failure, _ivec,
+                   _jacobi_parts, _mixed_jacobi_parts, _pair_violations, _scale, _scale_arg,
+                   _scale_tensor, _unscale, _unscale_tensor, perm_sign, tensor)
 
 
 class LieMorphismError(ValueError):
@@ -163,6 +132,8 @@ class Representation(_Record):
 
 def increasing_tuples(dim: int, n: int) -> tuple[tuple[int, ...], ...]:
     """The basis keys of n-cochains on g, dim g = dim: none when n > dim."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
     return tuple(combinations(range(dim), n)) if n <= dim else ()
 
 
@@ -184,7 +155,7 @@ class Cochain(_Record):
         key_set = set(keys)
         supplied = dict(values or {})
         for key in supplied:
-            if tuple(key) not in key_set:
+            if key not in key_set:
                 raise ValueError(f"not an increasing {n}-tuple: {key}")
         for key in keys:
             raw = supplied.get(key)
@@ -203,6 +174,8 @@ class Cochain(_Record):
 
     def value_at_basis(self, idx: tuple[int, ...]):
         """Alternating evaluation at an arbitrary basis index tuple."""
+        if len(idx) != self.n or not all(0 <= i < self.g.dim for i in idx):
+            raise ValueError(f"not {self.n} basis indices of g: {idx}")
         if len(set(idx)) < len(idx):
             return vec_zero(self.dimV)
         order = tuple(sorted(idx))
@@ -234,11 +207,11 @@ class Cochain(_Record):
 
 def delta(f: Cochain, rep: Representation) -> Cochain:
     """Cochain differential: action sum over (1,n)-shuffles minus bracket sum
-    over (2,n-1)-shuffles, ordinary permutation signs; the cached rows of
+    over (2,n-1)-shuffles, ordinary permutation signs; the kept rows of
     delta_n, each dotted once with the coordinates of f."""
     if f.g != rep.g or f.dimV != rep.dimV:
         raise ValueError("cochain and representation live on different data")
-    flat = _times(*_delta_rows(f.n, rep), _scale(cochain_to_vec(f)))
+    flat = _times(*_complex(rep).rows(f.n), _scale(cochain_to_vec(f)))
     return vec_to_cochain(f.n + 1, f.g, f.dimV, flat)
 
 
@@ -256,74 +229,114 @@ def vec_to_cochain(n: int, g: LieAlgebra, dimV: int, flat) -> Cochain:
                                     for pos, key in enumerate(increasing_tuples(g.dim, n))})
 
 
-def _delta_rows(n: int, rep: Representation) -> tuple[tuple, int]:
-    """The rows of delta_n in scaled form and its number of columns,
-    assembled once per representation and kept on it."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return rep._kept(("delta", n), _assemble_delta, n, rep)
+class _Complex:
+    """The cochain complex of a representation, kept on it under "complex".
+
+    Per degree n it owns, each made on first use, the rows of delta_n, the
+    one forward pass of those rows, whose length is the rank, and the rref
+    back-substituted from that pass.  It holds the representation's scaled
+    data, never the record, and is the one place a delta_n is eliminated."""
+
+    def __init__(self, rep: Representation):
+        self.dim, self.dimV, self.sc = rep.g.dim, rep.dimV, rep.g._scaled
+        self.rho = [m._rows for m in rep.rho]
+        self._rows, self._echelon, self._reduced = {}, {}, {}
+
+    def rows(self, n: int) -> tuple[tuple, int]:
+        """The rows of delta_n in scaled form and its number of columns."""
+        if n not in self._rows:
+            self._rows[n] = self._assemble(n)
+        return self._rows[n]
+
+    def _assemble(self, n: int) -> tuple[tuple, int]:
+        """The rows of delta_n on the increasing-tuple (x) V basis: (delta f)(key)
+        sums (-1)^i rho(e_key[i]) f(key less i) and, for i < j, (-1)^(i+j)
+        f([e_key[i], e_key[j]], rest), with f(e_t, rest) = (-1)^#(rest below t)
+        f(sorted tuple).  Each row sums integer numerators over the lcm of the
+        denominators it reads, and is reduced once."""
+        d, sc, rho = self.dimV, self.sc, self.rho
+        cols = {key: j * d for j, key in enumerate(increasing_tuples(self.dim, n))}
+        width, out = len(cols) * d, []
+        for key in increasing_tuples(self.dim, n + 1):
+            action = [((-1) ** i, rho[x], cols[key[:i] + key[i + 1:]]) for i, x in enumerate(key)]
+            bracket = []   # (numerator, den, block) of each f(e_t, rest) term
+            for i, j in combinations(range(n + 1), 2):
+                rest = key[:i] + key[i + 1:j] + key[j + 1:]
+                items, den = sc[key[i]][key[j]]
+                for t, c in items:
+                    if t not in rest:
+                        below = sum(1 for r in rest if r < t)
+                        bracket.append(((-1) ** (i + j + below) * c, den,
+                                        cols[tuple(sorted(rest + (t,)))]))
+            for l in range(d):
+                den = lcm(*[r[l][1] for _, r, _ in action], *[q for _, q, _ in bracket])
+                row = [0] * width
+                for sign, r, s in action:
+                    items, q = r[l]
+                    for k, e in items:
+                        row[s + k] += sign * e * (den // q)
+                for c, q, s in bracket:
+                    row[s + l] += c * (den // q)
+                out.append(_reduce((row, den)))
+        return tuple(out), width
+
+    def echelon(self, n: int) -> dict:
+        """``_forward`` of the rows of delta_n, pivot column -> its echelon row."""
+        if n not in self._echelon:
+            self._echelon[n] = _forward(*self.rows(n))
+        return self._echelon[n]
+
+    def rank(self, n: int) -> int:
+        """The rank of delta_n, read off its forward pass; 0 below degree 0."""
+        return len(self.echelon(n)) if n >= 0 else 0
+
+    def kernel(self, n: int, image: bool = False) -> tuple[tuple[Fraction, ...], ...]:
+        """The kernel vectors of delta_n from its rref, one per free column f
+        in increasing order.
+
+        With ``image``, f is left out when an image vector of delta_{n-1}
+        has its last nonzero free coordinate at f.  A cocycle is its
+        coordinates at the free columns, its kernel vector there e_f; so
+        these f are the pivots of the image's spanning columns eliminated on
+        the free rows of delta_{n-1}, reversed (a row's denominator moves no
+        last nonzero)."""
+        pivots, width = self.echelon(n), self.rows(n)[1]
+        free, bounded = [c for c in range(width) if c not in pivots], set()
+        if image and n >= 1:
+            rows, spans = self.rows(n - 1)[0], {p: [] for p in self.echelon(n - 1)}
+            for i, c in enumerate(reversed(free)):
+                for k, x in rows[c][0]:
+                    if k in spans:
+                        spans[k].append((i, x))
+            bounded = {free[-1 - i] for i in _forward([(v, 1) for v in spans.values()], len(free))}
+        if n not in self._reduced:
+            self._reduced[n] = _back_substitute(pivots)
+        return _kernel_vectors(self._reduced[n], [c for c in free if c not in bounded], width)
+
+    def primitive(self, n: int, f) -> tuple[Fraction, ...] | None:
+        """The solution x of delta_{n-1} x = f, the `Fraction` coordinates of
+        an n-cochain, with free unknowns zero, or None: [delta_{n-1} | f]
+        eliminated afresh, as the kept pass keeps no row operations."""
+        rows, cols = self.rows(n - 1)
+        ratios = map(Fraction.as_integer_ratio, f)
+        x = _solve(rows, [(((0, p),) if p else (), q) for p, q in ratios], cols, 1)
+        return None if x is None else _unscale(x[0], cols)
 
 
-def _assemble_delta(n: int, rep: Representation) -> tuple[tuple, int]:
-    """The rows of delta_n on the increasing-tuple (x) V basis: (delta f)(key)
-    sums (-1)^i rho(e_key[i]) f(key less i) and, for i < j, (-1)^(i+j)
-    f([e_key[i], e_key[j]], rest), with f(e_t, rest) = (-1)^#(rest below t)
-    f(sorted tuple).  Each row sums integer numerators over the lcm of the
-    denominators it reads, and is reduced once."""
-    d, sc, rho = rep.dimV, rep.g._scaled, [m._rows for m in rep.rho]
-    cols = {key: j * d for j, key in enumerate(increasing_tuples(rep.g.dim, n))}
-    width, out = len(cols) * d, []
-    for key in increasing_tuples(rep.g.dim, n + 1):
-        action = [((-1) ** i, rho[x], cols[key[:i] + key[i + 1:]]) for i, x in enumerate(key)]
-        bracket = []   # (numerator, den, block) of each f(e_t, rest) term
-        for i, j in combinations(range(n + 1), 2):
-            rest = key[:i] + key[i + 1:j] + key[j + 1:]
-            items, den = sc[key[i]][key[j]]
-            for t, c in items:
-                if t not in rest:
-                    below = sum(1 for r in rest if r < t)
-                    bracket.append(((-1) ** (i + j + below) * c, den,
-                                    cols[tuple(sorted(rest + (t,)))]))
-        for l in range(d):
-            den = lcm(*[r[l][1] for _, r, _ in action], *[q for _, q, _ in bracket])
-            row = [0] * width
-            for sign, r, s in action:
-                items, q = r[l]
-                for k, e in items:
-                    row[s + k] += sign * e * (den // q)
-            for c, q, s in bracket:
-                row[s + l] += c * (den // q)
-            out.append(_reduce((row, den)))
-    return tuple(out), width
+def _complex(rep: Representation) -> _Complex:
+    """The cochain complex of ``rep``, made once and kept on it."""
+    return rep._kept("complex", _Complex, rep)
 
 
 def delta_matrix(n: int, rep: Representation) -> Matrix:
     """Matrix of the degree-n differential on the increasing-tuple (x) V basis:
-    the dense view of the cached rows of delta_n, which it keeps."""
-    return Matrix._of(*_delta_rows(n, rep))
-
-
-def _forward_pass(n: int, rep: Representation) -> dict:
-    """``_forward`` of the rows of delta_n, pivot column -> its echelon row,
-    once per representation and kept on it: its rank is its length."""
-    return rep._kept(("forward", n), _forward, *_delta_rows(n, rep))
-
-
-def _elimination(n: int, rep: Representation) -> tuple[tuple, tuple[int, ...]]:
-    """The rref of delta_n as ``_eliminate`` returns it: the kept forward
-    pass back-substituted, once per representation and kept on it."""
-    return rep._kept(("rref", n), _back_substitute, _forward_pass(n, rep))
-
-
-def _free_columns(n: int, rep: Representation) -> list[int]:
-    """The free columns of delta_n, in increasing order."""
-    pivots = _forward_pass(n, rep)
-    return [c for c in range(_delta_rows(n, rep)[1]) if c not in pivots]
+    the dense view of the kept rows of delta_n."""
+    return Matrix._of(*_complex(rep).rows(n))
 
 
 def cocycle_basis(n: int, rep: Representation) -> tuple[tuple[Fraction, ...], ...]:
     """Flattened kernel basis of delta_n, from its rref's free columns in order."""
-    return _kernel_vectors(_elimination(n, rep), _free_columns(n, rep), _delta_rows(n, rep)[1])
+    return _complex(rep).kernel(n)
 
 
 def is_cocycle(f: Cochain, rep: Representation) -> bool:
@@ -342,40 +355,22 @@ def is_coboundary(f: Cochain, rep: Representation) -> Cochain | None:
         raise ValueError("is_coboundary needs degree >= 1")
     if f.g != rep.g or f.dimV != rep.dimV:
         raise ValueError("cochain and representation live on different data")
-    rows, cols = _delta_rows(f.n - 1, rep)
-    ratios = map(Fraction.as_integer_ratio, cochain_to_vec(f))
-    x = _solve(rows, [(((0, p),) if p else (), q) for p, q in ratios], cols, 1)
-    return None if x is None else vec_to_cochain(f.n - 1, f.g, f.dimV, _unscale(x[0], cols))
+    x = _complex(rep).primitive(f.n, cochain_to_vec(f))
+    return None if x is None else vec_to_cochain(f.n - 1, f.g, f.dimV, x)
 
 
 def cohomology_dim(n: int, rep: Representation) -> int:
     """dim ker(delta_n) - rank(delta_{n-1}), the ranks read off the forward
     passes alone."""
-    image_rank = len(_forward_pass(n - 1, rep)) if n >= 1 else 0
-    return _delta_rows(n, rep)[1] - len(_forward_pass(n, rep)) - image_rank
+    c = _complex(rep)
+    return c.rows(n)[1] - c.rank(n) - c.rank(n - 1)
 
 
 def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
     """The kernel vectors of delta_n that a greedy left-to-right scan keeps
-    independent of im delta_{n-1} and of those kept before.
-
-    A cocycle is its coordinates at the free columns f of delta_n, its
-    kernel vector there e_f; so f is kept unless an image vector has its
-    last nonzero free coordinate at f: a pivot of the image's spanning
-    columns eliminated on the free rows of delta_{n-1}, reversed (a row's
-    denominator moves no last nonzero)."""
-    free = _free_columns(n, rep)
-    bounded = set()
-    if n >= 1:
-        rows, image = _delta_rows(n - 1, rep)[0], {p: [] for p in _forward_pass(n - 1, rep)}
-        for i, c in enumerate(reversed(free)):
-            for k, x in rows[c][0]:
-                if k in image:
-                    image[k].append((i, x))
-        bounded = {free[-1 - i] for i in _forward([(v, 1) for v in image.values()], len(free))}
-    kept = [c for c in free if c not in bounded]
-    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v) for v in
-                 _kernel_vectors(_elimination(n, rep), kept, _delta_rows(n, rep)[1]))
+    independent of im delta_{n-1} and of those kept before: those at the
+    free columns of delta_n that no image vector bounds."""
+    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v) for v in _complex(rep).kernel(n, True))
 
 
 # ---------------------------------------------------------------------------

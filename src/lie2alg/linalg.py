@@ -190,14 +190,14 @@ class _Record:
     def _kept(self, key, compute=None, *args):
         """``compute(*args)``, once per object: the one store of results
         computed from a record, under "verify", "quadruple" and "normal_form"
-        on a `TwoTermAlgebra`, ("delta", n), ("forward", n) and ("rref", n)
-        on a `Representation`, and "inverse" on the `Morphism` of a normal
-        form: the columns of the inverses of its phi0 and phi1.  A standard
-        shape keeps the quadruple it was built from under "quadruple" and
-        "built from" from the start.  With no ``compute``, the value kept
-        under ``key`` or None, and no store is made.  No kept value refers
-        back to its record, so it is still freed by reference counting; an
-        equal record keeps its own."""
+        on a `TwoTermAlgebra`, "complex" on a `Representation` (its cochain
+        complex, which keeps each differential and its elimination), and
+        "inverse" on the `Morphism` of a normal form: the columns of the
+        inverses of its phi0 and phi1.  A standard shape keeps the quadruple
+        it was built from under "quadruple" and "built from" from the start.
+        With no ``compute``, the value kept under ``key`` or None, and no
+        store is made.  No kept value refers back to its record, so it is
+        still freed by reference counting; an equal record keeps its own."""
         if compute is None:
             return self.__dict__.get("_kept_results", {}).get(key)
         kept = self.__dict__.setdefault("_kept_results", {})

@@ -3,6 +3,7 @@ import random
 import weakref
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import gcd
 
 import pytest
 
@@ -31,9 +32,10 @@ from lie2alg import (
 from lie2alg import cohomology as cohomology_module
 from lie2alg.builders import abelian, catalog_pairs, lie_algebra, representation
 from lie2alg.cohomology import (
-    _elimination,
+    _complex,
     _transfer_difference,
     cochain_to_vec,
+    cocycle_basis,
     increasing_tuples,
     is_intertwiner,
     is_lie_morphism,
@@ -155,8 +157,9 @@ class TestSquareZero:
 
 
 class TestComplexCache:
-    """Each representation keeps its differentials and their eliminations;
-    a cached answer must equal a fresh one in every order of queries."""
+    """Each representation keeps one cochain complex, which keeps the
+    differentials and their eliminations; a kept answer must equal a fresh
+    one in every order of queries."""
 
     def test_repeated_delta_matrix_is_equal(self):
         for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=2):
@@ -168,36 +171,57 @@ class TestComplexCache:
     def test_cached_rank_matches_matrix_rank(self):
         for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=4):
             for n in range(0, g.dim + 2):
-                _, pivots = _elimination(n, rep)
-                assert len(pivots) == delta_matrix(n, rep).rank(), (g_name, rep_name, n)
+                assert _complex(rep).rank(n) == delta_matrix(n, rep).rank(), (g_name, rep_name, n)
+
+    def test_kept_rref_is_reduced(self):
+        # each kept rref row in canonical scaled form: its denominator is its
+        # pivot entry, so the pivot reads 1, and no other pivot column is set
+        for g_name, g, rep_name, rep in catalog_pairs(max_dim_g=4, max_dim_v=3):
+            cx = _complex(rep)
+            for n in range(g.dim + 1):
+                cocycle_basis(n, rep)
+                rows, pivots = cx._reduced[n]
+                assert pivots == tuple(sorted(cx.echelon(n))), (g_name, rep_name, n)
+                for p, (items, den) in zip(pivots, rows):
+                    entries = dict(items)
+                    assert den > 0 and min(entries) == p and entries[p] == den, (g_name, n)
+                    assert gcd(den, *entries.values()) == 1
+                    assert not set(entries) & set(pivots) - {p}
 
     def test_each_degree_is_eliminated_once(self, monkeypatch):
         # ranks read the kept forward pass alone; the vector queries
         # back-substitute that same pass, which stays as it was kept
         from lie2alg import linalg
-        from lie2alg.cohomology import _delta_rows
 
+        complex_class = cohomology_module._Complex
         for g_name, g, rep_name, _ in catalog_pairs(max_dim_g=3, max_dim_v=3):
             rep = representation(g, rep_name)
-            passes = []
-            real = linalg._forward
+            passes, assembled = [], []
+            real, assemble = linalg._forward, complex_class._assemble
 
             def forward(rows, cols):
                 passes.append(len(rows))
                 return real(rows, cols)
 
+            def counted_assemble(self, n):
+                assembled.append(n)
+                return assemble(self, n)
+
             monkeypatch.setattr(cohomology_module, "_forward", forward)
+            monkeypatch.setattr(complex_class, "_assemble", counted_assemble)
             dims = [cohomology_dim(n, rep) for n in range(g.dim + 1)]
-            assert len(passes) == g.dim + 1
-            assert not any(key[0] == "rref" for key in vars(rep)["_kept_results"])
-            kept = {n: vars(rep)["_kept_results"][("forward", n)] for n in range(g.dim + 1)}
-            fresh = {n: real(*_delta_rows(n, rep)) for n in kept}
+            assert len(passes) == g.dim + 1 and sorted(assembled) == list(range(g.dim + 1))
+            cx = _complex(rep)
+            assert cx._reduced == {}   # no rref on rank-only queries
+            kept = dict(cx._echelon)
+            fresh = {n: real(*cx.rows(n)) for n in kept}
             bases = [cohomology_basis(n, rep) for n in range(g.dim + 1)]
             # one more pass per degree >= 1: the image pivots on the free rows
             assert len(passes) == 2 * (g.dim + 1) - 1
+            assert sorted(assembled) == list(range(g.dim + 1))
             assert [len(b) for b in bases] == dims, (g_name, rep_name)
-            assert all(vars(rep)["_kept_results"][("forward", n)] is kept[n] == fresh[n]
-                       for n in kept)
+            assert set(cx._reduced) == set(kept)
+            assert all(cx._echelon[n] is kept[n] == fresh[n] for n in kept)
             monkeypatch.undo()
 
     def test_query_order_does_not_matter(self):
@@ -218,7 +242,8 @@ class TestComplexCache:
         a, b = adjoint_rep(g), adjoint_rep(g)
         delta_matrix(2, a)
         assert a == b and vars(a)["_kept_results"] is not vars(b).get("_kept_results")
-        assert ("delta", 2) not in vars(b).get("_kept_results", {})
+        assert "complex" not in vars(b).get("_kept_results", {})
+        assert _complex(b) is not _complex(a) and _complex(b)._rows == {}
 
     def test_kept_complex_does_not_keep_the_representation_alive(self):
         # reference counting alone must free it: no kept value refers back
@@ -230,9 +255,9 @@ class TestComplexCache:
             assert is_coboundary(delta(primitive, rep), rep) is not None
             # ranks and the image pivots read the forward passes alone; only
             # the kernel vectors of cohomology_basis(1) read a back-substitution
-            assert set(vars(rep)["_kept_results"]) == {
-                ("delta", 0), ("delta", 1), ("delta", 2),
-                ("forward", 0), ("forward", 1), ("forward", 2), ("rref", 1)}
+            assert set(vars(rep)["_kept_results"]) == {"complex"}
+            cx = vars(rep)["_kept_results"]["complex"]
+            assert (set(cx._rows), set(cx._echelon), set(cx._reduced)) == ({0, 1, 2}, {0, 1, 2}, {1})
             ref = weakref.ref(rep)
             del rep
             assert ref() is None
@@ -813,8 +838,18 @@ class TestRecordPreconditions:
         (lambda: Representation(so3(), 1, (Matrix.zero(1, 1),) * 2),
          "one rho matrix per basis element"),
         (lambda: Cochain(2, so3(), 1, {(1, 0): (1,)}), "not an increasing 2-tuple"),
+        (lambda: Cochain(2, so3(), 1, {range(2): (1,)}), "not an increasing 2-tuple"),
         (lambda: Cochain(1, so3(), 2, {(0,): (1,)}), "wrong length"),
         (lambda: Cochain.zero(2, so3(), 1).evaluate([(1, 0, 0)]), "expected 2 arguments"),
+        (lambda: Cochain(-1, so3(), 1), "degree must be nonnegative"),
+        (lambda: Cochain.zero(2, so3(), 1).value_at_basis((0, 5)),
+         r"not 2 basis indices of g: \(0, 5\)"),
+        (lambda: Cochain.zero(2, so3(), 1).value_at_basis((0,)),
+         r"not 2 basis indices of g: \(0,\)"),
+        (lambda: Cochain.zero(2, so3(), 1).value_at_basis((0, 0, 0)),
+         r"not 2 basis indices of g: \(0, 0, 0\)"),
+        (lambda: Cochain.zero(2, so3(), 1).value_at_basis((-1, 0)),
+         r"not 2 basis indices of g: \(-1, 0\)"),
         (lambda: delta(Cochain.zero(1, so3(), 1), adjoint_rep(so3())), "different data"),
         (lambda: delta(Cochain.zero(1, sl2(), 1), trivial_rep(so3())), "different data"),
         (lambda: pullback_representation(adjoint_rep(so3()), Matrix.identity(2), so3()),
@@ -824,8 +859,11 @@ class TestRecordPreconditions:
         (lambda: is_coboundary(Cochain(2, so3(), 1, {(0, 1): (1,)}), adjoint_rep(so3())),
          "different data"),
     ], ids=["quadruple-dim-u", "quadruple-other-algebra", "quadruple-not-cocycle",
-            "rep-matrix-size", "rep-matrix-count", "cochain-key", "cochain-value-length",
-            "evaluate-arity", "delta-dim-v", "delta-algebra", "pullback-psi-shape",
+            "rep-matrix-size", "rep-matrix-count", "cochain-key", "cochain-key-not-a-tuple",
+            "cochain-value-length",
+            "evaluate-arity", "cochain-negative-degree", "value-at-basis-index-range",
+            "value-at-basis-short", "value-at-basis-long", "value-at-basis-negative-index",
+            "delta-dim-v", "delta-algebra", "pullback-psi-shape",
             "is-coboundary-algebra", "is-coboundary-dim-v"])
     def test_raises_value_error(self, build, message):
         with pytest.raises(ValueError, match=message):
@@ -842,6 +880,13 @@ class TestRecordPreconditions:
             cohomologous(Cochain.zero(3, g, 1), Cochain.zero(degree_k, g, 1), Matrix.identity(3),
                          Matrix.identity(1), trivial_rep(g, source_dim),
                          trivial_rep(g, pullback_dim))
+
+    def test_value_at_basis_on_good_tuples(self):
+        # the checked tuples still evaluate: a repeat gives zero, a swap the sign
+        f = Cochain(2, so3(), 1, {(0, 2): (3,)})
+        assert f.value_at_basis((0, 2)) == (3,) and f.value_at_basis((2, 0)) == (-3,)
+        assert f.value_at_basis((1, 1)) == (0,) and f.value_at_basis((0, 1)) == (0,)
+        assert Cochain(0, so3(), 1, {(): (4,)}).value_at_basis(()) == (4,)
 
     def test_cohomologous_in_degree_zero(self):
         # the transfer difference of degree 0 is built, and is_coboundary refuses it

@@ -17,9 +17,8 @@ from lie2alg import LieAlgebra, Matrix, adjoint_rep, normal_form, sl2, so3
 from lie2alg.builders import catalog_pairs, lie_algebra, random_algebra, representation
 from lie2alg.classify import decompose, extract_triple
 from lie2alg.cohomology import (
-    _assemble_delta,
-    _delta_rows,
-    _elimination,
+    _Complex,
+    _complex,
     cocycle_basis,
     cohomology_basis,
     increasing_tuples,
@@ -100,17 +99,18 @@ def test_delta_rows_match_the_fraction_assembly():
     assert any(q > 1 for rep in reps for m in rep.rho for _, q in m._rows)
     for rep in reps:
         for n in range(rep.g.dim + 1):
-            assert _assemble_delta(n, rep) == fraction_assemble_delta(n, rep), (rep.g.dim, n)
+            assert _Complex(rep)._assemble(n) == fraction_assemble_delta(n, rep), (rep.g.dim, n)
 
 
 def filtered_cohomology_basis(n, rep):
     """The cocycle basis less the vectors at the free columns bounded by
     the image of delta_{n-1}, as ``cohomology_basis`` used to filter it."""
-    pivots = set(_elimination(n, rep)[1])
-    free = [c for c in range(_delta_rows(n, rep)[1]) if c not in pivots]
+    cx = _complex(rep)
+    pivots = set(_eliminate(*cx.rows(n))[1])
+    free = [c for c in range(cx.rows(n)[1]) if c not in pivots]
     bounded = set()
     if n >= 1:
-        rows, image = _delta_rows(n - 1, rep)[0], {p: [] for p in _elimination(n - 1, rep)[1]}
+        rows, image = cx.rows(n - 1)[0], {p: [] for p in _eliminate(*cx.rows(n - 1))[1]}
         for i, c in enumerate(reversed(free)):
             for k, x in rows[c][0]:
                 if k in image:
@@ -237,6 +237,6 @@ def test_integer_paths_build_no_fraction(monkeypatch):
     built.clear()
     for r in (rep, g):
         for n in range(r.g.dim + 1):
-            _assemble_delta(n, r)
+            _Complex(r)._assemble(n)
     a @ b, b.transpose() @ a, Matrix.identity(4), Matrix.zero(3, 2)
     assert built == []
