@@ -370,7 +370,8 @@ def cohomology_basis(n: int, rep: Representation) -> tuple[Cochain, ...]:
     """The kernel vectors of delta_n that a greedy left-to-right scan keeps
     independent of im delta_{n-1} and of those kept before: those at the
     free columns of delta_n that no image vector bounds."""
-    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v) for v in _complex(rep).kernel(n, True))
+    kernel = _complex(rep).kernel(n, image=True)
+    return tuple(vec_to_cochain(n, rep.g, rep.dimV, v) for v in kernel)
 
 
 # ---------------------------------------------------------------------------

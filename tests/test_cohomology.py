@@ -860,10 +860,9 @@ class TestRecordPreconditions:
          "different data"),
     ], ids=["quadruple-dim-u", "quadruple-other-algebra", "quadruple-not-cocycle",
             "rep-matrix-size", "rep-matrix-count", "cochain-key", "cochain-key-not-a-tuple",
-            "cochain-value-length",
-            "evaluate-arity", "cochain-negative-degree", "value-at-basis-index-range",
-            "value-at-basis-short", "value-at-basis-long", "value-at-basis-negative-index",
-            "delta-dim-v", "delta-algebra", "pullback-psi-shape",
+            "cochain-value-length", "evaluate-arity", "cochain-negative-degree",
+            "value-at-basis-index-range", "value-at-basis-short", "value-at-basis-long",
+            "value-at-basis-negative-index", "delta-dim-v", "delta-algebra", "pullback-psi-shape",
             "is-coboundary-algebra", "is-coboundary-dim-v"])
     def test_raises_value_error(self, build, message):
         with pytest.raises(ValueError, match=message):
